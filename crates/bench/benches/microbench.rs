@@ -31,7 +31,7 @@ use probdist::{Distribution, Exponential, SimRng, Weibull};
 use raidsim::{RaidGeometry, StorageConfig, StorageSimulator};
 use sanet::beowulf::BeowulfConfig;
 use sanet::reward::RewardSpec;
-use sanet::{Experiment, ModelBuilder, Simulator};
+use sanet::{Experiment, ModelBuilder, Simulator, StoppingRule};
 
 /// Times `f` over `iters` iterations (after `warmup` untimed ones), prints
 /// nanoseconds per iteration, and returns the ns/iter.
@@ -216,7 +216,6 @@ fn bench_design_space_sweeps(records: &mut Vec<BenchRecord>) {
 /// per-replication time and replications per second.
 fn bench_rare_event(records: &mut Vec<BenchRecord>) {
     use probdist::rare::naive_replications_for;
-    use probdist::stats::StoppingRule;
     use raidsim::{DiskModel, ReplicationConfig, ReplicationSimulator};
     use sanet::rare::{failover_pair, BiasedExperiment, FailureBias};
 
@@ -230,7 +229,7 @@ fn bench_rare_event(records: &mut Vec<BenchRecord>) {
     experiment.add_reward(pair.hit_reward());
     let rule = StoppingRule::new(0.10, 1_000, 100_000).unwrap();
     let start = Instant::now();
-    let summary = experiment.run_until(rule, cfs_bench::DEFAULT_SEED).unwrap();
+    let summary = experiment.run(&rule, cfs_bench::DEFAULT_SEED).unwrap();
     let elapsed = start.elapsed();
     let estimate = summary.reward("hit").unwrap();
     let p = estimate.interval.point;
@@ -267,9 +266,8 @@ fn bench_rare_event(records: &mut Vec<BenchRecord>) {
     let sim = ReplicationSimulator::new(config).unwrap();
     let rule = StoppingRule::new(0.10, 1_000, 64_000).unwrap();
     let start = Instant::now();
-    let result = sim
-        .splitting_loss_probability_until(2190.0, &rule, cfs_bench::DEFAULT_SEED, 0.95, 0)
-        .unwrap();
+    let result =
+        sim.splitting_loss_probability(2190.0, &rule, cfs_bench::DEFAULT_SEED, 0.95, 0).unwrap();
     let elapsed = start.elapsed();
     println!(
         "rare_event_splitting_trials_to_10pct           {:>12.0} trials   (p = {:.3e}, rel \
@@ -437,9 +435,11 @@ fn bench_million_replications(records: &mut Vec<BenchRecord>) {
         .filter(|&n| n >= 2)
         .unwrap_or(1_000_000);
 
-    black_box(experiment.run(replications.clamp(2, 1_000), cfs_bench::DEFAULT_SEED).unwrap());
+    let warm_up = StoppingRule::fixed(replications.clamp(2, 1_000)).unwrap();
+    black_box(experiment.run(&warm_up, cfs_bench::DEFAULT_SEED).unwrap());
+    let rule = StoppingRule::fixed(replications).unwrap();
     let start = Instant::now();
-    let summary = black_box(experiment.run(replications, cfs_bench::DEFAULT_SEED).unwrap());
+    let summary = black_box(experiment.run(&rule, cfs_bench::DEFAULT_SEED).unwrap());
     let elapsed = start.elapsed();
     assert_eq!(summary.replications, replications);
 

@@ -196,11 +196,8 @@ fn run_range(
             Some(session) => session.every_n.min(range.end - next),
             None => range.end - next,
         };
-        let chunk_range = next..next + chunk_len;
-        let (chunk, cut) = match token {
-            Some(token) => experiment.run_raw_range_interruptible(chunk_range, seed, token)?,
-            None => (experiment.run_raw_range(chunk_range, seed)?, false),
-        };
+        let chunk = experiment.run_raw(next..next + chunk_len, seed, token)?;
+        let cut = chunk.len() < chunk_len;
         if let Some(session) = session.as_mut() {
             debug_assert_eq!(session.stored.len(), next, "checkpoint prefix out of step");
             session.stored.extend(chunk.iter().map(capture_run));
@@ -265,44 +262,32 @@ pub fn evaluate(config: &ClusterConfig, spec: &RunSpec) -> Result<ClusterDependa
     let mut session = CheckpointSession::open(config, spec)?;
 
     let truncated = Cell::new(false);
-    let runs = match spec.stopping_rule()? {
-        None => {
-            let (runs, cut) = run_range(
-                &experiment,
-                spec.base_seed(),
-                0..spec.replications(),
-                &mut session,
-                token.as_ref(),
-            )?;
-            truncated.set(cut);
-            runs
-        }
-        Some(rule) => run_to_precision(
-            &rule,
-            |range| -> Result<Vec<RunResult>, CfsError> {
-                let (batch, cut) =
-                    run_range(&experiment, spec.base_seed(), range, &mut session, token.as_ref())?;
-                if cut {
-                    truncated.set(true);
+    let rule = spec.stopping_rule()?;
+    let runs = run_to_precision(
+        &rule,
+        |range| -> Result<Vec<RunResult>, CfsError> {
+            let (batch, cut) =
+                run_range(&experiment, spec.base_seed(), range, &mut session, token.as_ref())?;
+            if cut {
+                truncated.set(true);
+            }
+            Ok(batch)
+        },
+        |runs| {
+            if truncated.get() {
+                // The deadline fired: accept the completed prefix as final
+                // instead of scheduling further batches.
+                return Ok(true);
+            }
+            let m = MeasureStats::from_runs(config, horizon_hours, runs)?;
+            for stats in [&m.cfs, &m.storage, &m.cu, &m.replacements, &m.oss_down] {
+                if !rule.met_by(&confidence_interval(stats, level)?) {
+                    return Ok(false);
                 }
-                Ok(batch)
-            },
-            |runs| {
-                if truncated.get() {
-                    // The deadline fired: accept the completed prefix as
-                    // final instead of scheduling further batches.
-                    return Ok(true);
-                }
-                let m = MeasureStats::from_runs(config, horizon_hours, runs)?;
-                for stats in [&m.cfs, &m.storage, &m.cu, &m.replacements, &m.oss_down] {
-                    if !rule.met_by(&confidence_interval(stats, level)?) {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            },
-        )?,
-    };
+            }
+            Ok(true)
+        },
+    )?;
 
     if truncated.get() && runs.len() < 2 {
         return Err(CfsError::DeadlineExpired {

@@ -45,30 +45,14 @@ use crate::run::RunSpec;
 use crate::CfsError;
 use raidsim::{StorageSimulator, StorageSummary};
 
-/// Runs one storage Monte-Carlo point under the spec's replication policy:
-/// a fixed `run_with` block, or adaptive `run_until` batches when the spec
-/// carries a precision target. Every storage-side driver funnels through
-/// here so fixed and adaptive execution stay interchangeable.
+/// Runs one storage Monte-Carlo point under the spec's stopping rule (a
+/// fixed count, or precision-targeted batches) at the given seed — the
+/// spec-to-run mapping every storage-side driver shares.
 pub(crate) fn run_storage(
     simulator: &StorageSimulator,
     spec: &RunSpec,
     seed: u64,
 ) -> Result<StorageSummary, CfsError> {
-    let summary = match spec.stopping_rule()? {
-        None => simulator.run_with(
-            spec.horizon_hours(),
-            spec.replications(),
-            seed,
-            spec.confidence_level(),
-            spec.workers(),
-        )?,
-        Some(rule) => simulator.run_until(
-            spec.horizon_hours(),
-            &rule,
-            seed,
-            spec.confidence_level(),
-            spec.workers(),
-        )?,
-    };
-    Ok(summary)
+    let rule = spec.stopping_rule()?;
+    Ok(simulator.run(spec.horizon_hours(), &rule, seed, spec.confidence_level(), spec.workers())?)
 }

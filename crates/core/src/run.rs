@@ -15,9 +15,12 @@ use serde::{Deserialize, Serialize};
 
 use crate::CfsError;
 
-/// Hard cap on replications per evaluation: beyond this a run is almost
-/// certainly a mis-typed argument (the old positional API made it easy to
-/// swap the replication and seed arguments).
+/// Hard cap on the fixed replication count ([`RunSpec::with_replications`]):
+/// beyond this a run is almost certainly a mis-typed argument (a swapped
+/// replication count and seed, which a numeric environment knob such as
+/// `CFS_BENCH_REPLICATIONS` still makes easy). Precision targets and
+/// splitting efforts are not capped, so an adaptive study can spend as
+/// many replications as its target needs.
 pub const MAX_REPLICATIONS: usize = 100_000;
 
 /// Execution parameters shared by every scenario of a study.
@@ -112,7 +115,7 @@ pub enum RareEventPolicy {
     /// each intermediate exposure level.
     MultilevelSplitting {
         /// Trials per exposure level (per adaptive round, when the spec
-        /// also carries a precision target).
+        /// also carries a precision target); at least 2.
         trials_per_level: usize,
     },
 }
@@ -123,7 +126,8 @@ pub enum RareEventPolicy {
 /// bounded by `[min_replications, max_replications]`.
 ///
 /// Built by [`RunSpec::with_precision_target`]; converted to a validated
-/// [`probdist::stats::StoppingRule`] by [`RunSpec::stopping_rule`].
+/// [`probdist::stats::StoppingRule`] by [`RunSpec::stopping_rule`]. The cap
+/// is not bounded by [`MAX_REPLICATIONS`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PrecisionTarget {
     /// Target relative CI half-width (e.g. `0.01` for ±1 %).
@@ -362,23 +366,27 @@ impl RunSpec {
             .map(std::time::Duration::from_secs_f64)
     }
 
-    /// The validated stopping rule of the precision target, or `None` for a
-    /// fixed-count spec.
+    /// The validated stopping rule of the spec's replication policy: the
+    /// precision target's adaptive rule when one is set, otherwise a
+    /// [`StoppingRule::fixed`] rule of [`RunSpec::replications`]. Every
+    /// Monte-Carlo evaluation runs under this rule.
     ///
     /// # Errors
     ///
     /// Returns [`CfsError::InvalidConfig`] naming the offending parameter
     /// when the precision target is malformed (non-positive or non-finite
-    /// half-width, `min < 2`, `min > max`).
-    pub fn stopping_rule(&self) -> Result<Option<StoppingRule>, CfsError> {
-        self.precision
-            .map(|p| {
+    /// half-width, `min < 2`, `min > max`), and
+    /// [`CfsError::Distribution`] for a fixed count below two.
+    pub fn stopping_rule(&self) -> Result<StoppingRule, CfsError> {
+        match self.precision {
+            Some(p) => {
                 StoppingRule::new(p.relative_half_width, p.min_replications, p.max_replications)
                     .map_err(|e| CfsError::InvalidConfig {
                         reason: format!("run spec: invalid precision target: {e}"),
                     })
-            })
-            .transpose()
+            }
+            None => Ok(StoppingRule::fixed(self.replications)?),
+        }
     }
 
     /// A copy of this spec with the base seed offset by `offset` — used by
@@ -395,9 +403,10 @@ impl RunSpec {
     ///
     /// # Errors
     ///
-    /// Rejects a non-finite or non-positive horizon, fewer than 2 or more
-    /// than [`MAX_REPLICATIONS`] replications, and a confidence level
-    /// outside the open interval (0, 1).
+    /// Rejects a non-finite or non-positive horizon, a fixed count of fewer
+    /// than 2 or more than [`MAX_REPLICATIONS`] replications, a malformed
+    /// precision target, and a confidence level outside the open interval
+    /// (0, 1).
     pub fn validate(&self) -> Result<(), CfsError> {
         if !(self.horizon_hours.is_finite() && self.horizon_hours > 0.0) {
             return Err(CfsError::InvalidConfig {
@@ -432,15 +441,7 @@ impl RunSpec {
                 ),
             });
         }
-        if let Some(target) = &self.precision {
-            if target.max_replications > MAX_REPLICATIONS {
-                return Err(CfsError::InvalidConfig {
-                    reason: format!(
-                        "run spec: precision target cap of {} replications exceeds the {} limit",
-                        target.max_replications, MAX_REPLICATIONS
-                    ),
-                });
-            }
+        if self.precision.is_some() {
             self.stopping_rule()?;
         }
         if let Some(policy) = &self.checkpoint {
@@ -482,12 +483,12 @@ impl RunSpec {
                 })
             }
             Some(RareEventPolicy::MultilevelSplitting { trials_per_level })
-                if !(2..=MAX_REPLICATIONS).contains(&trials_per_level) =>
+                if trials_per_level < 2 =>
             {
                 Err(CfsError::InvalidConfig {
                     reason: format!(
-                        "run spec: splitting needs between 2 and {MAX_REPLICATIONS} trials per \
-                         level, got {trials_per_level}"
+                        "run spec: splitting needs at least 2 trials per level, got \
+                         {trials_per_level}"
                     ),
                 })
             }
@@ -548,12 +549,13 @@ mod tests {
         assert_eq!(target.relative_half_width, 0.02);
         assert_eq!(target.min_replications, 8);
         assert_eq!(target.max_replications, 128);
-        let rule = spec.stopping_rule().unwrap().unwrap();
+        let rule = spec.stopping_rule().unwrap();
         assert_eq!(rule.min_replications(), 8);
         assert_eq!(rule.max_replications(), 128);
 
-        // Fixed specs carry no rule.
-        assert!(RunSpec::new().stopping_rule().unwrap().is_none());
+        // Fixed specs carry a fixed rule of their replication count.
+        let fixed = RunSpec::new().with_replications(24).stopping_rule().unwrap();
+        assert_eq!((fixed.min_replications(), fixed.max_replications()), (24, 24));
         assert!(RunSpec::new().precision_target().is_none());
         let cleared = spec.with_fixed_replications();
         assert!(cleared.precision_target().is_none());
@@ -566,10 +568,11 @@ mod tests {
         assert!(RunSpec::new().with_precision_target(f64::NAN, 8, 128).validate().is_err());
         assert!(RunSpec::new().with_precision_target(0.01, 1, 128).validate().is_err());
         assert!(RunSpec::new().with_precision_target(0.01, 64, 8).validate().is_err());
+        // The fixed-count cap does not bound an adaptive target's cap.
         assert!(RunSpec::new()
             .with_precision_target(0.01, 8, MAX_REPLICATIONS + 1)
             .validate()
-            .is_err());
+            .is_ok());
         let err = RunSpec::new().with_precision_target(0.01, 64, 8).validate().unwrap_err();
         assert!(err.to_string().contains("precision target"), "{err}");
     }
@@ -598,7 +601,9 @@ mod tests {
                 .unwrap_err();
             assert!(err.to_string().contains("bias factor"), "{err}");
         }
-        for bad in [0, 1, MAX_REPLICATIONS + 1] {
+        let large = RareEventPolicy::MultilevelSplitting { trials_per_level: MAX_REPLICATIONS + 1 };
+        assert!(RunSpec::new().with_rare_event(large).validate().is_ok());
+        for bad in [0, 1] {
             let err = RunSpec::new()
                 .with_rare_event(RareEventPolicy::MultilevelSplitting { trials_per_level: bad })
                 .validate()

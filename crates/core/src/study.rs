@@ -207,34 +207,41 @@ impl Study {
         // returns its completed prefix.
         let token = spec.deadline().map(CancelToken::with_deadline);
         let failed = std::sync::atomic::AtomicBool::new(false);
-        let results = pool.run_indexed(self.scenarios.len(), |index| {
-            if failed.load(std::sync::atomic::Ordering::Relaxed) {
-                return None;
-            }
-            let start = std::time::Instant::now();
-            // Contain panics here, at the scenario boundary: the pool never
-            // sees the unwind, so a poisoned scenario cannot take down its
-            // siblings or leave the global pool unusable.
-            let evaluated =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &token {
-                    Some(token) => cancel_scope(token, || self.scenarios[index].evaluate(spec)),
-                    None => self.scenarios[index].evaluate(spec),
-                }));
-            let elapsed_seconds = start.elapsed().as_secs_f64();
-            let outcome = match evaluated {
-                Ok(result) => ScenarioOutcome::Finished(result),
-                Err(payload) => ScenarioOutcome::Panicked {
-                    replication: payload
-                        .downcast_ref::<WorkUnitPanic>()
-                        .map(|wrapped| wrapped.index() as u64),
-                    message: panic_message(payload.as_ref()),
-                },
-            };
-            if abort && outcome.is_fatal() {
-                failed.store(true, std::sync::atomic::Ordering::Relaxed);
-            }
-            Some((outcome, elapsed_seconds))
-        });
+        // The scenario fan-out itself takes no token: every scenario runs,
+        // and each one observes the deadline inside its own evaluation.
+        let results = pool.run_indexed_with(
+            self.scenarios.len(),
+            None,
+            || (),
+            |index, ()| {
+                if failed.load(std::sync::atomic::Ordering::Relaxed) {
+                    return None;
+                }
+                let start = std::time::Instant::now();
+                // Contain panics here, at the scenario boundary: the pool never
+                // sees the unwind, so a poisoned scenario cannot take down its
+                // siblings or leave the global pool unusable.
+                let evaluated =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &token {
+                        Some(token) => cancel_scope(token, || self.scenarios[index].evaluate(spec)),
+                        None => self.scenarios[index].evaluate(spec),
+                    }));
+                let elapsed_seconds = start.elapsed().as_secs_f64();
+                let outcome = match evaluated {
+                    Ok(result) => ScenarioOutcome::Finished(result),
+                    Err(payload) => ScenarioOutcome::Panicked {
+                        replication: payload
+                            .downcast_ref::<WorkUnitPanic>()
+                            .map(|wrapped| wrapped.index() as u64),
+                        message: panic_message(payload.as_ref()),
+                    },
+                };
+                if abort && outcome.is_fatal() {
+                    failed.store(true, std::sync::atomic::Ordering::Relaxed);
+                }
+                Some((outcome, elapsed_seconds))
+            },
+        );
         let mut outputs = Vec::with_capacity(results.len());
         let mut failures = Vec::new();
         for (index, result) in results.into_iter().enumerate() {

@@ -19,16 +19,17 @@
 //!   (`raidsim::splitting`) under the spec's
 //!   [`RareEventPolicy`].
 //!
-//! Both are thin [`SweepScenario`] configurations: a [`DesignSpace`] over
+//! Each is a thin [`SweepScenario`] configuration: a [`DesignSpace`] over
 //! the interesting axes plus a point evaluator that builds the matching
-//! simulator, honours the spec's replication policy (fixed count or
+//! simulator, runs it under the spec's stopping rule (fixed count or
 //! precision-targeted adaptive stopping, per point), and reports named
 //! metrics for the winner selection.
 
 use probdist::rare::naive_replications_for;
+use probdist::stats::StoppingRule;
 use raidsim::{
     DiskModel, RaidGeometry, ReplicationConfig, ReplicationSimulator, SplittingResult,
-    StorageConfig, StorageSimulator, StorageSummary,
+    StorageConfig, StorageSimulator,
 };
 use sanet::beowulf::{
     build_beowulf_model, BeowulfConfig, HEAD_AVAILABILITY, MEAN_WORKERS_UP, PERFORMABILITY,
@@ -40,40 +41,6 @@ use crate::run::{RareEventPolicy, RunSpec};
 use crate::scenario::{Scenario, ScenarioOutput};
 use crate::sweep::{DesignPoint, DesignSpace, Objective, PointOutcome, SweepScenario};
 use crate::CfsError;
-
-/// Runs a storage Monte-Carlo engine under the spec's replication policy —
-/// the adaptive runner when a precision target is set, the fixed-count
-/// runner otherwise. The RAID and replication simulators share this exact
-/// run signature shape, so the spec-to-run mapping lives in one place.
-fn storage_summary_under(
-    spec: &RunSpec,
-    run_fixed: impl FnOnce(f64, usize, u64, f64, usize) -> Result<StorageSummary, raidsim::RaidError>,
-    run_adaptive: impl FnOnce(
-        f64,
-        &probdist::stats::StoppingRule,
-        u64,
-        f64,
-        usize,
-    ) -> Result<StorageSummary, raidsim::RaidError>,
-) -> Result<StorageSummary, CfsError> {
-    let summary = match spec.stopping_rule()? {
-        Some(rule) => run_adaptive(
-            spec.horizon_hours(),
-            &rule,
-            spec.base_seed(),
-            spec.confidence_level(),
-            spec.workers(),
-        )?,
-        None => run_fixed(
-            spec.horizon_hours(),
-            spec.replications(),
-            spec.base_seed(),
-            spec.confidence_level(),
-            spec.workers(),
-        )?,
-    };
-    Ok(summary)
-}
 
 /// One redundancy scheme of the [`ReplicationVsRaid`] comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -185,29 +152,23 @@ impl ReplicationVsRaid {
         let afr = point.value("afr_percent").expect("afr axis always present");
         let disk = DiskModel::with_afr(afr, DiskModel::abe_sata_250gb().weibull_shape)?;
 
-        let (summary, raw_disks): (StorageSummary, u32) = match scheme {
+        let rule = spec.stopping_rule()?;
+        let (horizon, seed) = (spec.horizon_hours(), spec.base_seed());
+        let (level, workers) = (spec.confidence_level(), spec.workers());
+        let (summary, raw_disks) = match scheme {
             RedundancyScheme::Raid(geometry) => {
                 let config = self.raid_config(geometry, disk);
                 let disks = config.total_disks();
-                let sim = StorageSimulator::new(config)?;
-                let summary = storage_summary_under(
-                    spec,
-                    |h, r, s, c, w| sim.run_with(h, r, s, c, w),
-                    |h, rule, s, c, w| sim.run_until(h, rule, s, c, w),
-                )?;
-                (summary, disks)
+                (StorageSimulator::new(config)?.run(horizon, &rule, seed, level, workers)?, disks)
             }
             RedundancyScheme::Replication { replicas } => {
                 let config =
                     ReplicationConfig::for_usable_capacity(self.usable_capacity_tb, replicas, disk);
                 let disks = config.disks;
-                let sim = ReplicationSimulator::new(config)?;
-                let summary = storage_summary_under(
-                    spec,
-                    |h, r, s, c, w| sim.run_with(h, r, s, c, w),
-                    |h, rule, s, c, w| sim.run_until(h, rule, s, c, w),
-                )?;
-                (summary, disks)
+                (
+                    ReplicationSimulator::new(config)?.run(horizon, &rule, seed, level, workers)?,
+                    disks,
+                )
             }
         };
 
@@ -328,10 +289,7 @@ impl BeowulfPerformabilitySweep {
         for reward in beowulf.rewards() {
             experiment.add_reward(reward);
         }
-        let summary = match spec.stopping_rule()? {
-            Some(rule) => experiment.run_until(rule, spec.base_seed())?,
-            None => experiment.run(spec.replications(), spec.base_seed())?,
-        };
+        let summary = experiment.run(&spec.stopping_rule()?, spec.base_seed())?;
         let mut outcome = PointOutcome::new();
         for name in [PERFORMABILITY, SERVICE_AVAILABILITY, HEAD_AVAILABILITY, MEAN_WORKERS_UP] {
             outcome = outcome.with_metric_ci(name, &summary.reward(name)?.interval);
@@ -442,48 +400,18 @@ impl Default for UltraReliableSweep {
     }
 }
 
-/// Runs a splitting estimator under the spec's replication policy — the
-/// adaptive runner when a precision target is set, the fixed-effort runner
-/// otherwise (with the per-level trial count from the spec's
-/// [`RareEventPolicy`] or the default). Mirrors [`storage_summary_under`]:
-/// the RAID and replication simulators share this exact run-signature
-/// shape, so the spec-to-run mapping lives in one place.
-fn splitting_under(
-    spec: &RunSpec,
-    run_fixed: impl FnOnce(f64, usize, u64, f64, usize) -> Result<SplittingResult, raidsim::RaidError>,
-    run_adaptive: impl FnOnce(
-        f64,
-        &probdist::stats::StoppingRule,
-        u64,
-        f64,
-        usize,
-    ) -> Result<SplittingResult, raidsim::RaidError>,
-) -> Result<SplittingResult, CfsError> {
-    let result = match spec.stopping_rule()? {
-        Some(rule) => run_adaptive(
-            spec.horizon_hours(),
-            &rule,
-            spec.base_seed(),
-            spec.confidence_level(),
-            spec.workers(),
-        )?,
-        None => {
-            let trials = match spec.rare_event() {
-                Some(RareEventPolicy::MultilevelSplitting { trials_per_level }) => {
-                    *trials_per_level
-                }
-                _ => DEFAULT_TRIALS_PER_LEVEL,
-            };
-            run_fixed(
-                spec.horizon_hours(),
-                trials,
-                spec.base_seed(),
-                spec.confidence_level(),
-                spec.workers(),
-            )?
-        }
+/// The splitting stopping rule under the spec: the precision target's
+/// adaptive rule when one is set, otherwise a fixed effort of the per-level
+/// trial count from the spec's [`RareEventPolicy`] or the default.
+fn splitting_rule(spec: &RunSpec) -> Result<StoppingRule, CfsError> {
+    if spec.precision_target().is_some() {
+        return spec.stopping_rule();
+    }
+    let trials = match spec.rare_event() {
+        Some(RareEventPolicy::MultilevelSplitting { trials_per_level }) => *trials_per_level,
+        _ => DEFAULT_TRIALS_PER_LEVEL,
     };
-    Ok(result)
+    Ok(StoppingRule::fixed(trials)?)
 }
 
 impl UltraReliableSweep {
@@ -495,6 +423,9 @@ impl UltraReliableSweep {
         disk: DiskModel,
         spec: &RunSpec,
     ) -> Result<(SplittingResult, u32), CfsError> {
+        let rule = splitting_rule(spec)?;
+        let (horizon, seed) = (spec.horizon_hours(), spec.base_seed());
+        let (level, workers) = (spec.confidence_level(), spec.workers());
         match scheme {
             RedundancyScheme::Raid(geometry) => {
                 // Reuse the equal-capacity provisioning of the MC sweep so
@@ -507,24 +438,14 @@ impl UltraReliableSweep {
                 let config = base.raid_config(geometry, disk);
                 let disks = config.total_disks();
                 let sim = StorageSimulator::new(config)?;
-                let result = splitting_under(
-                    spec,
-                    |h, t, s, c, w| sim.splitting_loss_probability(h, t, s, c, w),
-                    |h, rule, s, c, w| sim.splitting_loss_probability_until(h, rule, s, c, w),
-                )?;
-                Ok((result, disks))
+                Ok((sim.splitting_loss_probability(horizon, &rule, seed, level, workers)?, disks))
             }
             RedundancyScheme::Replication { replicas } => {
                 let config =
                     ReplicationConfig::for_usable_capacity(self.usable_capacity_tb, replicas, disk);
                 let disks = config.disks;
                 let sim = ReplicationSimulator::new(config)?;
-                let result = splitting_under(
-                    spec,
-                    |h, t, s, c, w| sim.splitting_loss_probability(h, t, s, c, w),
-                    |h, rule, s, c, w| sim.splitting_loss_probability_until(h, rule, s, c, w),
-                )?;
-                Ok((result, disks))
+                Ok((sim.splitting_loss_probability(horizon, &rule, seed, level, workers)?, disks))
             }
         }
     }

@@ -195,8 +195,15 @@ pub fn corrupt_reward(index: u64, slot: usize, value: f64) -> f64 {
 mod tests {
     use super::*;
 
+    /// Holds the scope lock, so no other test's plan is installed while
+    /// the caller checks the inactive state.
+    fn no_plan_installed() -> MutexGuard<'static, ()> {
+        scope_lock().lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn inactive_hooks_are_transparent() {
+        let _idle = no_plan_installed();
         assert!(!is_active());
         work_unit(7); // must not panic
         assert_eq!(corrupt_reward(7, 0, 1.25), 1.25);
@@ -208,6 +215,7 @@ mod tests {
             let _guard = scoped(ChaosConfig::new(1));
             assert!(is_active());
         }
+        let _idle = no_plan_installed();
         assert!(!is_active());
     }
 

@@ -6,12 +6,11 @@
 //! A [`Pool`] owns `workers - 1` **long-lived worker threads**, spawned
 //! once when the pool is created and parked on a condvar between fan-outs
 //! (the calling thread is the pool's remaining worker). A fan-out
-//! ([`Pool::run_indexed`] / [`Pool::run_indexed_with`]) registers itself
-//! in the pool's registry, wakes parked workers, and participates in the
-//! work itself; when the last index is claimed the workers detach and park
-//! again. No threads are spawned per fan-out, so scheduling a short study
-//! costs two condvar signals instead of a `thread::scope` spawn/join
-//! cycle.
+//! ([`Pool::run_indexed_with`]) registers itself in the pool's registry,
+//! wakes parked workers, and participates in the work itself; when the
+//! last index is claimed the workers detach and park again. No threads
+//! are spawned per fan-out, so scheduling a short study costs two condvar
+//! signals instead of a `thread::scope` spawn/join cycle.
 //!
 //! Work is claimed in **adaptive batches**: each claim takes
 //! `max(1, remaining / (2 * workers))` consecutive indices from a shared
@@ -24,10 +23,10 @@
 //!
 //! # Nested-pool arbitration
 //!
-//! While `run_indexed` executes, the pool installs itself as the thread's
-//! *ambient* pool (workers carry it permanently). A nested fan-out — e.g.
-//! a `Study` running scenarios, each of which fans out its own
-//! replications through [`replicate`] — registers on the **same** pool
+//! While `run_indexed_with` executes, the pool installs itself as the
+//! thread's *ambient* pool (workers carry it permanently). A nested fan-out
+//! — e.g. a `Study` running scenarios, each of which fans out its own
+//! replications through [`replicate_with`] — registers on the **same** pool
 //! instead of spawning a second one: the process never runs more than
 //! `workers` busy threads. Workers prefer the **innermost** registered
 //! fan-out with unclaimed work, so nested replication fan-outs drain
@@ -36,20 +35,28 @@
 //! nesting deadlock-free: every blocked thread only waits on work that
 //! strictly deeper threads are actively executing.
 //!
-//! # Per-worker state
+//! # The two fan-outs
 //!
-//! [`Pool::run_indexed_with`] and [`replicate_with`] thread a per-worker
-//! scratch value (created by an `init` closure once per participating
-//! worker, reused across every index that worker claims) through the
-//! task. The simulation kernels use this to make a replication
-//! allocation-free: heaps, accumulators, and markings are allocated once
-//! per worker and reset per replication.
+//! [`Pool::run_indexed_with`] runs `task(index)` over `0..count` on one
+//! pool; [`replicate_with`] runs replications over an index range, each
+//! with its own RNG stream, on the ambient pool (or a cached one). Both
+//! thread a per-worker scratch value (created by an `init` closure once
+//! per participating worker, reused across every index that worker
+//! claims) through the task. The simulation kernels use this to make a
+//! replication allocation-free: heaps, accumulators, and markings are
+//! allocated once per worker and reset per replication.
+//!
+//! Both take an optional [`CancelToken`], checked between batch claims,
+//! and return the results of the completed **contiguous index prefix**: a
+//! result shorter than asked means the token fired. The token is an
+//! argument, never picked up from the ambient [`cancel_scope`], so a
+//! fan-out that was not handed one always runs to completion.
 //!
 //! # Determinism
 //!
-//! [`replicate`] runs one closure per replication index, each with the RNG
-//! stream derived from `(root seed, index)`, and collects the results **in
-//! index order**. Because the stream depends only on the index and the
+//! [`replicate_with`] runs one closure per replication index, each with the
+//! RNG stream derived from `(root seed, index)`, and collects the results
+//! **in index order**. Because the stream depends only on the index and the
 //! collection order is fixed, the returned vector is bit-identical for any
 //! worker count, any batch size, and any scheduling interleaving — the
 //! invariant the SAN experiment runner, the storage Monte-Carlo, and the
@@ -71,8 +78,8 @@ use crate::SimRng;
 const MIN_PARALLEL_COUNT: usize = 4;
 
 /// A cooperative cancellation token threaded through the pool's batch-claim
-/// loop by the interruptible fan-out entry points
-/// ([`Pool::run_indexed_interruptible`], [`replicate_interruptible`]).
+/// loop by the fan-outs that are handed one ([`Pool::run_indexed_with`],
+/// [`replicate_with`]).
 ///
 /// A token fires either because [`CancelToken::cancel`] was called or
 /// because its optional deadline passed. Cancellation is *cooperative*:
@@ -85,8 +92,7 @@ const MIN_PARALLEL_COUNT: usize = 4;
 ///
 /// Once observed, the deadline latches into the cancelled flag, so
 /// repeated checks after expiry cost one relaxed atomic load. A fan-out
-/// that never supplies a token pays nothing — the non-interruptible paths
-/// contain no check at all.
+/// handed no token pays one `Option` test per claim.
 #[derive(Clone, Debug)]
 pub struct CancelToken {
     inner: Arc<CancelState>,
@@ -146,7 +152,7 @@ impl Default for CancelToken {
 
 thread_local! {
     /// Stack of cancellation tokens installed on this thread; the
-    /// innermost one governs interruptible fan-outs started from here.
+    /// innermost one is what [`current_cancel_token`] returns.
     static AMBIENT_CANCEL: RefCell<Vec<CancelToken>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -155,9 +161,9 @@ thread_local! {
 /// the token uninstalls when `body` returns or unwinds.
 ///
 /// A study scheduler installs its deadline token around each scenario so
-/// that code deep inside the scenario — the replication engines — can pick
-/// it up without every intermediate layer threading it through its
-/// signature.
+/// that a scenario's evaluator can pick it up without every intermediate
+/// layer threading it through its signature; the evaluator then hands it
+/// to its fan-outs explicitly.
 pub fn cancel_scope<R>(token: &CancelToken, body: impl FnOnce() -> R) -> R {
     struct PopGuard;
     impl Drop for PopGuard {
@@ -180,7 +186,7 @@ pub fn current_cancel_token() -> Option<CancelToken> {
 
 /// The typed panic payload the engine forwards when a work unit panics:
 /// the original payload wrapped with the index of the work unit (for
-/// [`replicate`]-family fan-outs, the replication index) that raised it.
+/// [`replicate_with`], the replication index) that raised it.
 ///
 /// Downcast the payload caught from a fan-out to this type to recover the
 /// failing index and a displayable message; [`panic_message`] extracts the
@@ -332,7 +338,7 @@ mod fanout {
         /// parked workers from attaching to a fan-out that is winding down.
         halted: AtomicBool,
         /// Cooperative cancellation token, checked between batch claims.
-        /// `None` for non-interruptible fan-outs — those pay no check.
+        /// `None` when the fan-out was handed no token.
         cancel: Option<super::CancelToken>,
         /// Attached-worker count. Only read/written while holding the
         /// registry lock; atomic so the header stays `Sync`.
@@ -605,7 +611,7 @@ mod fanout {
 
     /// Runs a parallel fan-out of `count` tasks on `shared`, with the
     /// calling thread participating, and returns the results of the
-    /// executed index prefix in index order, plus the prefix length.
+    /// executed index prefix in index order.
     /// Without a cancellation token the prefix is always the full index
     /// space; with one, claiming stops when the token fires, in-flight
     /// batches finish, and the completed prefix is whatever was claimed —
@@ -617,7 +623,7 @@ mod fanout {
         cancel: Option<&super::CancelToken>,
         init: &I,
         task: &F,
-    ) -> (Vec<T>, usize)
+    ) -> Vec<T>
     where
         T: Send,
         I: Fn() -> S + Sync,
@@ -696,7 +702,7 @@ mod fanout {
                 unsafe { slot.cell.into_inner().assume_init_drop() }
             }
         }
-        (results, completed)
+        results
     }
 }
 
@@ -810,29 +816,32 @@ impl Pool {
         self.shared.total
     }
 
-    /// Runs `task(index)` for every `index` in `0..count` on this pool and
-    /// returns the results **in index order**.
+    /// Runs `task(index, scratch)` for every `index` in `0..count` on this
+    /// pool and returns the results **in index order**.
     ///
     /// The calling thread participates as a worker; parked pool threads
     /// are woken while unclaimed work remains. Every worker has the pool
     /// installed as its ambient pool, so nested fan-outs (e.g.
-    /// [`replicate`] called from inside `task`) register on the same pool
-    /// — one global scheduler, no oversubscription.
-    pub fn run_indexed<T, F>(&self, count: usize, task: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run_indexed_with(count, || (), move |index, _scratch| task(index))
-    }
-
-    /// Like [`Pool::run_indexed`], but threads a per-worker scratch value
-    /// through the tasks: `init` runs once per participating worker and
-    /// the resulting state is passed (mutably) to every index that worker
-    /// executes. Results must not depend on which worker ran an index —
-    /// use the scratch to cache allocations, not to carry data between
-    /// indices.
-    pub fn run_indexed_with<T, S, I, F>(&self, count: usize, init: I, task: F) -> Vec<T>
+    /// [`replicate_with`] called from inside `task`) register on the same
+    /// pool — one global scheduler, no oversubscription.
+    ///
+    /// `init` runs once per participating worker and the resulting state is
+    /// passed (mutably) to every index that worker executes. Results must
+    /// not depend on which worker ran an index — use the scratch to cache
+    /// allocations, not to carry data between indices.
+    ///
+    /// With a `cancel` token the fan-out is cooperatively cancellable: the
+    /// token is checked between batch claims (before every index on the
+    /// serial path), in-flight batches finish when it fires, and the call
+    /// returns the results of the completed **contiguous index prefix** —
+    /// fewer than `count` exactly when the fan-out was truncated.
+    pub fn run_indexed_with<T, S, I, F>(
+        &self,
+        count: usize,
+        cancel: Option<&CancelToken>,
+        init: I,
+        task: F,
+    ) -> Vec<T>
     where
         T: Send,
         I: Fn() -> S + Sync,
@@ -844,54 +853,22 @@ impl Pool {
         let _ambient = push_ambient(Arc::clone(&self.shared));
         if self.shared.total <= 1 || count == 1 {
             let mut state = init();
-            return (0..count).map(|index| task(index, &mut state)).collect();
-        }
-        let (results, completed) = fanout::execute(&self.shared, count, None, &init, &task);
-        debug_assert_eq!(completed, count, "uncancellable fan-out must run every index");
-        results
-    }
-
-    /// Like [`Pool::run_indexed_with`], but cooperatively cancellable:
-    /// `token` is checked between batch claims, in-flight batches finish
-    /// when it fires, and the call returns the results of the completed
-    /// **contiguous index prefix** plus a flag that is `true` when the
-    /// fan-out was truncated (fewer than `count` results).
-    pub fn run_indexed_interruptible<T, S, I, F>(
-        &self,
-        count: usize,
-        token: &CancelToken,
-        init: I,
-        task: F,
-    ) -> (Vec<T>, bool)
-    where
-        T: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(usize, &mut S) -> T + Sync,
-    {
-        if count == 0 {
-            return (Vec::new(), false);
-        }
-        let _ambient = push_ambient(Arc::clone(&self.shared));
-        if self.shared.total <= 1 || count == 1 {
-            let mut state = init();
             let mut results = Vec::with_capacity(count);
             for index in 0..count {
-                if token.is_cancelled() {
-                    return (results, true);
+                if cancel.is_some_and(CancelToken::is_cancelled) {
+                    break;
                 }
                 results.push(task(index, &mut state));
             }
-            return (results, false);
+            return results;
         }
-        let (results, completed) = fanout::execute(&self.shared, count, Some(token), &init, &task);
-        let truncated = completed < count;
-        (results, truncated)
+        fanout::execute(&self.shared, count, cancel, &init, &task)
     }
 }
 
-/// The pool [`replicate`] falls back to when no ambient pool is installed:
-/// the process-wide cached pool, except under Miri, where leaked global
-/// threads would be reported — there every fan-out gets an owned,
+/// The pool [`replicate_with`] falls back to when no ambient pool is
+/// installed: the process-wide cached pool, except under Miri, where leaked
+/// global threads would be reported — there every fan-out gets an owned,
 /// joined-on-drop pool instead.
 fn fallback_pool(workers: usize) -> Pool {
     if cfg!(miri) {
@@ -901,37 +878,30 @@ fn fallback_pool(workers: usize) -> Pool {
     }
 }
 
-/// Runs `run(index, rng)` for every index in `indices`, fanning the work
-/// across the ambient [`Pool`] when one is installed (a study's global
-/// pool) or the process-wide cached pool otherwise (`0` = the machine's
-/// available parallelism, `1` = force serial execution), and returns the
-/// results in index order.
+/// Runs `run(index, rng, scratch)` for every index in `indices`, fanning
+/// the work across the ambient [`Pool`] when one is installed (a study's
+/// global pool) or the process-wide cached pool otherwise (`0` = the
+/// machine's available parallelism, `1` = force serial execution), and
+/// returns the results in index order.
 ///
 /// Each call receives a fresh [`SimRng`] derived from `root` and its own
 /// index, so the output is a pure function of `(root, indices)` —
-/// independent of worker count, pool sharing, and scheduling order.
-pub fn replicate<T, F>(
-    indices: std::ops::Range<usize>,
-    root: &SimRng,
-    workers: usize,
-    run: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &mut SimRng) -> T + Sync,
-{
-    replicate_with(indices, root, workers, || (), move |index, rng, _scratch| run(index, rng))
-}
-
-/// Like [`replicate`], but threads a per-worker scratch value through the
-/// replications: `init` runs once per participating worker, and each
-/// replication that worker claims receives the same state mutably. The
-/// simulation kernels use this to reuse their heap allocations across
-/// replications; results must stay a pure function of `(root, index)`.
+/// independent of worker count, pool sharing, and scheduling order. `init`
+/// runs once per participating worker, and each replication that worker
+/// claims receives the same scratch mutably; the simulation kernels use
+/// this to reuse their heap allocations across replications.
+///
+/// With a `cancel` token, claiming stops when it fires, in-flight batches
+/// finish, and the call returns the completed **contiguous replication
+/// prefix** — shorter than `indices` exactly when the run was truncated.
+/// Because replication `i` always draws the stream derived from
+/// `(root, i)`, that prefix is bit-identical to the first results of an
+/// uninterrupted run: a statistically valid (if smaller) sample.
 pub fn replicate_with<T, S, I, F>(
     indices: std::ops::Range<usize>,
     root: &SimRng,
     workers: usize,
+    cancel: Option<&CancelToken>,
     init: I,
     run: F,
 ) -> Vec<T>
@@ -951,85 +921,19 @@ where
     if workers == 1 || count < MIN_PARALLEL_COUNT {
         // Serial path: iterate the range directly — no pool, one scratch.
         let mut scratch = init();
-        return indices
-            .map(|index| {
-                run_work_unit(index, || {
-                    run(index, &mut root.derive_stream(index as u64), &mut scratch)
-                })
-            })
-            .collect();
-    }
-    let pool = Pool::current().unwrap_or_else(|| fallback_pool(workers));
-    pool.run_indexed_with(count, init, |offset, scratch| {
-        let index = start + offset;
-        run_work_unit(index, || run(index, &mut root.derive_stream(index as u64), scratch))
-    })
-}
-
-/// Like [`replicate`], but cooperatively cancellable: when `token` fires,
-/// claiming stops, in-flight batches finish, and the call returns the
-/// results of the completed **contiguous replication prefix** plus a flag
-/// that is `true` when the fan-out was truncated. Because replication `i`
-/// always draws the stream derived from `(root, i)`, the returned prefix is
-/// bit-identical to the first `len` results of an uninterrupted run — a
-/// statistically valid (if smaller) sample.
-pub fn replicate_interruptible<T, F>(
-    indices: std::ops::Range<usize>,
-    root: &SimRng,
-    workers: usize,
-    token: &CancelToken,
-    run: F,
-) -> (Vec<T>, bool)
-where
-    T: Send,
-    F: Fn(usize, &mut SimRng) -> T + Sync,
-{
-    replicate_with_interruptible(
-        indices,
-        root,
-        workers,
-        token,
-        || (),
-        move |index, rng, _scratch| run(index, rng),
-    )
-}
-
-/// [`replicate_interruptible`] with per-worker scratch (the
-/// [`replicate_with`] analogue).
-pub fn replicate_with_interruptible<T, S, I, F>(
-    indices: std::ops::Range<usize>,
-    root: &SimRng,
-    workers: usize,
-    token: &CancelToken,
-    init: I,
-    run: F,
-) -> (Vec<T>, bool)
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(usize, &mut SimRng, &mut S) -> T + Sync,
-{
-    let count = indices.len();
-    let start = indices.start;
-    if count == 0 {
-        return (Vec::new(), false);
-    }
-    crate::telemetry::counter_add(crate::telemetry::MetricId::ReplicationsScheduled, count as u64);
-    if workers == 1 || count < MIN_PARALLEL_COUNT {
-        let mut scratch = init();
         let mut results = Vec::with_capacity(count);
         for index in indices {
-            if token.is_cancelled() {
-                return (results, true);
+            if cancel.is_some_and(CancelToken::is_cancelled) {
+                break;
             }
             results.push(run_work_unit(index, || {
                 run(index, &mut root.derive_stream(index as u64), &mut scratch)
             }));
         }
-        return (results, false);
+        return results;
     }
     let pool = Pool::current().unwrap_or_else(|| fallback_pool(workers));
-    pool.run_indexed_interruptible(count, token, init, |offset, scratch| {
+    pool.run_indexed_with(count, cancel, init, |offset, scratch| {
         let index = start + offset;
         run_work_unit(index, || run(index, &mut root.derive_stream(index as u64), scratch))
     })
@@ -1040,6 +944,21 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     use super::*;
+
+    /// [`replicate_with`] without scratch or cancellation.
+    fn replicate<T: Send>(
+        indices: std::ops::Range<usize>,
+        root: &SimRng,
+        workers: usize,
+        run: impl Fn(usize, &mut SimRng) -> T + Sync,
+    ) -> Vec<T> {
+        replicate_with(indices, root, workers, None, || (), |i, rng, ()| run(i, rng))
+    }
+
+    /// [`Pool::run_indexed_with`] without scratch or cancellation.
+    fn run_indexed<T: Send>(pool: &Pool, count: usize, task: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        pool.run_indexed_with(count, None, || (), |i, ()| task(i))
+    }
 
     #[test]
     fn results_are_in_index_order() {
@@ -1078,7 +997,7 @@ mod tests {
     fn pool_runs_every_index_exactly_once() {
         let pool = Pool::new(4);
         let hits: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
-        let out = pool.run_indexed(50, |i| {
+        let out = run_indexed(&pool, 50, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
             i * 2
         });
@@ -1097,7 +1016,7 @@ mod tests {
     fn no_ambient_pool_outside_run_indexed() {
         assert!(Pool::current().is_none());
         let pool = Pool::new(2);
-        pool.run_indexed(1, |_| assert!(Pool::current().is_some()));
+        run_indexed(&pool, 1, |_| assert!(Pool::current().is_some()));
         assert!(Pool::current().is_none());
     }
 
@@ -1111,7 +1030,7 @@ mod tests {
         let live = AtomicUsize::new(1); // the calling thread
         let peak = AtomicUsize::new(1);
         let root = SimRng::seed_from_u64(9);
-        let outer = pool.run_indexed(3, |outer_idx| {
+        let outer = run_indexed(&pool, 3, |outer_idx| {
             let inner = replicate(0..8, &root, 4, |i, rng| {
                 let now = live.fetch_add(1, Ordering::SeqCst) + 1;
                 peak.fetch_max(now, Ordering::SeqCst);
@@ -1133,7 +1052,7 @@ mod tests {
     fn nested_fan_outs_stay_deterministic() {
         let root = SimRng::seed_from_u64(11);
         let run = |pool: &Pool| {
-            pool.run_indexed(3, |outer| {
+            run_indexed(pool, 3, |outer| {
                 let root = root.derive_stream(outer as u64);
                 replicate(0..6, &root, 8, |_, rng| rng.next_u64())
             })
@@ -1149,7 +1068,7 @@ mod tests {
         // Work stealing: the first index is slow, the rest are fast — the
         // results must still come back in index order and be complete.
         let pool = Pool::new(3);
-        let out = pool.run_indexed(12, |i| {
+        let out = run_indexed(&pool, 12, |i| {
             if i == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(20));
             }
@@ -1167,7 +1086,7 @@ mod tests {
         let pool = Pool::new(4);
         let ids = Mutex::new(std::collections::HashSet::new());
         for round in 0..10 {
-            let out = pool.run_indexed(64, |i| {
+            let out = run_indexed(&pool, 64, |i| {
                 ids.lock().unwrap().insert(std::thread::current().id());
                 // A touch of work so parked workers actually engage.
                 std::hint::black_box(i * round)
@@ -1189,7 +1108,7 @@ mod tests {
             for count in [1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 63, 64, 100] {
                 let serial: Vec<u64> = (0..count).map(value).collect();
                 assert_eq!(
-                    pool.run_indexed(count, value),
+                    run_indexed(&pool, count, value),
                     serial,
                     "workers = {workers}, count = {count}"
                 );
@@ -1212,7 +1131,7 @@ mod tests {
         let live = Arc::new(AtomicUsize::new(0));
         let pool = Pool::new(4);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run_indexed(64, |i| {
+            run_indexed(&pool, 64, |i| {
                 if i == 17 {
                     panic!("boom at {i}");
                 }
@@ -1228,7 +1147,7 @@ mod tests {
         assert!(panic_message(payload.as_ref()).contains("boom at 17"));
         assert_eq!(live.load(Ordering::SeqCst), 0, "produced results must all be dropped");
         // The pool quiesced cleanly: the same handle still schedules work.
-        assert_eq!(pool.run_indexed(8, |i| i), (0..8).collect::<Vec<_>>());
+        assert_eq!(run_indexed(&pool, 8, |i| i), (0..8).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1291,9 +1210,9 @@ mod tests {
         // it inside task 20 yields exactly the 21-element prefix.
         let pool = Pool::new(1);
         let token = CancelToken::new();
-        let (results, truncated) = pool.run_indexed_interruptible(
+        let results = pool.run_indexed_with(
             10_000,
-            &token,
+            Some(&token),
             || (),
             |i, ()| {
                 if i == 20 {
@@ -1302,7 +1221,6 @@ mod tests {
                 i
             },
         );
-        assert!(truncated);
         assert_eq!(results, (0..=20).collect::<Vec<_>>());
     }
 
@@ -1317,9 +1235,9 @@ mod tests {
         for workers in [2, 8] {
             let pool = Pool::new(workers);
             let token = CancelToken::new();
-            let (results, truncated) = pool.run_indexed_interruptible(
+            let results = pool.run_indexed_with(
                 1000,
-                &token,
+                Some(&token),
                 || (),
                 |i, ()| {
                     if i == 20 {
@@ -1329,9 +1247,8 @@ mod tests {
                     i
                 },
             );
-            assert!(truncated, "workers = {workers}: the fan-out must report truncation");
             let len = results.len();
-            assert!((1..1000).contains(&len), "workers = {workers}: len = {len}");
+            assert!((1..1000).contains(&len), "workers = {workers}: truncated, len = {len}");
             assert_eq!(
                 results,
                 (0..len).collect::<Vec<_>>(),
@@ -1342,15 +1259,17 @@ mod tests {
 
     #[test]
     fn interruptible_fan_out_without_cancellation_is_complete_and_identical() {
+        // No token and an unfired token must not change a single result.
         let never = CancelToken::new();
-        let value = |i: usize, rng: &mut SimRng| (i, rng.next_u64());
+        let value = |i: usize, rng: &mut SimRng, (): &mut ()| (i, rng.next_u64());
         let root = SimRng::seed_from_u64(77);
-        let baseline = replicate(0..100, &root, 1, value);
+        let baseline = replicate_with(0..100, &root, 1, None, || (), value);
+        assert_eq!(baseline.len(), 100);
         for workers in [1, 2, 8] {
-            let (results, truncated) =
-                replicate_interruptible(0..100, &root, workers, &never, value);
-            assert!(!truncated, "workers = {workers}");
-            assert_eq!(results, baseline, "workers = {workers}");
+            for cancel in [None, Some(&never)] {
+                let results = replicate_with(0..100, &root, workers, cancel, || (), value);
+                assert_eq!(results, baseline, "workers = {workers}, token = {cancel:?}");
+            }
         }
     }
 
@@ -1358,19 +1277,23 @@ mod tests {
     fn pre_cancelled_fan_out_runs_nothing() {
         let token = CancelToken::new();
         token.cancel();
-        let pool = Pool::new(4);
         let ran = AtomicUsize::new(0);
-        let (results, truncated) = pool.run_indexed_interruptible(
-            100,
-            &token,
-            || (),
-            |i, ()| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                i
-            },
-        );
-        assert!(truncated);
-        assert!(results.is_empty(), "no batch may be claimed after the token fired");
+        for workers in [1, 4] {
+            let results = Pool::new(workers).run_indexed_with(
+                100,
+                Some(&token),
+                || (),
+                |i, ()| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    i
+                },
+            );
+            assert!(results.is_empty(), "no batch may be claimed after the token fired");
+            let root = SimRng::seed_from_u64(1);
+            let replications =
+                replicate_with(0..100, &root, workers, Some(&token), || (), |i, _, ()| i);
+            assert!(replications.is_empty(), "workers = {workers}");
+        }
         assert_eq!(ran.load(Ordering::Relaxed), 0);
     }
 
@@ -1383,6 +1306,7 @@ mod tests {
             0..40,
             &root,
             4,
+            None,
             || {
                 inits.fetch_add(1, Ordering::SeqCst);
                 Vec::<u64>::new()
@@ -1418,6 +1342,7 @@ mod tests {
         let pool = Pool::new(1);
         let out = pool.run_indexed_with(
             5,
+            None,
             || 0usize,
             |i, calls| {
                 *calls += 1;

@@ -8,28 +8,22 @@
 //!   for mean and variance.
 //! * [`ConfidenceInterval`] / [`confidence_interval`] — Student-t based
 //!   intervals on the mean of independent replications.
-//! * [`BatchMeans`] — batch-means estimation for steady-state measures taken
-//!   from a single long run.
-//! * [`Histogram`] — fixed-bin histogram for reward distributions.
-//! * [`StoppingRule`] / [`run_to_precision`] — precision-targeted
-//!   sequential stopping: run replication batches until every tracked CI
-//!   is narrower than a relative half-width target.
+//! * [`StoppingRule`] / [`run_to_precision`] — the one replication loop:
+//!   run batches until every tracked CI is narrower than a relative
+//!   half-width target, or exactly `n` replications
+//!   ([`StoppingRule::fixed`]).
 //! * [`WeightedRunning`] — streaming accumulator for *weighted*
 //!   observations (importance-sampling likelihood ratios): weighted
 //!   mean/variance and effective sample size, feeding the same
 //!   confidence/stopping machinery through
 //!   [`WeightedRunning::confidence_interval`].
 
-mod batch;
 mod confidence;
-mod histogram;
 mod running;
 mod stopping;
 mod weighted;
 
-pub use batch::BatchMeans;
 pub use confidence::{confidence_interval, student_t_quantile, ConfidenceInterval};
-pub use histogram::Histogram;
 pub use running::RunningStats;
 pub use stopping::{run_to_precision, StoppingRule, DEFAULT_MIN_NONZERO_OBSERVATIONS};
 pub use weighted::WeightedRunning;

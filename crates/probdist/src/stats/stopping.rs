@@ -92,6 +92,31 @@ impl StoppingRule {
         })
     }
 
+    /// A fixed-count rule: exactly `replications` replications in one batch
+    /// `0..replications`, with no precision check (minimum = cap). This is
+    /// how a plain "run `n` replications" request enters the same
+    /// [`run_to_precision`] driver as an adaptive one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DistError::InvalidStoppingRule`] when `replications < 2`
+    /// (a confidence interval needs two observations).
+    pub fn fixed(replications: usize) -> Result<Self, DistError> {
+        if replications < 2 {
+            return Err(DistError::InvalidStoppingRule {
+                reason: format!(
+                    "a confidence interval needs at least two replications, got {replications}"
+                ),
+            });
+        }
+        Ok(StoppingRule {
+            relative_half_width: f64::INFINITY,
+            min_replications: replications,
+            max_replications: replications,
+            min_nonzero_observations: DEFAULT_MIN_NONZERO_OBSERVATIONS,
+        })
+    }
+
     /// Sets the minimum number of non-zero observations
     /// [`StoppingRule::met_by_support`] requires (default
     /// [`DEFAULT_MIN_NONZERO_OBSERVATIONS`]). Rare-event estimators raise
@@ -107,7 +132,8 @@ impl StoppingRule {
         self.min_nonzero_observations
     }
 
-    /// The target relative half-width (e.g. `0.01` for ±1 %).
+    /// The target relative half-width (e.g. `0.01` for ±1 %); infinite for
+    /// a [`StoppingRule::fixed`] rule.
     pub fn relative_half_width(&self) -> f64 {
         self.relative_half_width
     }
@@ -165,17 +191,23 @@ impl StoppingRule {
 /// results meet the target, or the rule's cap is reached, and returns every
 /// per-replication result in index order.
 ///
-/// `run_batch` receives the replication-index range to execute
-/// (`start..start + batch`) and must return one result per index, in index
-/// order — exactly the contract of [`crate::parallel::replicate`], which
-/// is what every engine passes through here. Because batches extend the
-/// same index sequence, the collected results — and therefore every
-/// statistic reduced from them — are bit-identical to a fixed-count run of
-/// the same length.
+/// This is the one replication loop of the workspace: every engine's fixed
+/// and adaptive runs come through here, a fixed count as
+/// [`StoppingRule::fixed`].
 ///
-/// `is_precise` is consulted after each batch, so the returned length is
-/// always `min + k·batches` for some `k`, between the rule's minimum and
-/// cap.
+/// `run_batch` receives the replication-index range to execute
+/// (`start..start + batch`) and returns one result per index, in index
+/// order — the contract of [`crate::parallel::replicate_with`], which is
+/// what every engine passes through here. Because batches extend the same
+/// index sequence, the collected results — and therefore every statistic
+/// reduced from them — are bit-identical to a fixed-count run of the same
+/// length.
+///
+/// `is_precise` is consulted after each batch that leaves room for another
+/// one, so the returned length is always `min + k·batches` for some `k`,
+/// between the rule's minimum and cap. At the cap there is nothing left to
+/// decide and the check is skipped — a fixed rule runs its single batch
+/// `0..n` and never calls it.
 ///
 /// # Errors
 ///
@@ -197,7 +229,7 @@ where
         }
         let start = collected.len();
         collected.extend(run_batch(start..start + batch)?);
-        if is_precise(&collected)? {
+        if rule.next_batch(collected.len()) == 0 || is_precise(&collected)? {
             break;
         }
     }
@@ -362,5 +394,49 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, DistError::EmptyData);
+    }
+
+    #[test]
+    fn fixed_rule_rejects_fewer_than_two_replications() {
+        for bad in [0, 1] {
+            assert!(matches!(StoppingRule::fixed(bad), Err(DistError::InvalidStoppingRule { .. })));
+        }
+        let rule = StoppingRule::fixed(7).unwrap();
+        assert_eq!((rule.min_replications(), rule.max_replications()), (7, 7));
+        assert_eq!(rule.next_batch(0), 7);
+        assert_eq!(rule.next_batch(7), 0);
+    }
+
+    #[test]
+    fn fixed_rule_runs_one_batch_without_a_precision_check() {
+        let rule = StoppingRule::fixed(12).unwrap();
+        let mut batches = Vec::new();
+        let runs = run_to_precision::<usize, DistError, _, _>(
+            &rule,
+            |range| {
+                batches.push(range.clone());
+                Ok(range.collect())
+            },
+            |_| panic!("a fixed rule must never consult the precision check"),
+        )
+        .unwrap();
+        assert_eq!(runs, (0..12).collect::<Vec<_>>());
+        assert_eq!(batches, vec![0..12]);
+    }
+
+    #[test]
+    fn precision_is_never_checked_at_the_cap() {
+        let rule = StoppingRule::new(1e-9, 4, 20).unwrap();
+        let mut checked_at = Vec::new();
+        run_to_precision::<usize, DistError, _, _>(
+            &rule,
+            |range| Ok(range.collect()),
+            |collected| {
+                checked_at.push(collected.len());
+                Ok(false)
+            },
+        )
+        .unwrap();
+        assert_eq!(checked_at, vec![4, 8, 16], "no check after the batch that reaches the cap");
     }
 }

@@ -108,6 +108,7 @@ pub fn expected_availability(
 mod tests {
     use super::*;
     use crate::{DiskModel, StorageConfig, StorageSimulator};
+    use probdist::stats::StoppingRule;
 
     #[test]
     fn mttdl_rejects_bad_parameters() {
@@ -178,7 +179,7 @@ mod tests {
         };
         let mission = 8_760.0;
         let sim = StorageSimulator::new(config).unwrap();
-        let summary = sim.run(mission, 64, 9).unwrap();
+        let summary = sim.run(mission, &StoppingRule::fixed(64).unwrap(), 9, 0.95, 0).unwrap();
 
         let mttdl = tier_mttdl(geometry, mtbf, repair).unwrap();
         let expected_losses_per_system = 100.0 * mission / mttdl;

@@ -35,14 +35,21 @@
 //! # Example
 //!
 //! ```
+//! use probdist::stats::StoppingRule;
 //! use raidsim::{StorageConfig, StorageSimulator};
 //!
 //! # fn main() -> Result<(), raidsim::RaidError> {
-//! // ABE's scratch partition: 48 tiers of (8+2) disks.
-//! let config = StorageConfig::abe_scratch();
-//! let summary = StorageSimulator::new(config)?.run(8760.0, 32, 7)?;
+//! // ABE's scratch partition: 48 tiers of (8+2) disks. 32 one-year
+//! // missions at 95 % confidence, on an auto-sized worker pool.
+//! let sim = StorageSimulator::new(StorageConfig::abe_scratch())?;
+//! let summary = sim.run(8760.0, &StoppingRule::fixed(32)?, 7, 0.95, 0)?;
 //! // RAID6 keeps ABE-scale storage essentially always available.
 //! assert!(summary.availability.point > 0.999);
+//!
+//! // The same missions run until availability and replacements/week are
+//! // both within ±5 %, between 16 and 256 missions.
+//! let adaptive = sim.run(8760.0, &StoppingRule::new(0.05, 16, 256)?, 7, 0.95, 0)?;
+//! assert!((16..=256).contains(&adaptive.replications));
 //! # Ok(())
 //! # }
 //! ```

@@ -42,12 +42,15 @@
 //! # Example
 //!
 //! ```
+//! use probdist::stats::StoppingRule;
 //! use raidsim::{DiskModel, ReplicationConfig, ReplicationSimulator};
 //!
 //! # fn main() -> Result<(), raidsim::RaidError> {
-//! // 96 TB usable under 3-way replication with ABE's disks.
+//! // 96 TB usable under 3-way replication with ABE's disks: 16 one-year
+//! // missions at 95 % confidence on an auto-sized worker pool.
 //! let config = ReplicationConfig::for_usable_capacity(96.0, 3, DiskModel::abe_sata_250gb());
-//! let summary = ReplicationSimulator::new(config)?.run(8760.0, 16, 7)?;
+//! let sim = ReplicationSimulator::new(config)?;
+//! let summary = sim.run(8760.0, &StoppingRule::fixed(16)?, 7, 0.95, 0)?;
 //! assert!(summary.availability.point > 0.999);
 //! # Ok(())
 //! # }
@@ -56,11 +59,11 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use probdist::stats::{confidence_interval, run_to_precision, RunningStats, StoppingRule};
+use probdist::stats::StoppingRule;
 use probdist::{Distribution, SimRng, Weibull};
 use serde::{Deserialize, Serialize};
 
-use crate::storage::{summarise_runs, validate_run};
+use crate::storage::run_missions;
 use crate::{DiskModel, RaidError, StorageRunStats, StorageSummary};
 
 /// Configuration of an n-way replicated object store.
@@ -214,70 +217,18 @@ impl ReplicationSimulator {
         &self.config
     }
 
-    /// Runs `replications` independent missions of `horizon_hours` each at
-    /// the 95 % confidence level with an auto-sized worker pool.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RaidError::InvalidRun`] for a non-positive horizon or
-    /// fewer than two replications.
-    pub fn run(
-        &self,
-        horizon_hours: f64,
-        replications: usize,
-        seed: u64,
-    ) -> Result<StorageSummary, RaidError> {
-        self.run_with(horizon_hours, replications, seed, 0.95, 0)
-    }
-
-    /// Runs `replications` independent missions with an explicit confidence
-    /// level and worker count. Replication `i` draws from the RNG stream
-    /// derived from its own index and results reduce in index order, so the
-    /// statistics are bit-identical for any worker count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RaidError::InvalidRun`] for a non-positive horizon, fewer
-    /// than two replications, or a confidence level outside `(0, 1)`.
-    pub fn run_with(
-        &self,
-        horizon_hours: f64,
-        replications: usize,
-        seed: u64,
-        confidence_level: f64,
-        workers: usize,
-    ) -> Result<StorageSummary, RaidError> {
-        validate_run(horizon_hours, confidence_level)?;
-        if replications < 2 {
-            return Err(RaidError::InvalidRun {
-                reason: "at least two replications are required".into(),
-            });
-        }
-        let root = SimRng::seed_from_u64(seed);
-        // Each worker keeps one mission as scratch: after the first
-        // replication, later missions re-prime the same event queue and
-        // per-disk state in place instead of allocating afresh.
-        let runs: Vec<StorageRunStats> = probdist::parallel::replicate_with(
-            0..replications,
-            &root,
-            workers,
-            || None,
-            |_, rng, slot| self.run_once_reusing(horizon_hours, rng, slot),
-        );
-        summarise_runs(&runs, horizon_hours, confidence_level)
-    }
-
-    /// Runs replication batches until `rule` is satisfied (availability and
-    /// replacements-per-week both within the target relative half-width) or
-    /// its cap is reached — the same adaptive contract as
-    /// [`crate::StorageSimulator::run_until`]: an adaptive run of `n`
-    /// replications is bit-identical to a fixed run of `n`.
+    /// Runs missions of `horizon_hours` each under `rule` and aggregates
+    /// them at `confidence_level` — the same mission driver and contract
+    /// as [`crate::StorageSimulator::run`]: a fixed rule runs exactly `n`
+    /// missions, an adaptive one stops when availability and replacements
+    /// per week meet its target, and any worker count yields bit-identical
+    /// statistics.
     ///
     /// # Errors
     ///
     /// Returns [`RaidError::InvalidRun`] for a non-positive horizon or a
     /// confidence level outside `(0, 1)`.
-    pub fn run_until(
+    pub fn run(
         &self,
         horizon_hours: f64,
         rule: &StoppingRule,
@@ -285,36 +236,9 @@ impl ReplicationSimulator {
         confidence_level: f64,
         workers: usize,
     ) -> Result<StorageSummary, RaidError> {
-        validate_run(horizon_hours, confidence_level)?;
-        let root = SimRng::seed_from_u64(seed);
-        let runs = run_to_precision(
-            rule,
-            |range| -> Result<Vec<StorageRunStats>, RaidError> {
-                Ok(probdist::parallel::replicate_with(
-                    range,
-                    &root,
-                    workers,
-                    || None,
-                    |_, rng, slot| self.run_once_reusing(horizon_hours, rng, slot),
-                ))
-            },
-            |runs: &[StorageRunStats]| -> Result<bool, RaidError> {
-                let availability: RunningStats =
-                    runs.iter().map(super::storage::StorageRunStats::availability).collect();
-                let per_week: RunningStats = runs
-                    .iter()
-                    .map(super::storage::StorageRunStats::replacements_per_week)
-                    .collect();
-                for stats in [&availability, &per_week] {
-                    let interval = confidence_interval(stats, confidence_level)?;
-                    if !rule.met_by(&interval) {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            },
-        )?;
-        summarise_runs(&runs, horizon_hours, confidence_level)
+        run_missions(horizon_hours, rule, seed, confidence_level, workers, |rng, slot| {
+            self.run_once_reusing(horizon_hours, rng, slot)
+        })
     }
 
     /// Runs a single mission and returns its raw statistics.
@@ -615,6 +539,10 @@ impl ReplicationMission {
 mod tests {
     use super::*;
 
+    fn fixed(replications: usize) -> StoppingRule {
+        StoppingRule::fixed(replications).unwrap()
+    }
+
     fn quick_config() -> ReplicationConfig {
         ReplicationConfig::for_usable_capacity(96.0, 3, DiskModel::abe_sata_250gb())
     }
@@ -656,16 +584,16 @@ mod tests {
     #[test]
     fn run_validates_parameters() {
         let sim = ReplicationSimulator::new(quick_config()).unwrap();
-        assert!(sim.run(0.0, 8, 1).is_err());
-        assert!(sim.run(-10.0, 8, 1).is_err());
-        assert!(sim.run(100.0, 1, 1).is_err());
-        assert!(sim.run_with(100.0, 8, 1, 1.5, 1).is_err());
+        assert!(sim.run(0.0, &fixed(8), 1, 0.95, 0).is_err());
+        assert!(sim.run(-10.0, &fixed(8), 1, 0.95, 0).is_err());
+        assert!(StoppingRule::fixed(1).is_err());
+        assert!(sim.run(100.0, &fixed(8), 1, 1.5, 1).is_err());
     }
 
     #[test]
     fn three_way_replication_is_essentially_always_available() {
         let sim = ReplicationSimulator::new(quick_config()).unwrap();
-        let summary = sim.run(8760.0, 16, 3).unwrap();
+        let summary = sim.run(8760.0, &fixed(16), 3, 0.95, 0).unwrap();
         // Infant-mortality burn-in (all 1152 disks start at age 0) makes a
         // rare triple-overlap possible, so "essentially" is > 99.9 %, not
         // five nines.
@@ -694,8 +622,10 @@ mod tests {
         let two = base;
         let three = ReplicationConfig { replicas: 3, ..base };
 
-        let s2 = ReplicationSimulator::new(two).unwrap().run(8760.0, 16, 11).unwrap();
-        let s3 = ReplicationSimulator::new(three).unwrap().run(8760.0, 16, 11).unwrap();
+        let s2 =
+            ReplicationSimulator::new(two).unwrap().run(8760.0, &fixed(16), 11, 0.95, 0).unwrap();
+        let s3 =
+            ReplicationSimulator::new(three).unwrap().run(8760.0, &fixed(16), 11, 0.95, 0).unwrap();
         assert!(
             s2.data_loss_events.point > s3.data_loss_events.point,
             "2-way {} vs 3-way {}",
@@ -713,8 +643,10 @@ mod tests {
         let mut fast = slow;
         fast.re_replication_hours = 0.5;
 
-        let s = ReplicationSimulator::new(slow).unwrap().run(8760.0, 16, 5).unwrap();
-        let f = ReplicationSimulator::new(fast).unwrap().run(8760.0, 16, 5).unwrap();
+        let s =
+            ReplicationSimulator::new(slow).unwrap().run(8760.0, &fixed(16), 5, 0.95, 0).unwrap();
+        let f =
+            ReplicationSimulator::new(fast).unwrap().run(8760.0, &fixed(16), 5, 0.95, 0).unwrap();
         assert!(
             f.data_loss_events.point < s.data_loss_events.point,
             "fast {} vs slow {}",
@@ -742,7 +674,7 @@ mod tests {
             data_loss_recovery_hours: 24.0,
         };
         let sim = ReplicationSimulator::new(config).unwrap();
-        let summary = sim.run(5000.0, 8, 3).unwrap();
+        let summary = sim.run(5000.0, &fixed(8), 3, 0.95, 0).unwrap();
         // With ~10-hour lifetimes the loss/recover cycle repeats for the
         // whole mission; the immortal-disk bug froze it after the first
         // few events.
@@ -774,7 +706,7 @@ mod tests {
             data_loss_recovery_hours: 24.0,
         };
         let sim = ReplicationSimulator::new(config).unwrap();
-        let summary = sim.run(30_000.0, 16, 9).unwrap();
+        let summary = sim.run(30_000.0, &fixed(16), 9, 0.95, 0).unwrap();
         // ~3.6 failures per mission, ~50k hours apart on average, 48-hour
         // windows: a genuine triple overlap is essentially impossible, but
         // the leak made `exposed` hit 3 after any three lifetime failures.
@@ -789,8 +721,8 @@ mod tests {
     #[test]
     fn results_are_deterministic_and_worker_invariant() {
         let sim = ReplicationSimulator::new(quick_config()).unwrap();
-        let a = sim.run_with(4380.0, 8, 21, 0.95, 1).unwrap();
-        let b = sim.run_with(4380.0, 8, 21, 0.95, 4).unwrap();
+        let a = sim.run(4380.0, &fixed(8), 21, 0.95, 1).unwrap();
+        let b = sim.run(4380.0, &fixed(8), 21, 0.95, 4).unwrap();
         assert_eq!(a, b);
     }
 
@@ -798,14 +730,14 @@ mod tests {
     fn adaptive_run_stops_within_bounds_and_matches_fixed() {
         let sim = ReplicationSimulator::new(quick_config()).unwrap();
         let rule = StoppingRule::new(0.25, 4, 32).unwrap();
-        let adaptive = sim.run_until(8760.0, &rule, 9, 0.95, 2).unwrap();
+        let adaptive = sim.run(8760.0, &rule, 9, 0.95, 2).unwrap();
         assert!(
             adaptive.replications >= 4 && adaptive.replications <= 32,
             "used {} replications",
             adaptive.replications
         );
-        let fixed = sim.run_with(8760.0, adaptive.replications, 9, 0.95, 1).unwrap();
+        let fixed = sim.run(8760.0, &fixed(adaptive.replications), 9, 0.95, 1).unwrap();
         assert_eq!(adaptive, fixed);
-        assert!(sim.run_until(0.0, &rule, 9, 0.95, 1).is_err());
+        assert!(sim.run(0.0, &rule, 9, 0.95, 1).is_err());
     }
 }

@@ -39,6 +39,15 @@
 //! `(simulator, horizon, trials, seed)` — bit-identical at any worker
 //! count, pinned by the workspace determinism suite.
 //!
+//! # Effort
+//!
+//! Each simulator has one entry point, `splitting_loss_probability`, run
+//! under a [`StoppingRule`] over the per-level trial count: a fixed rule
+//! ([`StoppingRule::fixed`]) runs exactly one round of `n` trials per
+//! level; an adaptive rule reruns the estimate with a doubling trial count
+//! until the relative target (with the rule's minimum final-level support)
+//! is met or the cap is reached.
+//!
 //! # Example
 //!
 //! ```
@@ -50,7 +59,8 @@
 //! let config = ReplicationConfig::for_usable_capacity(12.0, 3, disk);
 //! let sim = ReplicationSimulator::new(config)?;
 //! // One year of a 3-way store with fast re-replication: deep sub-ppm.
-//! let result = sim.splitting_loss_probability(8760.0, 200, 42, 0.95, 1)?;
+//! let trials = StoppingRule::fixed(200)?;
+//! let result = sim.splitting_loss_probability(8760.0, &trials, 42, 0.95, 1)?;
 //! assert!(result.estimate.interval.point < 1e-4);
 //! # Ok(())
 //! # }
@@ -138,28 +148,28 @@ where
             reason: "splitting needs a loss level of at least 1".into(),
         });
     }
-    if trials_per_level < 2 {
-        return Err(RaidError::InvalidRun {
-            reason: "splitting needs at least two trials per level".into(),
-        });
-    }
-
     let mut passages: Vec<LevelPassage> = Vec::with_capacity(loss_level as usize);
     let mut snapshots: Vec<M> = Vec::new();
     for level in 1..=loss_level {
         // Per-level root stream: trial i then derives (root, i) inside
-        // `replicate`, so every (level, trial) pair is well separated and
-        // the batch is worker-count invariant.
+        // `replicate_with`, so every (level, trial) pair is well separated
+        // and the batch is worker-count invariant.
         let root = SimRng::seed_from_u64(seed).derive_stream(level as u64);
         let keep_states = level < loss_level;
-        let outcomes: Vec<(bool, Option<M>)> =
-            probdist::parallel::replicate(0..trials_per_level, &root, workers, |i, rng| {
+        let outcomes: Vec<(bool, Option<M>)> = probdist::parallel::replicate_with(
+            0..trials_per_level,
+            &root,
+            workers,
+            None,
+            || (),
+            |i, rng, ()| {
                 let mut mission =
                     if level == 1 { start(rng) } else { snapshots[i % snapshots.len()].clone() };
                 let reached = mission.advance_to_exposure(level, rng);
                 debug_assert!(!reached || mission.exposure_peak() >= level);
                 (reached, (reached && keep_states).then_some(mission))
-            });
+            },
+        );
         let hits = outcomes.iter().filter(|(reached, _)| *reached).count();
         probdist::telemetry::counter_add(
             probdist::telemetry::MetricId::SplittingLevelHits,
@@ -186,14 +196,15 @@ where
     })
 }
 
-/// The adaptive wrapper: reruns the fixed-effort estimate with a doubling
-/// per-level trial count until the relative half-width target (and the
-/// rule's minimum non-zero final-level support,
+/// The stopping loop over fixed-effort rounds: reruns the estimate with a
+/// doubling per-level trial count until the relative half-width target
+/// (and the rule's minimum non-zero final-level support,
 /// [`StoppingRule::met_by_support`]) is met or the per-level cap is
-/// reached. Each round is deterministic, so the whole loop is a pure
-/// function of `(rule, seed)`; the returned estimate's `replications`
-/// records the total trials spent across *all* rounds — the honest cost
-/// the variance-reduction factor is recomputed against.
+/// reached — a fixed rule (minimum = cap) runs exactly one round. Each
+/// round is deterministic, so the whole loop is a pure function of
+/// `(rule, seed)`; the returned estimate's `replications` records the total
+/// trials spent across *all* rounds — the honest cost the
+/// variance-reduction factor is recomputed against.
 fn estimate_until<M, F>(
     loss_level: u32,
     rule: &StoppingRule,
@@ -206,7 +217,7 @@ where
     M: SplittableMission,
     F: Fn(&mut SimRng) -> M + Sync,
 {
-    let mut trials = rule.min_replications().max(2);
+    let mut trials = rule.min_replications();
     let mut spent = 0usize;
     loop {
         let mut result =
@@ -229,44 +240,15 @@ where
 
 impl ReplicationSimulator {
     /// Estimates the probability of any data loss within `horizon_hours`
-    /// by fixed-effort multilevel splitting over exposure depth (levels
-    /// `1..=replicas`), with `trials_per_level` trials per stage.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RaidError::InvalidRun`] for a non-positive horizon, a
-    /// confidence level outside `(0, 1)`, or fewer than two trials per
-    /// level.
-    pub fn splitting_loss_probability(
-        &self,
-        horizon_hours: f64,
-        trials_per_level: usize,
-        seed: u64,
-        confidence_level: f64,
-        workers: usize,
-    ) -> Result<SplittingResult, RaidError> {
-        validate_run(horizon_hours, confidence_level)?;
-        estimate_loss_probability(
-            self.config().replicas,
-            trials_per_level,
-            seed,
-            confidence_level,
-            workers,
-            |rng| self.start_mission(horizon_hours, rng),
-        )
-    }
-
-    /// Adaptive variant of
-    /// [`ReplicationSimulator::splitting_loss_probability`]: doubles the
-    /// per-level trial count (from the rule's minimum to its cap) until
-    /// the loss-probability interval meets the rule's relative target with
-    /// sufficient final-level support.
+    /// by multilevel splitting over exposure depth (levels `1..=replicas`),
+    /// with the per-level trial count under `rule` (see the
+    /// [module docs](self)).
     ///
     /// # Errors
     ///
     /// Returns [`RaidError::InvalidRun`] for a non-positive horizon or a
     /// confidence level outside `(0, 1)`.
-    pub fn splitting_loss_probability_until(
+    pub fn splitting_loss_probability(
         &self,
         horizon_hours: f64,
         rule: &StoppingRule,
@@ -283,44 +265,16 @@ impl ReplicationSimulator {
 
 impl StorageSimulator {
     /// Estimates the probability of any data loss within `horizon_hours`
-    /// by fixed-effort multilevel splitting over exposure depth — the
-    /// concurrent failed-disk count within a single tier, levels
-    /// `1..=parity + 1`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RaidError::InvalidRun`] for a non-positive horizon, a
-    /// confidence level outside `(0, 1)`, or fewer than two trials per
-    /// level.
-    pub fn splitting_loss_probability(
-        &self,
-        horizon_hours: f64,
-        trials_per_level: usize,
-        seed: u64,
-        confidence_level: f64,
-        workers: usize,
-    ) -> Result<SplittingResult, RaidError> {
-        validate_run(horizon_hours, confidence_level)?;
-        estimate_loss_probability(
-            self.config().geometry.parity_disks + 1,
-            trials_per_level,
-            seed,
-            confidence_level,
-            workers,
-            |rng| self.start_mission(horizon_hours, rng),
-        )
-    }
-
-    /// Adaptive variant of
-    /// [`StorageSimulator::splitting_loss_probability`]: doubles the
-    /// per-level trial count until the loss-probability interval meets the
-    /// rule's relative target with sufficient final-level support.
+    /// by multilevel splitting over exposure depth — the concurrent
+    /// failed-disk count within a single tier, levels `1..=parity + 1` —
+    /// with the per-level trial count under `rule` (see the
+    /// [module docs](self)).
     ///
     /// # Errors
     ///
     /// Returns [`RaidError::InvalidRun`] for a non-positive horizon or a
     /// confidence level outside `(0, 1)`.
-    pub fn splitting_loss_probability_until(
+    pub fn splitting_loss_probability(
         &self,
         horizon_hours: f64,
         rule: &StoppingRule,
@@ -346,6 +300,10 @@ mod tests {
     use crate::{DiskModel, RaidGeometry, ReplicationConfig, StorageConfig};
     use probdist::{Distribution, Weibull};
 
+    fn fixed(replications: usize) -> StoppingRule {
+        StoppingRule::fixed(replications).unwrap()
+    }
+
     fn exponential_disk(mtbf_hours: f64) -> DiskModel {
         DiskModel { weibull_shape: 1.0, mtbf_hours, capacity_gb: 250.0 }
     }
@@ -366,7 +324,7 @@ mod tests {
         };
         let sim = ReplicationSimulator::new(config).unwrap();
         let horizon = 2_000.0;
-        let result = sim.splitting_loss_probability(horizon, 4000, 7, 0.95, 1).unwrap();
+        let result = sim.splitting_loss_probability(horizon, &fixed(4000), 7, 0.95, 1).unwrap();
         let lifetime = Weibull::from_shape_and_mean(1.0, 50_000.0).unwrap();
         let exact = 1.0 - lifetime.survival(horizon).powi(8);
         assert_eq!(result.loss_level, 1);
@@ -395,9 +353,9 @@ mod tests {
         let sim = ReplicationSimulator::new(config).unwrap();
         let horizon = 500.0;
 
-        let split = sim.splitting_loss_probability(horizon, 2000, 3, 0.95, 1).unwrap();
+        let split = sim.splitting_loss_probability(horizon, &fixed(2000), 3, 0.95, 1).unwrap();
         // Naive estimate of the same probability from many missions.
-        let summary = sim.run_with(horizon, 4000, 11, 0.95, 0).unwrap();
+        let summary = sim.run(horizon, &fixed(4000), 11, 0.95, 0).unwrap();
         let naive = summary.prob_any_data_loss;
         assert!(naive > 0.01, "config must be naive-resolvable, got {naive}");
         let diff = (split.estimate.interval.point - naive).abs();
@@ -424,7 +382,7 @@ mod tests {
             data_loss_recovery_hours: 24.0,
         };
         let sim = ReplicationSimulator::new(config).unwrap();
-        let result = sim.splitting_loss_probability(2190.0, 6000, 5, 0.95, 0).unwrap();
+        let result = sim.splitting_loss_probability(2190.0, &fixed(6000), 5, 0.95, 0).unwrap();
         let p = result.estimate.interval.point;
         assert!(p > 0.0, "the estimator must resolve the event");
         assert!(p < 1e-3, "this regime is rare, got {p}");
@@ -445,7 +403,7 @@ mod tests {
         config.tiers = 24;
         config.disk = exponential_disk(30_000.0);
         let sim = StorageSimulator::new(config).unwrap();
-        let result = sim.splitting_loss_probability(8760.0, 400, 9, 0.95, 0).unwrap();
+        let result = sim.splitting_loss_probability(8760.0, &fixed(400), 9, 0.95, 0).unwrap();
         assert_eq!(result.loss_level, 3, "8+2 loses data at 3 concurrent failures");
         assert!(result.estimate.interval.point < 0.5);
         // More parity pushes the loss level (and rarity) up.
@@ -455,7 +413,7 @@ mod tests {
         plus3.tiers = 24;
         plus3.disk = exponential_disk(30_000.0);
         let sim3 = StorageSimulator::new(plus3).unwrap();
-        let result3 = sim3.splitting_loss_probability(8760.0, 400, 9, 0.95, 0).unwrap();
+        let result3 = sim3.splitting_loss_probability(8760.0, &fixed(400), 9, 0.95, 0).unwrap();
         assert_eq!(result3.loss_level, 4);
         assert!(
             result3.estimate.interval.point <= result.estimate.interval.point,
@@ -477,8 +435,8 @@ mod tests {
             data_loss_recovery_hours: 24.0,
         };
         let sim = ReplicationSimulator::new(config).unwrap();
-        let serial = sim.splitting_loss_probability(4380.0, 300, 21, 0.95, 1).unwrap();
-        let parallel = sim.splitting_loss_probability(4380.0, 300, 21, 0.95, 4).unwrap();
+        let serial = sim.splitting_loss_probability(4380.0, &fixed(300), 21, 0.95, 1).unwrap();
+        let parallel = sim.splitting_loss_probability(4380.0, &fixed(300), 21, 0.95, 4).unwrap();
         assert_eq!(serial, parallel, "splitting must be bit-identical at any worker count");
 
         let mut raid = StorageConfig::abe_scratch();
@@ -486,8 +444,8 @@ mod tests {
         raid.tiers = 12;
         raid.disk = exponential_disk(20_000.0);
         let rsim = StorageSimulator::new(raid).unwrap();
-        let a = rsim.splitting_loss_probability(4380.0, 200, 33, 0.95, 1).unwrap();
-        let b = rsim.splitting_loss_probability(4380.0, 200, 33, 0.95, 8).unwrap();
+        let a = rsim.splitting_loss_probability(4380.0, &fixed(200), 33, 0.95, 1).unwrap();
+        let b = rsim.splitting_loss_probability(4380.0, &fixed(200), 33, 0.95, 8).unwrap();
         assert_eq!(a, b);
     }
 
@@ -504,7 +462,7 @@ mod tests {
         };
         let sim = ReplicationSimulator::new(config).unwrap();
         let rule = StoppingRule::new(0.2, 100, 3200).unwrap();
-        let result = sim.splitting_loss_probability_until(2000.0, &rule, 13, 0.95, 0).unwrap();
+        let result = sim.splitting_loss_probability(2000.0, &rule, 13, 0.95, 0).unwrap();
         assert!(result.trials_per_level <= 3200);
         assert!(result.estimate.replications >= result.trials_per_level);
         assert!(
@@ -514,7 +472,7 @@ mod tests {
             result.trials_per_level
         );
         // Deterministic: the adaptive loop replays identically.
-        let again = sim.splitting_loss_probability_until(2000.0, &rule, 13, 0.95, 2).unwrap();
+        let again = sim.splitting_loss_probability(2000.0, &rule, 13, 0.95, 2).unwrap();
         assert_eq!(result, again);
     }
 
@@ -526,11 +484,11 @@ mod tests {
             exponential_disk(10_000.0),
         ))
         .unwrap();
-        assert!(sim.splitting_loss_probability(0.0, 100, 1, 0.95, 1).is_err());
-        assert!(sim.splitting_loss_probability(100.0, 1, 1, 0.95, 1).is_err());
-        assert!(sim.splitting_loss_probability(100.0, 100, 1, 1.5, 1).is_err());
+        assert!(sim.splitting_loss_probability(0.0, &fixed(100), 1, 0.95, 1).is_err());
+        assert!(StoppingRule::fixed(1).is_err());
+        assert!(sim.splitting_loss_probability(100.0, &fixed(100), 1, 1.5, 1).is_err());
         let rule = StoppingRule::new(0.2, 16, 64).unwrap();
-        assert!(sim.splitting_loss_probability_until(0.0, &rule, 1, 0.95, 1).is_err());
+        assert!(sim.splitting_loss_probability(0.0, &rule, 1, 0.95, 1).is_err());
     }
 
     /// An impossible-to-reach deep level reports "zero with zero
@@ -547,7 +505,7 @@ mod tests {
             data_loss_recovery_hours: 1.0,
         };
         let sim = ReplicationSimulator::new(config).unwrap();
-        let result = sim.splitting_loss_probability(10.0, 50, 3, 0.95, 1).unwrap();
+        let result = sim.splitting_loss_probability(10.0, &fixed(50), 3, 0.95, 1).unwrap();
         assert_eq!(result.estimate.interval.point, 0.0);
         assert_eq!(result.estimate.relative_error(), f64::INFINITY);
         let rule = StoppingRule::new(0.1, 2, 10).unwrap();

@@ -60,8 +60,9 @@ pub struct StorageSummary {
 }
 
 /// Validates the shared run parameters of both storage Monte-Carlo
-/// engines (the RAID simulator and [`crate::replication`]): a positive
-/// finite horizon and a confidence level in `(0, 1)`.
+/// engines (the RAID simulator and [`crate::replication`]) and their
+/// splitting estimators: a positive finite horizon and a confidence level
+/// in `(0, 1)`.
 pub(crate) fn validate_run(horizon_hours: f64, confidence_level: f64) -> Result<(), RaidError> {
     if !(horizon_hours.is_finite() && horizon_hours > 0.0) {
         return Err(RaidError::InvalidRun {
@@ -86,11 +87,60 @@ pub(crate) fn record_mission(stats: &StorageRunStats) {
     counter_add(MetricId::RaidLossEvents, stats.data_loss_events);
 }
 
+/// The mission driver both storage simulators run through: validates the
+/// run parameters, fans replications out with one mission per worker as
+/// scratch (after its first replication, later missions re-prime the same
+/// event queue and per-disk state in place instead of allocating afresh),
+/// stops under `rule` on availability and replacements per week, and
+/// summarises.
+///
+/// Data-loss events are not tracked by the rule: a rare-event count has a
+/// near-zero mean, so its *relative* width is ill-defined and would force
+/// every run to the cap. Replication `i` draws from the stream derived from
+/// `(seed, i)` and results reduce in index order, so the summary is
+/// bit-identical for any worker count, and an adaptive run of `n`
+/// replications is bit-identical to a fixed run of `n`.
+pub(crate) fn run_missions<M>(
+    horizon_hours: f64,
+    rule: &StoppingRule,
+    seed: u64,
+    confidence_level: f64,
+    workers: usize,
+    mission: impl Fn(&mut SimRng, &mut Option<M>) -> StorageRunStats + Sync,
+) -> Result<StorageSummary, RaidError> {
+    validate_run(horizon_hours, confidence_level)?;
+    let root = SimRng::seed_from_u64(seed);
+    let runs = run_to_precision(
+        rule,
+        |range| -> Result<Vec<StorageRunStats>, RaidError> {
+            Ok(probdist::parallel::replicate_with(
+                range,
+                &root,
+                workers,
+                None,
+                || None,
+                |_, rng, slot| mission(rng, slot),
+            ))
+        },
+        |runs: &[StorageRunStats]| -> Result<bool, RaidError> {
+            let availability: RunningStats =
+                runs.iter().map(StorageRunStats::availability).collect();
+            let per_week: RunningStats =
+                runs.iter().map(StorageRunStats::replacements_per_week).collect();
+            for stats in [&availability, &per_week] {
+                if !rule.met_by(&confidence_interval(stats, confidence_level)?) {
+                    return Ok(false);
+                }
+            }
+            Ok(true)
+        },
+    )?;
+    summarise_runs(&runs, horizon_hours, confidence_level)
+}
+
 /// Aggregates raw replication results into a [`StorageSummary`] at the
-/// given confidence level. Shared by the RAID simulator and the n-way
-/// replication simulator ([`crate::replication`]) so both redundancy
-/// families report through exactly the same statistics pipeline.
-pub(crate) fn summarise_runs(
+/// given confidence level.
+fn summarise_runs(
     runs: &[StorageRunStats],
     horizon_hours: f64,
     confidence_level: f64,
@@ -168,80 +218,19 @@ impl StorageSimulator {
         &self.config
     }
 
-    /// Runs `replications` independent missions of `horizon_hours` each and
-    /// aggregates the results at the 95 % confidence level. Replications are
-    /// executed in parallel when more than a handful are requested.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RaidError::InvalidRun`] for a non-positive horizon or fewer
-    /// than two replications.
-    pub fn run(
-        &self,
-        horizon_hours: f64,
-        replications: usize,
-        seed: u64,
-    ) -> Result<StorageSummary, RaidError> {
-        self.run_with(horizon_hours, replications, seed, 0.95, 0)
-    }
-
-    /// Runs `replications` independent missions with an explicit confidence
-    /// level and worker-thread count. `workers == 0` uses the machine's
-    /// available parallelism; `1` forces serial execution. Every replication
-    /// draws from the RNG stream derived from its own index and results are
-    /// collected in index order, so the aggregated statistics are
-    /// bit-identical for any worker count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RaidError::InvalidRun`] for a non-positive horizon, fewer
-    /// than two replications, or a confidence level outside `(0, 1)`.
-    pub fn run_with(
-        &self,
-        horizon_hours: f64,
-        replications: usize,
-        seed: u64,
-        confidence_level: f64,
-        workers: usize,
-    ) -> Result<StorageSummary, RaidError> {
-        validate_run(horizon_hours, confidence_level)?;
-        if replications < 2 {
-            return Err(RaidError::InvalidRun {
-                reason: "at least two replications are required".into(),
-            });
-        }
-
-        let root = SimRng::seed_from_u64(seed);
-        // Each worker keeps one mission as scratch: after the first
-        // replication, later missions re-prime the same event queue and
-        // per-disk state in place instead of allocating afresh.
-        let runs: Vec<StorageRunStats> = probdist::parallel::replicate_with(
-            0..replications,
-            &root,
-            workers,
-            || None,
-            |_, rng, slot| self.run_once_reusing(horizon_hours, rng, slot),
-        );
-        self.summarise(&runs, horizon_hours, confidence_level)
-    }
-
-    /// Runs replication batches until `rule` is satisfied — every tracked
-    /// measure's relative CI half-width below the target — or its cap is
-    /// reached, and aggregates exactly like [`StorageSimulator::run_with`].
-    ///
-    /// Availability and replacements-per-week are tracked by the rule;
-    /// data-loss events are not (a rare-event count has a near-zero mean,
-    /// so its *relative* width is ill-defined and would force every run to
-    /// the cap). The summary's `replications` field records the count
-    /// actually used, and because batches extend one index-derived stream
-    /// sequence, an adaptive run of `n` replications is bit-identical to a
-    /// fixed `run_with` of `n`.
+    /// Runs missions of `horizon_hours` each under `rule` — exactly `n`
+    /// for [`StoppingRule::fixed`], otherwise batches until availability
+    /// and replacements per week both meet the rule's relative target or
+    /// its cap is reached — and aggregates them at `confidence_level`.
+    /// `workers == 0` uses the machine's available parallelism; `1` forces
+    /// serial execution. Any worker count yields bit-identical statistics,
+    /// and the summary's `replications` field records the count used.
     ///
     /// # Errors
     ///
     /// Returns [`RaidError::InvalidRun`] for a non-positive horizon or a
     /// confidence level outside `(0, 1)`.
-    pub fn run_until(
+    pub fn run(
         &self,
         horizon_hours: f64,
         rule: &StoppingRule,
@@ -249,44 +238,9 @@ impl StorageSimulator {
         confidence_level: f64,
         workers: usize,
     ) -> Result<StorageSummary, RaidError> {
-        validate_run(horizon_hours, confidence_level)?;
-        let root = SimRng::seed_from_u64(seed);
-        let runs = run_to_precision(
-            rule,
-            |range| -> Result<Vec<StorageRunStats>, RaidError> {
-                Ok(probdist::parallel::replicate_with(
-                    range,
-                    &root,
-                    workers,
-                    || None,
-                    |_, rng, slot| self.run_once_reusing(horizon_hours, rng, slot),
-                ))
-            },
-            |runs: &[StorageRunStats]| -> Result<bool, RaidError> {
-                let availability: RunningStats =
-                    runs.iter().map(StorageRunStats::availability).collect();
-                let per_week: RunningStats =
-                    runs.iter().map(StorageRunStats::replacements_per_week).collect();
-                for stats in [&availability, &per_week] {
-                    let interval = confidence_interval(stats, confidence_level)?;
-                    if !rule.met_by(&interval) {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            },
-        )?;
-        self.summarise(&runs, horizon_hours, confidence_level)
-    }
-
-    /// Aggregates raw replication results into a [`StorageSummary`].
-    fn summarise(
-        &self,
-        runs: &[StorageRunStats],
-        horizon_hours: f64,
-        confidence_level: f64,
-    ) -> Result<StorageSummary, RaidError> {
-        summarise_runs(runs, horizon_hours, confidence_level)
+        run_missions(horizon_hours, rule, seed, confidence_level, workers, |rng, slot| {
+            self.run_once_reusing(horizon_hours, rng, slot)
+        })
     }
 
     /// Runs a single mission and returns its raw statistics.
@@ -661,6 +615,10 @@ mod tests {
     use super::*;
     use crate::{DiskModel, RaidGeometry};
 
+    fn fixed(replications: usize) -> StoppingRule {
+        StoppingRule::fixed(replications).unwrap()
+    }
+
     fn quick_config() -> StorageConfig {
         let mut c = StorageConfig::abe_scratch();
         c.controllers = None;
@@ -670,9 +628,9 @@ mod tests {
     #[test]
     fn run_validates_parameters() {
         let sim = StorageSimulator::new(quick_config()).unwrap();
-        assert!(sim.run(0.0, 8, 1).is_err());
-        assert!(sim.run(-10.0, 8, 1).is_err());
-        assert!(sim.run(100.0, 1, 1).is_err());
+        assert!(sim.run(0.0, &fixed(8), 1, 0.95, 0).is_err());
+        assert!(sim.run(-10.0, &fixed(8), 1, 0.95, 0).is_err());
+        assert!(StoppingRule::fixed(1).is_err());
     }
 
     #[test]
@@ -687,7 +645,7 @@ mod tests {
         // Figure 2, first data point: every configuration at ABE scale has
         // nearly 100 % storage availability.
         let sim = StorageSimulator::new(quick_config()).unwrap();
-        let summary = sim.run(8760.0, 24, 3).unwrap();
+        let summary = sim.run(8760.0, &fixed(24), 3, 0.95, 0).unwrap();
         assert!(summary.availability.point > 0.9999, "availability {}", summary.availability.point);
         assert!(summary.prob_any_data_loss < 0.1);
     }
@@ -695,7 +653,7 @@ mod tests {
     #[test]
     fn abe_replacement_rate_is_zero_to_two_per_week() {
         let sim = StorageSimulator::new(quick_config()).unwrap();
-        let summary = sim.run(8760.0, 24, 5).unwrap();
+        let summary = sim.run(8760.0, &fixed(24), 5, 0.95, 0).unwrap();
         let per_week = summary.replacements_per_week.point;
         assert!(per_week > 0.2 && per_week < 3.0, "replacements per week {per_week}");
     }
@@ -706,8 +664,8 @@ mod tests {
         small.tiers = 48;
         let mut large = quick_config();
         large.tiers = 480;
-        let s = StorageSimulator::new(small).unwrap().run(4380.0, 16, 7).unwrap();
-        let l = StorageSimulator::new(large).unwrap().run(4380.0, 16, 7).unwrap();
+        let s = StorageSimulator::new(small).unwrap().run(4380.0, &fixed(16), 7, 0.95, 0).unwrap();
+        let l = StorageSimulator::new(large).unwrap().run(4380.0, &fixed(16), 7, 0.95, 0).unwrap();
         let ratio = l.replacements_per_week.point / s.replacements_per_week.point;
         assert!((ratio - 10.0).abs() < 2.5, "ratio {ratio}");
     }
@@ -727,8 +685,10 @@ mod tests {
         let mut raid6 = raid5.clone();
         raid6.geometry = RaidGeometry::raid6_8p2();
 
-        let a5 = StorageSimulator::new(raid5).unwrap().run(8760.0, 16, 11).unwrap();
-        let a6 = StorageSimulator::new(raid6).unwrap().run(8760.0, 16, 11).unwrap();
+        let a5 =
+            StorageSimulator::new(raid5).unwrap().run(8760.0, &fixed(16), 11, 0.95, 0).unwrap();
+        let a6 =
+            StorageSimulator::new(raid6).unwrap().run(8760.0, &fixed(16), 11, 0.95, 0).unwrap();
         assert!(a5.data_loss_events.point > a6.data_loss_events.point);
         assert!(a5.availability.point <= a6.availability.point + 1e-12);
     }
@@ -747,8 +707,9 @@ mod tests {
         let mut plus3 = base.clone();
         plus3.geometry = RaidGeometry::raid_8p3();
 
-        let a2 = StorageSimulator::new(base).unwrap().run(8760.0, 16, 13).unwrap();
-        let a3 = StorageSimulator::new(plus3).unwrap().run(8760.0, 16, 13).unwrap();
+        let a2 = StorageSimulator::new(base).unwrap().run(8760.0, &fixed(16), 13, 0.95, 0).unwrap();
+        let a3 =
+            StorageSimulator::new(plus3).unwrap().run(8760.0, &fixed(16), 13, 0.95, 0).unwrap();
         assert!(a3.availability.point >= a2.availability.point - 1e-6);
         assert!(a3.data_loss_events.point <= a2.data_loss_events.point + 1e-9);
     }
@@ -764,7 +725,7 @@ mod tests {
         });
         c.disk = DiskModel { weibull_shape: 1.0, mtbf_hours: 1e9, capacity_gb: 250.0 };
         let sim = StorageSimulator::new(c).unwrap();
-        let summary = sim.run(8760.0, 16, 17).unwrap();
+        let summary = sim.run(8760.0, &fixed(16), 17, 0.95, 0).unwrap();
         assert!(summary.availability.point < 0.999, "controller faults should cause downtime");
         assert!(summary.data_loss_events.point < 1e-9);
     }
@@ -773,14 +734,14 @@ mod tests {
     fn adaptive_run_stops_within_bounds_and_matches_fixed() {
         let sim = StorageSimulator::new(quick_config()).unwrap();
         let rule = StoppingRule::new(0.25, 4, 32).unwrap();
-        let adaptive = sim.run_until(8760.0, &rule, 9, 0.95, 2).unwrap();
+        let adaptive = sim.run(8760.0, &rule, 9, 0.95, 2).unwrap();
         assert!(
             adaptive.replications >= 4 && adaptive.replications <= 32,
             "used {} replications",
             adaptive.replications
         );
         // Bit-identical to a fixed run of the same length and seed.
-        let fixed = sim.run_with(8760.0, adaptive.replications, 9, 0.95, 1).unwrap();
+        let fixed = sim.run(8760.0, &fixed(adaptive.replications), 9, 0.95, 1).unwrap();
         assert_eq!(adaptive, fixed);
     }
 
@@ -788,15 +749,15 @@ mod tests {
     fn adaptive_run_validates_parameters() {
         let sim = StorageSimulator::new(quick_config()).unwrap();
         let rule = StoppingRule::new(0.25, 4, 32).unwrap();
-        assert!(sim.run_until(0.0, &rule, 1, 0.95, 1).is_err());
-        assert!(sim.run_until(100.0, &rule, 1, 1.5, 1).is_err());
+        assert!(sim.run(0.0, &rule, 1, 0.95, 1).is_err());
+        assert!(sim.run(100.0, &rule, 1, 1.5, 1).is_err());
     }
 
     #[test]
     fn results_are_deterministic_for_a_seed() {
         let sim = StorageSimulator::new(quick_config()).unwrap();
-        let a = sim.run(4380.0, 8, 21).unwrap();
-        let b = sim.run(4380.0, 8, 21).unwrap();
+        let a = sim.run(4380.0, &fixed(8), 21, 0.95, 0).unwrap();
+        let b = sim.run(4380.0, &fixed(8), 21, 0.95, 0).unwrap();
         assert_eq!(a, b);
     }
 

@@ -248,7 +248,11 @@ pub fn build_beowulf_model(config: &BeowulfConfig) -> Result<BeowulfModel, SanEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Experiment;
+    use crate::{Experiment, StoppingRule};
+
+    fn fixed(replications: usize) -> StoppingRule {
+        StoppingRule::fixed(replications).unwrap()
+    }
 
     #[test]
     fn config_validation_names_the_offending_parameter() {
@@ -298,7 +302,7 @@ mod tests {
         for reward in bw.rewards() {
             experiment.add_reward(reward);
         }
-        let summary = experiment.run(16, 7).unwrap();
+        let summary = experiment.run(&fixed(16), 7).unwrap();
         // With as many crews as workers each node is an independent
         // two-state unit: availability 1000/1010.
         let expected = 1000.0 / 1010.0;
@@ -327,7 +331,7 @@ mod tests {
         for reward in bw.rewards() {
             experiment.add_reward(reward);
         }
-        let summary = experiment.run(12, 3).unwrap();
+        let summary = experiment.run(&fixed(12), 3).unwrap();
         let perf = summary.reward(PERFORMABILITY).unwrap().interval.point;
         let head = summary.reward(HEAD_AVAILABILITY).unwrap().interval.point;
         assert!((head - 0.9).abs() < 0.02, "head availability {head}");
@@ -353,7 +357,7 @@ mod tests {
             for reward in bw.rewards() {
                 experiment.add_reward(reward);
             }
-            experiment.run(8, 13).unwrap().reward(PERFORMABILITY).unwrap().interval.point
+            experiment.run(&fixed(8), 13).unwrap().reward(PERFORMABILITY).unwrap().interval.point
         };
         let one_crew = run(&base);
         let many_crews = run(&many);

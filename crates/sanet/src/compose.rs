@@ -180,8 +180,8 @@ mod tests {
         let model = b.build().unwrap();
         let mut exp = Experiment::new(model, 10.0);
         exp.add_reward(RewardSpec::instant_of_time("failures", move |m| m.tokens(failures) as f64));
-        exp.set_parallel(false);
-        let summary = exp.run(2, 1).unwrap();
+        exp.set_workers(1);
+        let summary = exp.run(&crate::StoppingRule::fixed(2).unwrap(), 1).unwrap();
         assert_eq!(summary.reward("failures").unwrap().interval.point, 3.0);
     }
 }

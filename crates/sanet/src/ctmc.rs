@@ -1046,7 +1046,7 @@ mod tests {
                 0.0
             }
         }));
-        let summary = exp.run(24, 5).unwrap();
+        let summary = exp.run(&crate::StoppingRule::fixed(24).unwrap(), 5).unwrap();
         let simulated = summary.reward("avail").unwrap().interval.point;
         assert!((simulated - exact).abs() < 5e-4, "simulated {simulated} vs exact {exact}");
     }

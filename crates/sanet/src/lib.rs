@@ -23,10 +23,10 @@
 //!   changes.
 //! * [`reward`] — rate rewards (time-averaged, accumulated, instant-of-time)
 //!   and impulse rewards (per activity completion).
-//! * [`Experiment`] — replication manager that runs many independent
-//!   replications (optionally in parallel) and reports each reward with a
-//!   Student-t confidence interval, with an optional relative-precision
-//!   stopping rule.
+//! * [`Experiment`] — replication manager that runs independent
+//!   replications on the shared worker pool under a [`StoppingRule`] — a
+//!   fixed count ([`StoppingRule::fixed`]) or a relative-precision target
+//!   — and reports each reward with a Student-t confidence interval.
 //! * [`rare`] — importance sampling with failure biasing: exponential rate
 //!   tilting of failure activities, the per-replication likelihood ratio
 //!   accumulated event by event through the compiled reward table (so both
@@ -84,7 +84,7 @@
 //! # Example: a single repairable component
 //!
 //! ```
-//! use sanet::{ModelBuilder, Experiment, reward::RewardSpec};
+//! use sanet::{ModelBuilder, Experiment, StoppingRule, reward::RewardSpec};
 //! use probdist::{Exponential, Deterministic};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -110,7 +110,7 @@
 //!
 //! let mut experiment = Experiment::new(model, 8760.0); // one year
 //! experiment.add_reward(availability);
-//! let summary = experiment.run(64, 42)?;
+//! let summary = experiment.run(&StoppingRule::fixed(64)?, 42)?;
 //! let a = summary.reward("availability")?.interval.point;
 //! assert!(a > 0.95 && a < 1.0);
 //! # Ok(())

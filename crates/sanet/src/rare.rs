@@ -51,15 +51,16 @@
 //! each reward observation with its weight `e^{ln W}` into a
 //! [`WeightedRunning`] accumulator: the unbiased weighted mean is the
 //! estimate, the Kish effective sample size diagnoses weight degeneracy,
-//! and [`BiasedExperiment::run_until`] drives the ordinary
-//! [`StoppingRule`] batch schedule with the relative-half-width-on-the-
-//! weighted-mean criterion — refusing to stop before the rule's minimum
-//! non-zero-observation support is reached
+//! and [`BiasedExperiment::run`] drives the ordinary [`StoppingRule`]
+//! batch schedule (a fixed count is [`StoppingRule::fixed`]) with the
+//! relative-half-width-on-the-weighted-mean criterion — refusing to stop
+//! before the rule's minimum non-zero-observation support is reached
 //! ([`StoppingRule::met_by_support`]).
 //!
 //! # Example
 //!
 //! ```
+//! use probdist::stats::StoppingRule;
 //! use probdist::Exponential;
 //! use sanet::rare::{BiasedExperiment, FailureBias};
 //! use sanet::reward::RewardSpec;
@@ -82,7 +83,7 @@
 //! experiment.add_reward(RewardSpec::instant_of_time("failed", move |m| {
 //!     m.tokens(down) as f64
 //! }));
-//! let summary = experiment.run(400, 7)?;
+//! let summary = experiment.run(&StoppingRule::fixed(400)?, 7)?;
 //! let estimate = summary.reward("failed")?;
 //! let exact = 1.0 - (-100.0_f64 / 100_000.0).exp();
 //! assert!(estimate.interval.contains(exact));
@@ -481,8 +482,8 @@ impl WeightedSummary {
 ///
 /// Replication `i` draws from the stream derived from `(seed, i)` exactly
 /// like an unbiased [`Experiment`], so weighted results are bit-identical
-/// at any worker count, and an adaptive [`BiasedExperiment::run_until`]
-/// that stops at `n` replications matches a fixed run of `n`.
+/// at any worker count, and an adaptive [`BiasedExperiment::run`] that
+/// stops at `n` replications matches a fixed run of `n`.
 pub struct BiasedExperiment {
     experiment: Experiment,
     biased: BiasedModel,
@@ -546,38 +547,25 @@ impl BiasedExperiment {
         &self.biased
     }
 
-    /// Runs a fixed number of replications of the tilted model and
-    /// summarises every reward with likelihood-ratio weights.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SanError::InvalidExperiment`] if `replications < 2` or a
-    /// replication's weight overflows (a catastrophically mis-chosen
-    /// tilt), and propagates simulation errors.
-    pub fn run(&self, replications: usize, seed: u64) -> Result<WeightedSummary, SanError> {
-        if replications < 2 {
-            return Err(SanError::InvalidExperiment {
-                reason: "at least two replications are required".into(),
-            });
-        }
-        let results = self.experiment.run_raw_range(0..replications, seed)?;
-        self.summarise(&results)
-    }
-
-    /// Runs replication batches until every registered reward's weighted
-    /// interval satisfies `rule` — including its minimum non-zero support
+    /// Runs replication batches of the tilted model under `rule` and
+    /// summarises every reward with likelihood-ratio weights: exactly `n`
+    /// replications for [`StoppingRule::fixed`], otherwise batches until
+    /// every registered reward's weighted interval satisfies `rule` —
+    /// including its minimum non-zero support
     /// ([`StoppingRule::met_by_support`]), so an estimate cannot stop on a
     /// handful of lucky hits — or the cap is reached. Batches extend one
     /// index sequence, so an adaptive run of `n` replications is
-    /// bit-identical to [`BiasedExperiment::run`] with `n`.
+    /// bit-identical to a fixed run of `n`.
     ///
     /// # Errors
     ///
-    /// Propagates any simulation or statistics error.
-    pub fn run_until(&self, rule: StoppingRule, seed: u64) -> Result<WeightedSummary, SanError> {
+    /// Returns [`SanError::InvalidExperiment`] if a replication's weight
+    /// overflows (a catastrophically mis-chosen tilt), and propagates
+    /// simulation and statistics errors.
+    pub fn run(&self, rule: &StoppingRule, seed: u64) -> Result<WeightedSummary, SanError> {
         let results = run_to_precision(
-            &rule,
-            |range| self.experiment.run_raw_range(range, seed),
+            rule,
+            |range| self.experiment.run_raw(range, seed, None),
             |results: &[RunResult]| {
                 for name in &self.user_rewards {
                     let acc = self.accumulate(name, results)?;
@@ -638,6 +626,10 @@ mod tests {
     use crate::{Marking, ModelBuilder};
     use probdist::rare::{naive_replications_for, weighted_probability};
     use probdist::SimRng;
+
+    fn fixed(replications: usize) -> StoppingRule {
+        StoppingRule::fixed(replications).unwrap()
+    }
 
     fn single_unit(mean_fail: f64) -> (Model, crate::PlaceId) {
         let mut b = ModelBuilder::new("unit");
@@ -740,7 +732,7 @@ mod tests {
         experiment
             .add_reward(RewardSpec::instant_of_time("failed", move |m| m.tokens(down) as f64));
         experiment.add_reward(RewardSpec::instant_of_time("one", |_m| 1.0));
-        let summary = experiment.run(2000, 11).unwrap();
+        let summary = experiment.run(&fixed(2000), 11).unwrap();
 
         let estimate = summary.reward("failed").unwrap();
         assert!(
@@ -779,7 +771,7 @@ mod tests {
         let mut experiment = BiasedExperiment::new(&model, bias, horizon).unwrap();
         experiment
             .add_reward(RewardSpec::instant_of_time("hit", move |m| m.tokens(latched) as f64));
-        let summary = experiment.run(4000, 2024).unwrap();
+        let summary = experiment.run(&fixed(4000), 2024).unwrap();
         let estimate = summary.reward("hit").unwrap();
         assert!(
             estimate.interval.contains(exact),
@@ -807,7 +799,7 @@ mod tests {
         experiment
             .add_reward(RewardSpec::instant_of_time("hit", move |m| m.tokens(latched) as f64));
         let rule = StoppingRule::new(0.1, 500, 100_000).unwrap();
-        let summary = experiment.run_until(rule, 9).unwrap();
+        let summary = experiment.run(&rule, 9).unwrap();
         let estimate = summary.reward("hit").unwrap();
         assert!(
             estimate.interval.relative_half_width() <= 0.1,
@@ -840,9 +832,9 @@ mod tests {
         experiment
             .add_reward(RewardSpec::instant_of_time("hit", move |m| m.tokens(latched) as f64));
         experiment.set_workers(1);
-        let serial = experiment.run(256, 5).unwrap();
+        let serial = experiment.run(&fixed(256), 5).unwrap();
         experiment.set_workers(4);
-        let parallel = experiment.run(256, 5).unwrap();
+        let parallel = experiment.run(&fixed(256), 5).unwrap();
         assert_eq!(
             serial.reward("hit").unwrap().stats,
             parallel.reward("hit").unwrap().stats,
@@ -850,8 +842,8 @@ mod tests {
         );
 
         let rule = StoppingRule::new(0.5, 64, 256).unwrap().with_min_nonzero(1);
-        let adaptive = experiment.run_until(rule, 5).unwrap();
-        let fixed = experiment.run(adaptive.replications, 5).unwrap();
+        let adaptive = experiment.run(&rule, 5).unwrap();
+        let fixed = experiment.run(&fixed(adaptive.replications), 5).unwrap();
         assert_eq!(
             adaptive.reward("hit").unwrap().stats,
             fixed.reward("hit").unwrap().stats,
@@ -870,7 +862,7 @@ mod tests {
         experiment
             .add_reward(RewardSpec::instant_of_time("hit", move |m| m.tokens(latched) as f64));
         let rule = StoppingRule::new(0.1, 8, 64).unwrap();
-        let summary = experiment.run_until(rule, 3).unwrap();
+        let summary = experiment.run(&rule, 3).unwrap();
         assert_eq!(
             summary.replications, 64,
             "an all-zero rare-event measure must exhaust the cap, not stop vacuously"
@@ -891,7 +883,7 @@ mod tests {
             let mut experiment = BiasedExperiment::new(&model, bias, horizon).unwrap();
             experiment
                 .add_reward(RewardSpec::instant_of_time("failed", move |m| m.tokens(down) as f64));
-            let summary = experiment.run(3000, 17).unwrap();
+            let summary = experiment.run(&fixed(3000), 17).unwrap();
             let estimate = summary.reward("failed").unwrap();
             assert!(
                 estimate.interval.contains(exact),

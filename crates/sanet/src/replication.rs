@@ -1,11 +1,20 @@
 //! Replicated simulation experiments: a thin adapter that binds the SAN
 //! engine's per-replication runs to the crate-neutral execution machinery
 //! in [`probdist`] — the work-stealing fan-out of
-//! [`probdist::parallel::replicate`] and the precision-targeted stopping
-//! of [`probdist::stats::StoppingRule`] / [`run_to_precision`]. All
+//! [`probdist::parallel::replicate_with`] and the stopping of
+//! [`probdist::stats::StoppingRule`] / [`run_to_precision`]. All
 //! scheduling and stopping policy lives there; this module only knows how
 //! to run one SAN replication and how to summarise reward estimates.
+//!
+//! An [`Experiment`] has two entry points: [`Experiment::run`] runs under a
+//! stopping rule (a fixed count is [`StoppingRule::fixed`]) and summarises
+//! every reward, and [`Experiment::run_raw`] runs one batch of replication
+//! indices and returns the raw per-replication results, for callers that
+//! combine rewards per replication or drive their own stopping loop.
 
+use std::ops::Range;
+
+use probdist::parallel::CancelToken;
 use probdist::stats::{confidence_interval, run_to_precision, ConfidenceInterval, RunningStats};
 use probdist::SimRng;
 
@@ -72,7 +81,6 @@ pub struct Experiment {
     warmup: f64,
     rewards: Vec<RewardSpec>,
     confidence_level: f64,
-    parallel: bool,
     workers: usize,
 }
 
@@ -84,7 +92,6 @@ impl std::fmt::Debug for Experiment {
             .field("warmup", &self.warmup)
             .field("rewards", &self.rewards.len())
             .field("confidence_level", &self.confidence_level)
-            .field("parallel", &self.parallel)
             .field("workers", &self.workers)
             .finish()
     }
@@ -92,7 +99,7 @@ impl std::fmt::Debug for Experiment {
 
 impl Experiment {
     /// Creates an experiment on `model` with the given simulation horizon in
-    /// hours. Parallel execution is enabled by default.
+    /// hours. Replications run on an auto-sized worker pool by default.
     pub fn new(model: Model, horizon: f64) -> Self {
         Experiment {
             model,
@@ -100,7 +107,6 @@ impl Experiment {
             warmup: 0.0,
             rewards: Vec::new(),
             confidence_level: 0.95,
-            parallel: true,
             workers: 0,
         }
     }
@@ -114,12 +120,6 @@ impl Experiment {
     /// Sets the confidence level used for reported intervals (default 0.95).
     pub fn set_confidence_level(&mut self, level: f64) -> &mut Self {
         self.confidence_level = level;
-        self
-    }
-
-    /// Enables or disables parallel execution of replications.
-    pub fn set_parallel(&mut self, parallel: bool) -> &mut Self {
-        self.parallel = parallel;
         self
     }
 
@@ -146,43 +146,24 @@ impl Experiment {
         &self.model
     }
 
-    /// Runs a fixed number of independent replications and summarises every
-    /// reward.
+    /// Runs replication batches under `rule` and summarises every reward:
+    /// exactly `n` replications for [`StoppingRule::fixed`], otherwise
+    /// batches until every registered reward's interval meets the rule's
+    /// relative target, or its cap is reached.
     ///
     /// Replication `i` uses the RNG stream derived from `seed` and `i`, so
     /// results are reproducible and independent of execution order or
-    /// parallelism.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SanError::InvalidExperiment`] if `replications < 2` (a
-    /// confidence interval needs at least two observations) and propagates
-    /// any simulation error.
-    pub fn run(&self, replications: usize, seed: u64) -> Result<RunSummary, SanError> {
-        if replications < 2 {
-            return Err(SanError::InvalidExperiment {
-                reason: "at least two replications are required".into(),
-            });
-        }
-        let results = self.run_indices(0, replications, seed)?;
-        self.summarise(results)
-    }
-
-    /// Runs replication batches until `rule` is satisfied for every
-    /// registered reward, or its cap is reached.
-    ///
-    /// The batches extend one index sequence from the same root seed, so an
-    /// adaptive run that stops after `n` replications is bit-identical to
-    /// [`Experiment::run`] with `replications = n`. The summary's
-    /// `replications` field records the count actually used.
+    /// parallelism, and an adaptive run that stops after `n` replications
+    /// is bit-identical to a fixed run of `n`. The summary's `replications`
+    /// field records the count actually used.
     ///
     /// # Errors
     ///
     /// Propagates any simulation or statistics error.
-    pub fn run_until(&self, rule: StoppingRule, seed: u64) -> Result<RunSummary, SanError> {
+    pub fn run(&self, rule: &StoppingRule, seed: u64) -> Result<RunSummary, SanError> {
         let results = run_to_precision(
-            &rule,
-            |range| self.run_indices(range.start, range.len(), seed),
+            rule,
+            |range| self.run_raw(range, seed, None),
             |results: &[crate::RunResult]| {
                 for spec in &self.rewards {
                     let stats: RunningStats =
@@ -198,96 +179,31 @@ impl Experiment {
         self.summarise(results)
     }
 
-    /// Runs a fixed number of replications and returns the raw per-
-    /// replication results instead of a summary. Useful when rewards must
-    /// be combined per replication (e.g. a derived measure such as cluster
-    /// utility) before confidence intervals are computed.
+    /// Runs the replications of `range` (by stream index) and returns their
+    /// raw results — the batch primitive [`Experiment::run`] drives, and
+    /// the one callers use when rewards must be combined per replication
+    /// (e.g. a derived measure such as cluster utility) before confidence
+    /// intervals are computed. Replication `i` always draws from the stream
+    /// derived from `(seed, i)`, so consecutive ranges extend one
+    /// deterministic sequence, bit-identical for any worker count.
+    ///
+    /// With a `cancel` token, claiming stops once it fires (manually or by
+    /// its deadline), in-flight replications finish, and the call returns
+    /// the **contiguous prefix** of the range that completed — shorter
+    /// than `range` exactly when the run was truncated, and bit-identical
+    /// to the first replications of an uninterrupted run.
     ///
     /// # Errors
     ///
-    /// Returns [`SanError::InvalidExperiment`] if `replications` is zero and
-    /// propagates any simulation error.
+    /// Propagates any simulation error.
     pub fn run_raw(
         &self,
-        replications: usize,
+        range: Range<usize>,
         seed: u64,
-    ) -> Result<Vec<crate::RunResult>, SanError> {
-        if replications == 0 {
-            return Err(SanError::InvalidExperiment {
-                reason: "at least one replication is required".into(),
-            });
-        }
-        self.run_indices(0, replications, seed)
-    }
-
-    /// Runs the replications of `range` (by stream index) and returns their
-    /// raw results — the batch primitive adaptive callers drive through
-    /// [`probdist::stats::run_to_precision`]. Replication `i` always draws
-    /// from the stream derived from `(seed, i)`, so consecutive ranges
-    /// extend one deterministic sequence.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_raw_range(
-        &self,
-        range: std::ops::Range<usize>,
-        seed: u64,
-    ) -> Result<Vec<crate::RunResult>, SanError> {
-        self.run_indices(range.start, range.len(), seed)
-    }
-
-    /// Like [`Experiment::run_raw_range`], but checks `token` between
-    /// work-unit batches: once it is cancelled (manually or by its
-    /// deadline), in-flight replications finish and the call returns the
-    /// **contiguous prefix** of the range that completed, with `true` for
-    /// "truncated". Because replication `i` always draws from the stream
-    /// derived from `(seed, i)`, the prefix is bit-identical to the first
-    /// replications of an uninterrupted run — a statistically valid sample,
-    /// just a smaller one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_raw_range_interruptible(
-        &self,
-        range: std::ops::Range<usize>,
-        seed: u64,
-        token: &probdist::parallel::CancelToken,
-    ) -> Result<(Vec<crate::RunResult>, bool), SanError> {
-        let _span = probdist::telemetry::span(probdist::telemetry::MetricId::SpanReplicate);
-        let root = SimRng::seed_from_u64(seed);
-        let workers = if self.parallel { self.workers } else { 1 };
-        let sim = Simulator::new(&self.model);
-        let table = crate::reward::RewardTable::compile(&self.model, &self.rewards)?;
-        let (results, truncated) = probdist::parallel::replicate_with_interruptible(
-            range,
-            &root,
-            workers,
-            token,
-            crate::RunScratch::new,
-            |index, rng, scratch| {
-                sim.run_with_table_scratch(&table, self.horizon, self.warmup, rng, scratch)
-                    .map(|result| apply_chaos(index, result))
-            },
-        );
-        let results: Result<Vec<_>, SanError> = results.into_iter().collect();
-        Ok((results?, truncated))
-    }
-
-    /// Runs replications `start..start+count` (by stream index) and returns
-    /// their raw results. The deterministic fan-out lives in
-    /// [`probdist::parallel::replicate_with`], so the results are
-    /// bit-identical for any worker count.
-    fn run_indices(
-        &self,
-        start: usize,
-        count: usize,
-        seed: u64,
+        cancel: Option<&CancelToken>,
     ) -> Result<Vec<crate::RunResult>, SanError> {
         let _span = probdist::telemetry::span(probdist::telemetry::MetricId::SpanReplicate);
         let root = SimRng::seed_from_u64(seed);
-        let workers = if self.parallel { self.workers } else { 1 };
         let sim = Simulator::new(&self.model);
         // Compile the reward set once per batch: every replication then
         // shares the interned name table (one `Arc` clone per result) and
@@ -296,9 +212,10 @@ impl Experiment {
         // Each worker owns one `RunScratch`, so the kernel's working buffers
         // are allocated once per worker rather than once per replication.
         probdist::parallel::replicate_with(
-            start..start + count,
+            range,
             &root,
-            workers,
+            self.workers,
+            cancel,
             crate::RunScratch::new,
             |index, rng, scratch| {
                 sim.run_with_table_scratch(&table, self.horizon, self.warmup, rng, scratch)
@@ -353,6 +270,10 @@ mod tests {
     use crate::ModelBuilder;
     use probdist::Exponential;
 
+    fn fixed(replications: usize) -> StoppingRule {
+        StoppingRule::fixed(replications).unwrap()
+    }
+
     fn repairable_unit(mean_fail: f64, mean_repair: f64) -> (Model, crate::PlaceId) {
         let mut b = ModelBuilder::new("unit");
         let up = b.add_place("up", 1).unwrap();
@@ -381,7 +302,7 @@ mod tests {
         let (model, up) = repairable_unit(1000.0, 10.0);
         let mut exp = Experiment::new(model, 100_000.0);
         exp.add_reward(availability_reward(up));
-        let summary = exp.run(32, 7).unwrap();
+        let summary = exp.run(&fixed(32), 7).unwrap();
         let est = summary.reward("avail").unwrap();
         let expected = 1000.0 / 1010.0;
         assert!(
@@ -400,10 +321,10 @@ mod tests {
         let (model, up) = repairable_unit(200.0, 4.0);
         let mut exp = Experiment::new(model, 20_000.0);
         exp.add_reward(availability_reward(up));
-        exp.set_parallel(false);
-        let serial = exp.run(16, 11).unwrap();
-        exp.set_parallel(true);
-        let parallel = exp.run(16, 11).unwrap();
+        exp.set_workers(1);
+        let serial = exp.run(&fixed(16), 11).unwrap();
+        exp.set_workers(0);
+        let parallel = exp.run(&fixed(16), 11).unwrap();
         assert_eq!(
             serial.reward("avail").unwrap().interval.point,
             parallel.reward("avail").unwrap().interval.point
@@ -413,11 +334,9 @@ mod tests {
 
     #[test]
     fn run_requires_at_least_two_replications() {
-        let (model, up) = repairable_unit(100.0, 1.0);
-        let mut exp = Experiment::new(model, 1000.0);
-        exp.add_reward(availability_reward(up));
-        assert!(exp.run(1, 1).is_err());
-        assert!(exp.run(0, 1).is_err());
+        // A fixed count below two cannot even be expressed as a rule.
+        assert!(StoppingRule::fixed(1).is_err());
+        assert!(StoppingRule::fixed(0).is_err());
     }
 
     #[test]
@@ -426,7 +345,7 @@ mod tests {
         let mut exp = Experiment::new(model, 50_000.0);
         exp.add_reward(availability_reward(up));
         let rule = StoppingRule::new(0.01, 8, 64).unwrap();
-        let summary = exp.run_until(rule, 3).unwrap();
+        let summary = exp.run(&rule, 3).unwrap();
         assert!(summary.replications >= 8 && summary.replications <= 64);
         let ci = &summary.reward("avail").unwrap().interval;
         // Either precision was reached or we hit the cap.
@@ -439,8 +358,8 @@ mod tests {
         let mut exp = Experiment::new(model, 50_000.0);
         exp.add_reward(availability_reward(up));
         let rule = StoppingRule::new(0.05, 8, 32).unwrap();
-        let adaptive = exp.run_until(rule, 5).unwrap();
-        let fixed = exp.run(adaptive.replications, 5).unwrap();
+        let adaptive = exp.run(&rule, 5).unwrap();
+        let fixed = exp.run(&fixed(adaptive.replications), 5).unwrap();
         assert_eq!(
             adaptive.reward("avail").unwrap().interval.point,
             fixed.reward("avail").unwrap().interval.point,
@@ -462,13 +381,13 @@ mod tests {
         let (model, up) = repairable_unit(100.0, 1.0);
         let mut exp = Experiment::new(model, 5_000.0);
         exp.add_reward(availability_reward(up));
-        assert!(exp.run_raw(0, 1).is_err());
-        let raw = exp.run_raw(8, 21).unwrap();
+        assert!(exp.run_raw(0..0, 1, None).unwrap().is_empty());
+        let raw = exp.run_raw(0..8, 21, None).unwrap();
         assert_eq!(raw.len(), 8);
         // Every replication reports the registered reward, and the mean of
         // the raw values matches the summarising run with the same seed.
         let mean: f64 = raw.iter().map(|r| r.reward("avail").unwrap()).sum::<f64>() / 8.0;
-        let summary = exp.run(8, 21).unwrap();
+        let summary = exp.run(&fixed(8), 21).unwrap();
         assert!((mean - summary.reward("avail").unwrap().interval.point).abs() < 1e-12);
     }
 
@@ -477,9 +396,9 @@ mod tests {
         let (model, up) = repairable_unit(100.0, 1.0);
         let mut exp = Experiment::new(model, 5_000.0);
         exp.add_reward(availability_reward(up));
-        let full = exp.run_raw(8, 33).unwrap();
-        let head = exp.run_raw_range(0..4, 33).unwrap();
-        let tail = exp.run_raw_range(4..8, 33).unwrap();
+        let full = exp.run_raw(0..8, 33, None).unwrap();
+        let head = exp.run_raw(0..4, 33, None).unwrap();
+        let tail = exp.run_raw(4..8, 33, None).unwrap();
         for (a, b) in full.iter().zip(head.iter().chain(tail.iter())) {
             assert_eq!(a.reward("avail").unwrap(), b.reward("avail").unwrap());
             assert_eq!(a.events, b.events);
@@ -491,10 +410,9 @@ mod tests {
         let (model, up) = repairable_unit(100.0, 1.0);
         let mut exp = Experiment::new(model, 5_000.0);
         exp.add_reward(availability_reward(up));
-        let plain = exp.run_raw_range(0..8, 33).unwrap();
-        let token = probdist::parallel::CancelToken::new();
-        let (interruptible, truncated) = exp.run_raw_range_interruptible(0..8, 33, &token).unwrap();
-        assert!(!truncated);
+        let plain = exp.run_raw(0..8, 33, None).unwrap();
+        let token = CancelToken::new();
+        let interruptible = exp.run_raw(0..8, 33, Some(&token)).unwrap();
         assert_eq!(plain, interruptible, "an unfired token must not change a single bit");
     }
 
@@ -503,10 +421,9 @@ mod tests {
         let (model, up) = repairable_unit(100.0, 1.0);
         let mut exp = Experiment::new(model, 5_000.0);
         exp.add_reward(availability_reward(up));
-        let token = probdist::parallel::CancelToken::new();
+        let token = CancelToken::new();
         token.cancel();
-        let (results, truncated) = exp.run_raw_range_interruptible(0..8, 33, &token).unwrap();
-        assert!(truncated);
+        let results = exp.run_raw(0..8, 33, Some(&token)).unwrap();
         assert!(results.is_empty());
     }
 
@@ -515,7 +432,7 @@ mod tests {
         let (model, up) = repairable_unit(100.0, 1.0);
         let mut exp = Experiment::new(model, 5_000.0);
         exp.add_reward(availability_reward(up));
-        let original = exp.run_raw(2, 9).unwrap().remove(0);
+        let original = exp.run_raw(0..2, 9, None).unwrap().remove(0);
         let pairs: Vec<(String, f64)> = original.iter().map(|(n, v)| (n.to_string(), v)).collect();
         let restored =
             crate::RunResult::from_named_values(pairs, original.events, original.end_time);

@@ -5,7 +5,7 @@
 use sanet::ctmc::Ctmc;
 use sanet::rare::{failover_pair, failover_pair_hitting_oracle};
 use sanet::reward::RewardSpec;
-use sanet::{beowulf, Experiment};
+use sanet::{beowulf, Experiment, StoppingRule};
 
 /// Rebuilds an assembled sparse chain as a dense [`Ctmc`] so the two
 /// solver paths can be compared state by state.
@@ -81,7 +81,7 @@ fn sparse_transient_matches_the_hitting_oracle_and_simulation() {
     // statically computed probability.
     let mut experiment = Experiment::new(pair.model.clone(), horizon);
     experiment.add_reward(pair.hit_reward());
-    let summary = experiment.run(4_000, 11).unwrap();
+    let summary = experiment.run(&StoppingRule::fixed(4_000).unwrap(), 11).unwrap();
     let estimate = summary.reward("hit").unwrap();
     assert!(
         (estimate.interval.point - hit).abs() <= estimate.interval.half_width,
@@ -135,7 +135,7 @@ fn beowulf_is_analytic_and_sparse_matches_dense_and_simulation() {
             0.0
         }
     }));
-    let summary = experiment.run(96, 7).unwrap();
+    let summary = experiment.run(&StoppingRule::fixed(96).unwrap(), 7).unwrap();
     let estimate = summary.reward("head_up").unwrap();
     assert!(
         (estimate.interval.point - analytic_head_up).abs() <= estimate.interval.half_width,

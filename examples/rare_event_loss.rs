@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut experiment = BiasedExperiment::new(&pair.model, bias, horizon)?;
     experiment.add_reward(pair.hit_reward());
     let rule = StoppingRule::new(0.10, 1_000, 200_000)?;
-    let summary = experiment.run_until(rule, 2008)?;
+    let summary = experiment.run(&rule, 2008)?;
     let estimate = summary.reward("hit")?;
 
     // The analytic oracle: the matching absorbing 3-state CTMC solved by

@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let guard = telemetry::enable_scoped();
     let baseline = telemetry::snapshot();
     let start = std::time::Instant::now();
-    let summary = experiment.run(replications, 20_080_625)?;
+    let summary = experiment.run(&StoppingRule::fixed(replications)?, 20_080_625)?;
     let elapsed = start.elapsed().as_secs_f64();
     let delta = telemetry::snapshot().delta_since(&baseline);
     drop(guard);

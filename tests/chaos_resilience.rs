@@ -14,6 +14,13 @@
 use petascale_cfs::prelude::*;
 use petascale_cfs::probdist::chaos;
 
+/// The chaos plan is process-wide, so one test's chaos-off runs must not
+/// overlap another test's injection scope: every test holds this lock.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 fn temp_file(tag: &str) -> std::path::PathBuf {
     let mut path = std::env::temp_dir();
     path.push(format!("cfs-chaos-{}-{tag}.json", std::process::id()));
@@ -25,6 +32,7 @@ fn temp_file(tag: &str) -> std::path::PathBuf {
 /// identical reports to an uninterrupted one, at workers 1, 2, and 8.
 #[test]
 fn injected_kill_at_k_resumes_bit_identically() {
+    let _serial = serial();
     let common = RunSpec::new().with_horizon_hours(1200.0).with_replications(8).with_base_seed(41);
 
     for workers in [1usize, 2, 8] {
@@ -81,6 +89,7 @@ fn injected_kill_at_k_resumes_bit_identically() {
 /// typed failure, and the worker pool stays usable afterwards.
 #[test]
 fn continue_and_report_completes_under_injected_faults() {
+    let _serial = serial();
     let spec = RunSpec::new()
         .with_horizon_hours(1500.0)
         .with_replications(6)
@@ -140,6 +149,7 @@ fn continue_and_report_completes_under_injected_faults() {
 /// silently-wrong report.
 #[test]
 fn corrupted_rewards_become_typed_failures() {
+    let _serial = serial();
     let spec = RunSpec::new()
         .with_horizon_hours(1000.0)
         .with_replications(4)

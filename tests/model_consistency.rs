@@ -10,6 +10,10 @@ use petascale_cfs::raidsim::replacement::{
 use petascale_cfs::sanet::reward::RewardSpec;
 use petascale_cfs::sanet::Experiment;
 
+fn fixed(replications: usize) -> StoppingRule {
+    StoppingRule::fixed(replications).unwrap()
+}
+
 /// The SAN engine and a hand-built analytic result must agree: a single
 /// repairable component with exponential failure/repair has availability
 /// μ/(λ+μ).
@@ -42,7 +46,7 @@ fn san_engine_matches_birth_death_availability() {
             0.0
         }
     }));
-    let summary = experiment.run(32, 99).unwrap();
+    let summary = experiment.run(&fixed(32), 99).unwrap();
     let expected = 500.0 / 520.0;
     let estimate = summary.reward("avail").unwrap();
     assert!(
@@ -72,7 +76,8 @@ fn storage_monte_carlo_matches_analytic_data_loss_probability() {
         data_loss_recovery_hours: 24.0,
         controllers: None,
     };
-    let summary = StorageSimulator::new(config).unwrap().run(mission, 48, 7).unwrap();
+    let summary =
+        StorageSimulator::new(config).unwrap().run(mission, &fixed(48), 7, 0.95, 0).unwrap();
     let analytic = system_data_loss_probability(tiers, geometry, mtbf, repair, mission).unwrap();
     assert!(
         (summary.prob_any_data_loss - analytic).abs() < 0.15,
@@ -92,7 +97,8 @@ fn replacement_rate_models_agree_for_abe() {
     let disks = config.total_disks();
     let mission = 8760.0;
 
-    let simulated = StorageSimulator::new(config).unwrap().run(mission, 24, 13).unwrap();
+    let simulated =
+        StorageSimulator::new(config).unwrap().run(mission, &fixed(24), 13, 0.95, 0).unwrap();
     let analytic = expected_replacements_per_week(disks, &disk, mission).unwrap();
     let steady = steady_state_replacements_per_week(disks, &disk).unwrap();
 
@@ -115,8 +121,10 @@ fn cluster_model_and_raidsim_agree_on_abe_storage_availability() {
         &RunSpec::new().with_horizon_hours(8760.0).with_replications(12).with_base_seed(31),
     )
     .unwrap();
-    let storage =
-        StorageSimulator::new(StorageConfig::abe_scratch()).unwrap().run(8760.0, 12, 31).unwrap();
+    let storage = StorageSimulator::new(StorageConfig::abe_scratch())
+        .unwrap()
+        .run(8760.0, &fixed(12), 31, 0.95, 0)
+        .unwrap();
     assert!(cluster.storage_availability.point > 0.9999);
     assert!(storage.availability.point > 0.9999);
     assert!((cluster.storage_availability.point - storage.availability.point).abs() < 1e-3);

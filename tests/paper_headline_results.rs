@@ -12,6 +12,10 @@ use petascale_cfs::prelude::*;
 
 const YEAR_HOURS: f64 = 8760.0;
 
+fn fixed(replications: usize) -> StoppingRule {
+    StoppingRule::fixed(replications).unwrap()
+}
+
 fn spec(replications: usize, seed: u64) -> RunSpec {
     RunSpec::new()
         .with_horizon_hours(YEAR_HOURS)
@@ -56,8 +60,8 @@ fn eight_plus_three_is_at_least_as_good_as_eight_plus_two() {
     let mut plus3 = base.clone();
     plus3.geometry = RaidGeometry::raid_8p3();
 
-    let a2 = StorageSimulator::new(base).unwrap().run(YEAR_HOURS, 12, 3).unwrap();
-    let a3 = StorageSimulator::new(plus3).unwrap().run(YEAR_HOURS, 12, 3).unwrap();
+    let a2 = StorageSimulator::new(base).unwrap().run(YEAR_HOURS, &fixed(12), 3, 0.95, 0).unwrap();
+    let a3 = StorageSimulator::new(plus3).unwrap().run(YEAR_HOURS, &fixed(12), 3, 0.95, 0).unwrap();
     assert!(a3.data_loss_events.point <= a2.data_loss_events.point);
     assert!(a3.availability.point >= a2.availability.point - 1e-6);
 }
@@ -106,14 +110,15 @@ fn simulated_abe_availability_matches_log_measurement() {
 fn disk_replacement_rate_is_small_at_abe_and_grows_linearly() {
     let abe = StorageSimulator::new(StorageConfig::abe_scratch())
         .unwrap()
-        .run(YEAR_HOURS, 16, 29)
+        .run(YEAR_HOURS, &fixed(16), 29, 0.95, 0)
         .unwrap();
     assert!(abe.replacements_per_week.point > 0.2 && abe.replacements_per_week.point < 3.0);
 
     let mut ten_times = StorageConfig::abe_scratch();
     ten_times.tiers = 480;
     ten_times.ddn_units = 20;
-    let big = StorageSimulator::new(ten_times).unwrap().run(YEAR_HOURS, 16, 29).unwrap();
+    let big =
+        StorageSimulator::new(ten_times).unwrap().run(YEAR_HOURS, &fixed(16), 29, 0.95, 0).unwrap();
     let ratio = big.replacements_per_week.point / abe.replacements_per_week.point;
     assert!(ratio > 6.0 && ratio < 14.0, "10x disks should give ~10x replacements, got {ratio}");
 }

@@ -116,7 +116,7 @@ fn importance_sampling_cross_validates_against_the_ctmc() {
         let mut experiment = BiasedExperiment::new(&pair.model, bias, horizon).unwrap();
         experiment.add_reward(pair.hit_reward());
         experiment.set_workers(workers);
-        experiment.run(4000, 2024).unwrap()
+        experiment.run(&StoppingRule::fixed(4000).unwrap(), 2024).unwrap()
     };
     let serial = run(1);
     let estimate = serial.reward("hit").unwrap();

@@ -73,13 +73,14 @@ fn distinct_seeds_give_distinct_estimates() {
     assert_eq!(a.cfs_availability.point, a_again.cfs_availability.point);
 }
 
-/// The storage Monte-Carlo engine honours the same guarantee through
-/// `run_with`.
+/// The storage Monte-Carlo engine honours the same guarantee through its
+/// `run`.
 #[test]
 fn storage_simulator_is_worker_count_invariant() {
     let sim = StorageSimulator::new(StorageConfig::abe_scratch()).unwrap();
-    let serial = sim.run_with(8760.0, 16, 7, 0.95, 1).unwrap();
-    let parallel = sim.run_with(8760.0, 16, 7, 0.95, 4).unwrap();
+    let rule = StoppingRule::fixed(16).unwrap();
+    let serial = sim.run(8760.0, &rule, 7, 0.95, 1).unwrap();
+    let parallel = sim.run(8760.0, &rule, 7, 0.95, 4).unwrap();
     assert_eq!(serial, parallel);
 }
 
@@ -207,16 +208,17 @@ fn million_replication_experiment_is_bit_identical_across_worker_counts() {
             experiment
         };
 
+    let rule = StoppingRule::fixed(1_000_000).unwrap();
     let mut serial = build_experiment();
     serial.set_workers(1);
-    let baseline = serial.run(1_000_000, 20_080_625).unwrap();
+    let baseline = serial.run(&rule, 20_080_625).unwrap();
     let estimate = baseline.reward("avail").unwrap();
     assert!(estimate.interval.point > 0.98, "unit is mostly up: {}", estimate.interval.point);
 
     for workers in [2, 8] {
         let mut parallel = build_experiment();
         parallel.set_workers(workers);
-        let summary = parallel.run(1_000_000, 20_080_625).unwrap();
+        let summary = parallel.run(&rule, 20_080_625).unwrap();
         assert_eq!(baseline, summary, "workers = {workers}");
     }
 }

@@ -154,7 +154,7 @@ fn kernel_events_per_sec(telemetry_on: bool, trials: usize) -> f64 {
     let mut best = 0.0f64;
     for _ in 0..trials {
         let start = std::time::Instant::now();
-        let runs = experiment.run_raw_range(0..16, 11).unwrap();
+        let runs = experiment.run_raw(0..16, 11, None).unwrap();
         let events: u64 = runs.iter().map(|r| r.events).sum();
         best = best.max(events as f64 / start.elapsed().as_secs_f64());
     }
