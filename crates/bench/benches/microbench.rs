@@ -216,7 +216,7 @@ fn bench_design_space_sweeps(records: &mut Vec<BenchRecord>) {
 /// per-replication time and replications per second.
 fn bench_rare_event(records: &mut Vec<BenchRecord>) {
     use probdist::rare::naive_replications_for;
-    use raidsim::{DiskModel, ReplicationConfig, ReplicationSimulator};
+    use raidsim::{DiskModel, ReplicationConfig};
     use sanet::rare::{failover_pair, BiasedExperiment, FailureBias};
 
     // Reference rare-event config #1: the fail-over pair hitting
@@ -263,7 +263,7 @@ fn bench_rare_event(records: &mut Vec<BenchRecord>) {
         replacement_hours: 4.0,
         data_loss_recovery_hours: 24.0,
     };
-    let sim = ReplicationSimulator::new(config).unwrap();
+    let sim = StorageSimulator::new(config).unwrap();
     let rule = StoppingRule::new(0.10, 1_000, 64_000).unwrap();
     let start = Instant::now();
     let result =

@@ -28,8 +28,7 @@
 use probdist::rare::naive_replications_for;
 use probdist::stats::StoppingRule;
 use raidsim::{
-    DiskModel, RaidGeometry, ReplicationConfig, ReplicationSimulator, SplittingResult,
-    StorageConfig, StorageSimulator,
+    DiskModel, Layout, RaidGeometry, ReplicationConfig, StorageConfig, StorageSimulator,
 };
 use sanet::beowulf::{
     build_beowulf_model, BeowulfConfig, HEAD_AVAILABILITY, MEAN_WORKERS_UP, PERFORMABILITY,
@@ -68,6 +67,33 @@ impl RedundancyScheme {
         match self {
             RedundancyScheme::Raid(g) => g.disks_per_tier() as f64 / g.data_disks as f64,
             RedundancyScheme::Replication { replicas } => *replicas as f64,
+        }
+    }
+
+    /// The scheme provisioned to `usable_tb` terabytes of usable capacity
+    /// on `disk`. RAID gets one logical DDN enclosure of
+    /// `⌈usable / (data disks · capacity)⌉` tiers, replication
+    /// [`ReplicationConfig::for_usable_capacity`]; both assume 4 h to swap
+    /// a drive and 24 h to restore lost data.
+    pub fn layout(&self, usable_tb: f64, disk: DiskModel) -> Layout {
+        match *self {
+            RedundancyScheme::Raid(geometry) => {
+                let tier_usable_tb = geometry.data_disks as f64 * disk.capacity_gb / 1000.0;
+                let tiers = (usable_tb / tier_usable_tb).ceil().max(1.0) as u32;
+                Layout::Raid(StorageConfig {
+                    ddn_units: 1,
+                    tiers,
+                    geometry,
+                    disk,
+                    replacement_hours: 4.0,
+                    rebuild_hours: 6.0,
+                    data_loss_recovery_hours: 24.0,
+                    controllers: None,
+                })
+            }
+            RedundancyScheme::Replication { replicas } => Layout::Replicated(
+                ReplicationConfig::for_usable_capacity(usable_tb, replicas, disk),
+            ),
         }
     }
 }
@@ -122,26 +148,6 @@ impl Default for ReplicationVsRaid {
 }
 
 impl ReplicationVsRaid {
-    /// Builds the storage configuration of a RAID scheme at the sweep's
-    /// usable capacity: one logical DDN enclosure with
-    /// `⌈usable / (data disks · capacity)⌉` tiers.
-    fn raid_config(&self, geometry: RaidGeometry, disk: DiskModel) -> StorageConfig {
-        let tier_usable_tb = geometry.data_disks as f64 * disk.capacity_gb / 1000.0;
-        let tiers = (self.usable_capacity_tb / tier_usable_tb).ceil().max(1.0) as u32;
-        StorageConfig {
-            ddn_units: 1,
-            tiers,
-            geometry,
-            disk,
-            // Same operational assumptions as the replication side's
-            // defaults: 4 h to swap a drive, 24 h to restore lost data.
-            replacement_hours: 4.0,
-            rebuild_hours: 6.0,
-            data_loss_recovery_hours: 24.0,
-            controllers: None,
-        }
-    }
-
     fn evaluate_point(
         &self,
         point: &DesignPoint,
@@ -155,22 +161,9 @@ impl ReplicationVsRaid {
         let rule = spec.stopping_rule()?;
         let (horizon, seed) = (spec.horizon_hours(), spec.base_seed());
         let (level, workers) = (spec.confidence_level(), spec.workers());
-        let (summary, raw_disks) = match scheme {
-            RedundancyScheme::Raid(geometry) => {
-                let config = self.raid_config(geometry, disk);
-                let disks = config.total_disks();
-                (StorageSimulator::new(config)?.run(horizon, &rule, seed, level, workers)?, disks)
-            }
-            RedundancyScheme::Replication { replicas } => {
-                let config =
-                    ReplicationConfig::for_usable_capacity(self.usable_capacity_tb, replicas, disk);
-                let disks = config.disks;
-                (
-                    ReplicationSimulator::new(config)?.run(horizon, &rule, seed, level, workers)?,
-                    disks,
-                )
-            }
-        };
+        let layout = scheme.layout(self.usable_capacity_tb, disk);
+        let raw_disks = layout.total_disks();
+        let summary = StorageSimulator::new(layout)?.run(horizon, &rule, seed, level, workers)?;
 
         Ok(PointOutcome::new()
             .with_label(format!("{} @{afr}% AFR", scheme.label()))
@@ -415,41 +408,6 @@ fn splitting_rule(spec: &RunSpec) -> Result<StoppingRule, CfsError> {
 }
 
 impl UltraReliableSweep {
-    /// Runs the splitting estimator for one scheme under the spec's
-    /// replication policy.
-    fn split(
-        &self,
-        scheme: RedundancyScheme,
-        disk: DiskModel,
-        spec: &RunSpec,
-    ) -> Result<(SplittingResult, u32), CfsError> {
-        let rule = splitting_rule(spec)?;
-        let (horizon, seed) = (spec.horizon_hours(), spec.base_seed());
-        let (level, workers) = (spec.confidence_level(), spec.workers());
-        match scheme {
-            RedundancyScheme::Raid(geometry) => {
-                // Reuse the equal-capacity provisioning of the MC sweep so
-                // the two sweeps describe the same hardware.
-                let base = ReplicationVsRaid {
-                    usable_capacity_tb: self.usable_capacity_tb,
-                    schemes: vec![scheme],
-                    afr_percents: vec![],
-                };
-                let config = base.raid_config(geometry, disk);
-                let disks = config.total_disks();
-                let sim = StorageSimulator::new(config)?;
-                Ok((sim.splitting_loss_probability(horizon, &rule, seed, level, workers)?, disks))
-            }
-            RedundancyScheme::Replication { replicas } => {
-                let config =
-                    ReplicationConfig::for_usable_capacity(self.usable_capacity_tb, replicas, disk);
-                let disks = config.disks;
-                let sim = ReplicationSimulator::new(config)?;
-                Ok((sim.splitting_loss_probability(horizon, &rule, seed, level, workers)?, disks))
-            }
-        }
-    }
-
     fn evaluate_point(
         &self,
         point: &DesignPoint,
@@ -464,7 +422,15 @@ impl UltraReliableSweep {
             capacity_gb: DiskModel::abe_sata_250gb().capacity_gb,
         };
 
-        let (result, raw_disks) = self.split(scheme, disk, spec)?;
+        let rule = splitting_rule(spec)?;
+        let (horizon, seed) = (spec.horizon_hours(), spec.base_seed());
+        let (level, workers) = (spec.confidence_level(), spec.workers());
+        // The same equal-capacity provisioning as the Monte-Carlo sweep, so
+        // the two sweeps describe the same hardware.
+        let layout = scheme.layout(self.usable_capacity_tb, disk);
+        let raw_disks = layout.total_disks();
+        let result = StorageSimulator::new(layout)?
+            .splitting_loss_probability(horizon, &rule, seed, level, workers)?;
         let estimate = &result.estimate;
         let mut outcome = PointOutcome::new()
             .with_label(format!("{} @{mtbf_hours:.0}h MTBF", scheme.label()))

@@ -11,16 +11,21 @@
 //!
 //! This crate provides:
 //!
-//! * [`StorageConfig`]/[`StorageSimulator`] — an event-driven Monte-Carlo
-//!   simulation of an entire scratch partition (any number of DDN units ×
-//!   tiers × disks, any `n+k` RAID geometry, optional RAID-controller
-//!   fail-over pairs), producing storage availability, data-loss
-//!   probability, and disk-replacement rates with confidence intervals.
-//!   This is the engine behind Figures 2 and 3.
-//! * [`replication`] — an n-way object-replication Monte-Carlo model
-//!   (GFS/HDFS/MinIO style: background re-replication instead of RAID
-//!   reconstruction), reporting the same [`StorageSummary`] so redundancy
-//!   schemes compare at equal usable capacity.
+//! * [`StorageSimulator`] — one event-driven Monte-Carlo mission engine
+//!   for a storage system under a redundancy [`Layout`], producing storage
+//!   availability, data-loss probability, and disk-replacement rates with
+//!   confidence intervals ([`StorageSummary`]). Its two layouts:
+//!   * [`StorageConfig`] — an entire scratch partition (any number of DDN
+//!     units × tiers × disks, any `n+k` RAID geometry, optional
+//!     RAID-controller fail-over pairs). This is the engine behind
+//!     Figures 2 and 3.
+//!   * [`ReplicationConfig`] — an n-way object-replication store
+//!     (GFS/HDFS/MinIO style: background re-replication instead of RAID
+//!     reconstruction; see [`replication`]), so redundancy schemes
+//!     compare at equal usable capacity.
+//! * [`splitting`] — multilevel splitting for data-loss probabilities too
+//!   rare for plain missions, on either layout
+//!   ([`StorageSimulator::splitting_loss_probability`]).
 //! * [`analytic`] — closed-form MTTDL (mean time to data loss)
 //!   approximations for `n+k` redundancy with exponential failures, used to
 //!   cross-check the simulation.
@@ -68,9 +73,9 @@ mod storage;
 
 pub use config::{ControllerModel, DiskModel, RaidGeometry, StorageConfig};
 pub use error::RaidError;
-pub use replication::{ReplicationConfig, ReplicationMission, ReplicationSimulator};
-pub use splitting::{SplittableMission, SplittingResult};
-pub use storage::{StorageMission, StorageRunStats, StorageSimulator, StorageSummary};
+pub use replication::ReplicationConfig;
+pub use splitting::SplittingResult;
+pub use storage::{Layout, StorageRunStats, StorageSimulator, StorageSummary};
 
 #[cfg(test)]
 mod crate_tests {

@@ -17,7 +17,7 @@
 //! Monte-Carlo kernel tracks, per mission:
 //!
 //! * **Disk failures** — Weibull lifetimes from the shared [`DiskModel`]
-//!   (the same infant-mortality model the RAID simulator uses, so
+//!   (the same infant-mortality model the RAID layout uses, so
 //!   comparisons hold the hardware fixed). Every failure is one disk
 //!   replacement; the disk rejoins with a fresh lifetime after
 //!   [`ReplicationConfig::replacement_hours`].
@@ -33,8 +33,10 @@
 //!   during which the store is unavailable. Short of that, failures are
 //!   masked by the surviving replicas and cost no availability.
 //!
-//! The results are reported as the same [`StorageSummary`] the RAID
-//! simulator produces, through the same statistics pipeline, so
+//! A replicated store is the [`Layout::Replicated`](crate::Layout) of the
+//! one [`StorageSimulator`](crate::StorageSimulator): the mission engine
+//! and statistics pipeline that run RAID tiers run it too, and it reports
+//! the same [`StorageSummary`](crate::StorageSummary), so
 //! replication-vs-RAID comparisons (at equal *usable* capacity — see
 //! [`ReplicationConfig::for_usable_capacity`]) reduce to comparing
 //! summaries.
@@ -43,28 +45,24 @@
 //!
 //! ```
 //! use probdist::stats::StoppingRule;
-//! use raidsim::{DiskModel, ReplicationConfig, ReplicationSimulator};
+//! use raidsim::{DiskModel, ReplicationConfig, StorageSimulator};
 //!
 //! # fn main() -> Result<(), raidsim::RaidError> {
 //! // 96 TB usable under 3-way replication with ABE's disks: 16 one-year
 //! // missions at 95 % confidence on an auto-sized worker pool.
 //! let config = ReplicationConfig::for_usable_capacity(96.0, 3, DiskModel::abe_sata_250gb());
-//! let sim = ReplicationSimulator::new(config)?;
+//! let sim = StorageSimulator::new(config)?;
 //! let summary = sim.run(8760.0, &StoppingRule::fixed(16)?, 7, 0.95, 0)?;
 //! assert!(summary.availability.point > 0.999);
 //! # Ok(())
 //! # }
 //! ```
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-use probdist::stats::StoppingRule;
-use probdist::{Distribution, SimRng, Weibull};
+use probdist::{Distribution, SimRng};
 use serde::{Deserialize, Serialize};
 
-use crate::storage::run_missions;
-use crate::{DiskModel, RaidError, StorageRunStats, StorageSummary};
+use crate::storage::{Core, LayoutRules};
+use crate::{DiskModel, RaidError};
 
 /// Configuration of an n-way replicated object store.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -154,8 +152,8 @@ impl ReplicationConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum EventKind {
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum EventKind {
     /// A disk's lifetime expired.
     DiskFailure { disk: u32, generation: u32 },
     /// One exposure window closed: a failed disk's objects regained full
@@ -168,376 +166,135 @@ enum EventKind {
     StoreRecovered { store_generation: u32 },
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Event {
-    time: f64,
-    kind: EventKind,
-}
-
-impl Eq for Event {}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse the time ordering so BinaryHeap pops the earliest event.
-        other.time.total_cmp(&self.time)
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Event-driven Monte-Carlo simulator of an n-way replicated object store.
-///
-/// See the module documentation for the modelled failure, re-replication,
-/// and data-loss behaviour.
+/// The replicated-store layout: the whole store is one redundancy group
+/// whose exposure depth is the count of disks currently one replica short.
+/// The store is in data-loss recovery exactly while the mission has a down
+/// condition, since a recovery is the only one this layout raises.
 #[derive(Debug, Clone)]
-pub struct ReplicationSimulator {
+pub(crate) struct ReplicatedStore {
     config: ReplicationConfig,
-    lifetime: Weibull,
-}
-
-impl ReplicationSimulator {
-    /// Creates a simulator for the given configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RaidError::InvalidConfig`] if the configuration fails
-    /// validation.
-    pub fn new(config: ReplicationConfig) -> Result<Self, RaidError> {
-        config.validate()?;
-        let lifetime = config.disk.lifetime()?;
-        Ok(ReplicationSimulator { config, lifetime })
-    }
-
-    /// The simulator's configuration.
-    pub fn config(&self) -> &ReplicationConfig {
-        &self.config
-    }
-
-    /// Runs missions of `horizon_hours` each under `rule` and aggregates
-    /// them at `confidence_level` — the same mission driver and contract
-    /// as [`crate::StorageSimulator::run`]: a fixed rule runs exactly `n`
-    /// missions, an adaptive one stops when availability and replacements
-    /// per week meet its target, and any worker count yields bit-identical
-    /// statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RaidError::InvalidRun`] for a non-positive horizon or a
-    /// confidence level outside `(0, 1)`.
-    pub fn run(
-        &self,
-        horizon_hours: f64,
-        rule: &StoppingRule,
-        seed: u64,
-        confidence_level: f64,
-        workers: usize,
-    ) -> Result<StorageSummary, RaidError> {
-        run_missions(horizon_hours, rule, seed, confidence_level, workers, |rng, slot| {
-            self.run_once_reusing(horizon_hours, rng, slot)
-        })
-    }
-
-    /// Runs a single mission and returns its raw statistics.
-    pub fn run_once(&self, horizon_hours: f64, rng: &mut SimRng) -> StorageRunStats {
-        let mut mission = self.start_mission(horizon_hours, rng);
-        mission.advance(rng, None);
-        let stats = mission.finish();
-        super::storage::record_mission(&stats);
-        stats
-    }
-
-    /// Runs a single mission, reusing the mission in `slot` as scratch when
-    /// present (and stashing a fresh one there otherwise). Re-priming draws
-    /// initial lifetimes in exactly the order
-    /// [`ReplicationSimulator::start_mission`] does, so the statistics are
-    /// bit-identical to [`ReplicationSimulator::run_once`] with the same RNG
-    /// stream — only the allocations differ.
-    pub fn run_once_reusing(
-        &self,
-        horizon_hours: f64,
-        rng: &mut SimRng,
-        slot: &mut Option<ReplicationMission>,
-    ) -> StorageRunStats {
-        match slot {
-            Some(mission) => mission.reprime(horizon_hours, rng),
-            None => *slot = Some(self.start_mission(horizon_hours, rng)),
-        }
-        let mission = slot.as_mut().expect("mission was just initialised");
-        mission.advance(rng, None);
-        let stats = mission.stats();
-        super::storage::record_mission(&stats);
-        stats
-    }
-
-    /// Starts a mission in resumable form: the initial lifetimes are drawn
-    /// and the event calendar is primed, but no event has been processed.
-    /// [`ReplicationMission::advance`] then runs it — to the horizon, or
-    /// only until an exposure-depth level is first reached, which is the
-    /// primitive the multilevel-splitting estimator
-    /// ([`crate::splitting`]) restarts trials from.
-    pub fn start_mission(&self, horizon_hours: f64, rng: &mut SimRng) -> ReplicationMission {
-        let disks = self.config.disks;
-        let mut queue: BinaryHeap<Event> = BinaryHeap::with_capacity(disks as usize + 8);
-        prime_events(&self.lifetime, disks, &mut queue, rng);
-        ReplicationMission {
-            config: self.config,
-            lifetime: self.lifetime,
-            horizon_hours,
-            queue,
-            generation: vec![0u32; disks as usize],
-            failed: vec![false; disks as usize],
-            exposed: 0,
-            exposure_peak: 0,
-            store_generation: 0,
-            in_recovery: false,
-            last_time: 0.0,
-            downtime: 0.0,
-            data_loss_events: 0,
-            replacements: 0,
-        }
-    }
-}
-
-/// Primes a mission's event calendar: one lifetime draw per disk. The draw
-/// order here *is* the RNG contract shared by
-/// [`ReplicationSimulator::start_mission`] and
-/// [`ReplicationMission::reprime`]; keep both call sites on this single
-/// helper so they cannot drift apart.
-fn prime_events(lifetime: &Weibull, disks: u32, queue: &mut BinaryHeap<Event>, rng: &mut SimRng) {
-    for disk in 0..disks {
-        queue.push(Event {
-            time: lifetime.sample(rng),
-            kind: EventKind::DiskFailure { disk, generation: 0 },
-        });
-    }
-}
-
-/// One replication-store mission in resumable form: the full Markov state
-/// of the event-driven kernel (pending events, per-disk state, exposure
-/// and recovery bookkeeping, and the downtime accumulators).
-///
-/// A mission is `Clone`, so the multilevel-splitting estimator can
-/// snapshot it the moment an exposure level is first reached and restart
-/// many continuation trials from the same state, each with its own RNG
-/// stream — the cloned calendar carries the already-drawn future event
-/// times (part of the Markov state), while everything sampled after the
-/// snapshot comes from the continuation's stream.
-#[derive(Debug, Clone)]
-pub struct ReplicationMission {
-    config: ReplicationConfig,
-    lifetime: Weibull,
-    horizon_hours: f64,
-    queue: BinaryHeap<Event>,
-    generation: Vec<u32>,
-    failed: Vec<bool>,
     /// Disks whose objects are currently one replica short.
     exposed: u32,
-    /// Highest concurrent exposure count seen so far (monotone — the
-    /// splitting level function).
-    exposure_peak: u32,
     store_generation: u32,
-    in_recovery: bool,
-    last_time: f64,
-    downtime: f64,
-    data_loss_events: u64,
-    replacements: u64,
 }
 
-impl ReplicationMission {
-    /// Highest concurrent exposure depth reached so far: `replicas`
-    /// concurrently exposed disks is the data-loss level.
-    pub fn exposure_peak(&self) -> u32 {
-        self.exposure_peak
+impl ReplicatedStore {
+    pub(crate) fn new(config: ReplicationConfig) -> Self {
+        ReplicatedStore { config, exposed: 0, store_generation: 0 }
+    }
+}
+
+impl LayoutRules for ReplicatedStore {
+    type Kind = EventKind;
+
+    fn disk_failure(disk: u32, generation: u32) -> EventKind {
+        EventKind::DiskFailure { disk, generation }
     }
 
-    /// Data-loss events recorded so far.
-    pub fn data_loss_events(&self) -> u64 {
-        self.data_loss_events
+    fn disk_count(&self) -> u32 {
+        self.config.disks
     }
 
-    /// The exposure depth at which this mission's store loses data.
-    pub fn loss_level(&self) -> u32 {
+    fn loss_level(&self) -> u32 {
         self.config.replicas
     }
 
-    /// Processes events forward. With `stop_at_exposure = Some(level)` the
-    /// mission pauses right after the event that first lifts the exposure
-    /// peak to `level`, returning `true`; otherwise it runs to the horizon
-    /// and returns `false`. A paused mission resumes with a later call.
-    pub fn advance(&mut self, rng: &mut SimRng, stop_at_exposure: Option<u32>) -> bool {
-        if let Some(level) = stop_at_exposure {
-            if self.exposure_peak >= level {
-                return true;
-            }
-        }
-        let cfg = self.config;
-        let disks = cfg.disks;
-        let replicas = cfg.replicas;
-        while let Some(event) = self.queue.pop() {
-            let t = event.time;
-            if t > self.horizon_hours {
-                // Leave the popped event discarded, exactly as the
-                // non-resumable kernel did: the mission is over.
-                break;
-            }
-            if self.in_recovery {
-                self.downtime += t - self.last_time;
-            }
-            self.last_time = t;
-
-            match event.kind {
-                EventKind::DiskFailure { disk, generation: g } => {
-                    if g != self.generation[disk as usize]
-                        || self.failed[disk as usize]
-                        || self.in_recovery
-                    {
-                        // Failures popping during a recovery window need no
-                        // reschedule: StoreRecovered restarts *every* disk
-                        // with a fresh lifetime and a bumped generation.
-                        continue;
-                    }
-                    self.failed[disk as usize] = true;
-                    self.replacements += 1;
-                    self.exposed += 1;
-                    self.exposure_peak = self.exposure_peak.max(self.exposed);
-                    self.queue.push(Event {
-                        time: t + cfg.replacement_hours,
-                        kind: EventKind::DiskReplaced { disk, generation: g },
-                    });
-                    if self.exposed >= replicas {
-                        // Pessimistic random-placement approximation: r
-                        // overlapping exposure windows lose some object.
-                        self.data_loss_events += 1;
-                        self.in_recovery = true;
-                        self.store_generation += 1;
-                        // The recovery restores full redundancy for every
-                        // open window; bumping the store generation
-                        // invalidates their pending ReReplicated events.
-                        self.exposed = 0;
-                        self.queue.push(Event {
-                            time: t + cfg.data_loss_recovery_hours,
-                            kind: EventKind::StoreRecovered {
-                                store_generation: self.store_generation,
-                            },
-                        });
-                    } else {
-                        self.queue.push(Event {
-                            time: t + cfg.re_replication_hours,
-                            kind: EventKind::ReReplicated {
-                                store_generation: self.store_generation,
-                            },
-                        });
-                    }
-                    if let Some(level) = stop_at_exposure {
-                        if self.exposure_peak >= level {
-                            return true;
-                        }
-                    }
-                }
-                EventKind::ReReplicated { store_generation: g } => {
-                    // A stale stamp means a data-loss recovery already
-                    // closed this window (and every other) collectively.
-                    if g != self.store_generation {
-                        continue;
-                    }
-                    // The window closes regardless of where the drive is in
-                    // the replacement pipeline — redundancy lives in the
-                    // surviving cluster, not in the replaced hardware.
-                    self.exposed = self.exposed.saturating_sub(1);
-                }
-                EventKind::DiskReplaced { disk, generation: g } => {
-                    if g != self.generation[disk as usize] || !self.failed[disk as usize] {
-                        continue;
-                    }
-                    self.failed[disk as usize] = false;
-                    self.queue.push(Event {
-                        time: t + self.lifetime.sample(rng),
-                        kind: EventKind::DiskFailure { disk, generation: g },
-                    });
-                }
-                EventKind::StoreRecovered { store_generation: g } => {
-                    if g != self.store_generation || !self.in_recovery {
-                        continue;
-                    }
-                    self.in_recovery = false;
-                    // The recovery re-ingested the store's objects; every
-                    // disk — failed or healthy — restarts a fresh lifetime
-                    // cycle (the same freeze-and-reset the RAID simulator
-                    // applies per tier). The generation bump invalidates
-                    // all pending per-disk events, including failures of
-                    // healthy disks that were dropped during the window.
-                    for disk in 0..disks {
-                        self.failed[disk as usize] = false;
-                        self.generation[disk as usize] += 1;
-                        self.queue.push(Event {
-                            time: t + self.lifetime.sample(rng),
-                            kind: EventKind::DiskFailure {
-                                disk,
-                                generation: self.generation[disk as usize],
-                            },
-                        });
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// Resets this mission in place to the state
-    /// [`ReplicationSimulator::start_mission`] would produce for the same
-    /// configuration, reusing the event queue and per-disk buffers.
-    fn reprime(&mut self, horizon_hours: f64, rng: &mut SimRng) {
-        let disks = self.config.disks;
-        self.horizon_hours = horizon_hours;
-        self.queue.clear();
-        self.generation.clear();
-        self.generation.resize(disks as usize, 0);
-        self.failed.clear();
-        self.failed.resize(disks as usize, false);
+    fn prime(&mut self, _core: &mut Core<EventKind>, _rng: &mut SimRng) {
         self.exposed = 0;
-        self.exposure_peak = 0;
         self.store_generation = 0;
-        self.in_recovery = false;
-        self.last_time = 0.0;
-        self.downtime = 0.0;
-        self.data_loss_events = 0;
-        self.replacements = 0;
-        let ReplicationMission { lifetime, queue, .. } = self;
-        prime_events(lifetime, disks, queue, rng);
     }
 
-    /// Raw statistics of the mission so far, with the open interval since
-    /// the last event closed up to the horizon. Call after
-    /// [`ReplicationMission::advance`] ran to the horizon.
-    pub fn stats(&self) -> StorageRunStats {
-        let mut downtime = self.downtime;
-        // Close the interval up to the horizon.
-        if self.in_recovery {
-            downtime += self.horizon_hours - self.last_time;
+    fn apply(&mut self, core: &mut Core<EventKind>, kind: EventKind, t: f64, rng: &mut SimRng) {
+        let cfg = self.config;
+        let in_recovery = core.down_conditions > 0;
+        match kind {
+            EventKind::DiskFailure { disk, generation: g } => {
+                if g != core.generation[disk as usize] || core.failed[disk as usize] || in_recovery
+                {
+                    // Failures popping during a recovery window need no
+                    // reschedule: StoreRecovered restarts *every* disk
+                    // with a fresh lifetime and a bumped generation.
+                    return;
+                }
+                core.failed[disk as usize] = true;
+                core.replacements += 1;
+                self.exposed += 1;
+                core.exposure_peak = core.exposure_peak.max(self.exposed);
+                core.schedule(
+                    t + cfg.replacement_hours,
+                    EventKind::DiskReplaced { disk, generation: g },
+                );
+                if self.exposed >= cfg.replicas {
+                    // Pessimistic random-placement approximation: r
+                    // overlapping exposure windows lose some object.
+                    core.data_loss_events += 1;
+                    core.down_conditions += 1;
+                    self.store_generation += 1;
+                    // The recovery restores full redundancy for every
+                    // open window; bumping the store generation
+                    // invalidates their pending ReReplicated events.
+                    self.exposed = 0;
+                    core.schedule(
+                        t + cfg.data_loss_recovery_hours,
+                        EventKind::StoreRecovered { store_generation: self.store_generation },
+                    );
+                } else {
+                    core.schedule(
+                        t + cfg.re_replication_hours,
+                        EventKind::ReReplicated { store_generation: self.store_generation },
+                    );
+                }
+            }
+            EventKind::ReReplicated { store_generation: g } => {
+                // A stale stamp means a data-loss recovery already
+                // closed this window (and every other) collectively.
+                if g != self.store_generation {
+                    return;
+                }
+                // The window closes regardless of where the drive is in
+                // the replacement pipeline — redundancy lives in the
+                // surviving cluster, not in the replaced hardware.
+                self.exposed = self.exposed.saturating_sub(1);
+            }
+            EventKind::DiskReplaced { disk, generation: g } => {
+                if g != core.generation[disk as usize] || !core.failed[disk as usize] {
+                    return;
+                }
+                core.failed[disk as usize] = false;
+                core.schedule(
+                    t + core.lifetime.sample(rng),
+                    EventKind::DiskFailure { disk, generation: g },
+                );
+            }
+            EventKind::StoreRecovered { store_generation: g } => {
+                if g != self.store_generation || !in_recovery {
+                    return;
+                }
+                core.down_conditions -= 1;
+                // The recovery re-ingested the store's objects; every
+                // disk — failed or healthy — restarts a fresh lifetime
+                // cycle (the same freeze-and-reset the RAID layout
+                // applies per tier). The generation bump invalidates
+                // all pending per-disk events, including failures of
+                // healthy disks that were dropped during the window.
+                for disk in 0..cfg.disks {
+                    core.failed[disk as usize] = false;
+                    core.generation[disk as usize] += 1;
+                    core.schedule(
+                        t + core.lifetime.sample(rng),
+                        EventKind::DiskFailure { disk, generation: core.generation[disk as usize] },
+                    );
+                }
+            }
         }
-        StorageRunStats {
-            downtime_hours: downtime,
-            data_loss_events: self.data_loss_events,
-            disk_replacements: self.replacements,
-            controller_downtime_hours: 0.0,
-            horizon_hours: self.horizon_hours,
-        }
-    }
-
-    /// Closes the mission and returns its raw statistics. Call after
-    /// [`ReplicationMission::advance`] ran to the horizon.
-    pub fn finish(self) -> StorageRunStats {
-        self.stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StorageSimulator;
+    use probdist::stats::StoppingRule;
 
     fn fixed(replications: usize) -> StoppingRule {
         StoppingRule::fixed(replications).unwrap()
@@ -578,12 +335,12 @@ mod tests {
 
         let mut c = quick_config();
         c.disk.mtbf_hours = -1.0;
-        assert!(ReplicationSimulator::new(c).is_err());
+        assert!(StorageSimulator::new(c).is_err());
     }
 
     #[test]
     fn run_validates_parameters() {
-        let sim = ReplicationSimulator::new(quick_config()).unwrap();
+        let sim = StorageSimulator::new(quick_config()).unwrap();
         assert!(sim.run(0.0, &fixed(8), 1, 0.95, 0).is_err());
         assert!(sim.run(-10.0, &fixed(8), 1, 0.95, 0).is_err());
         assert!(StoppingRule::fixed(1).is_err());
@@ -592,7 +349,7 @@ mod tests {
 
     #[test]
     fn three_way_replication_is_essentially_always_available() {
-        let sim = ReplicationSimulator::new(quick_config()).unwrap();
+        let sim = StorageSimulator::new(quick_config()).unwrap();
         let summary = sim.run(8760.0, &fixed(16), 3, 0.95, 0).unwrap();
         // Infant-mortality burn-in (all 1152 disks start at age 0) makes a
         // rare triple-overlap possible, so "essentially" is > 99.9 %, not
@@ -622,10 +379,9 @@ mod tests {
         let two = base;
         let three = ReplicationConfig { replicas: 3, ..base };
 
-        let s2 =
-            ReplicationSimulator::new(two).unwrap().run(8760.0, &fixed(16), 11, 0.95, 0).unwrap();
+        let s2 = StorageSimulator::new(two).unwrap().run(8760.0, &fixed(16), 11, 0.95, 0).unwrap();
         let s3 =
-            ReplicationSimulator::new(three).unwrap().run(8760.0, &fixed(16), 11, 0.95, 0).unwrap();
+            StorageSimulator::new(three).unwrap().run(8760.0, &fixed(16), 11, 0.95, 0).unwrap();
         assert!(
             s2.data_loss_events.point > s3.data_loss_events.point,
             "2-way {} vs 3-way {}",
@@ -643,10 +399,8 @@ mod tests {
         let mut fast = slow;
         fast.re_replication_hours = 0.5;
 
-        let s =
-            ReplicationSimulator::new(slow).unwrap().run(8760.0, &fixed(16), 5, 0.95, 0).unwrap();
-        let f =
-            ReplicationSimulator::new(fast).unwrap().run(8760.0, &fixed(16), 5, 0.95, 0).unwrap();
+        let s = StorageSimulator::new(slow).unwrap().run(8760.0, &fixed(16), 5, 0.95, 0).unwrap();
+        let f = StorageSimulator::new(fast).unwrap().run(8760.0, &fixed(16), 5, 0.95, 0).unwrap();
         assert!(
             f.data_loss_events.point < s.data_loss_events.point,
             "fast {} vs slow {}",
@@ -673,7 +427,7 @@ mod tests {
             replacement_hours: 4.0,
             data_loss_recovery_hours: 24.0,
         };
-        let sim = ReplicationSimulator::new(config).unwrap();
+        let sim = StorageSimulator::new(config).unwrap();
         let summary = sim.run(5000.0, &fixed(8), 3, 0.95, 0).unwrap();
         // With ~10-hour lifetimes the loss/recover cycle repeats for the
         // whole mission; the immortal-disk bug froze it after the first
@@ -705,7 +459,7 @@ mod tests {
             replacement_hours: 1.0, // drive back long before the window closes
             data_loss_recovery_hours: 24.0,
         };
-        let sim = ReplicationSimulator::new(config).unwrap();
+        let sim = StorageSimulator::new(config).unwrap();
         let summary = sim.run(30_000.0, &fixed(16), 9, 0.95, 0).unwrap();
         // ~3.6 failures per mission, ~50k hours apart on average, 48-hour
         // windows: a genuine triple overlap is essentially impossible, but
@@ -720,7 +474,7 @@ mod tests {
 
     #[test]
     fn results_are_deterministic_and_worker_invariant() {
-        let sim = ReplicationSimulator::new(quick_config()).unwrap();
+        let sim = StorageSimulator::new(quick_config()).unwrap();
         let a = sim.run(4380.0, &fixed(8), 21, 0.95, 1).unwrap();
         let b = sim.run(4380.0, &fixed(8), 21, 0.95, 4).unwrap();
         assert_eq!(a, b);
@@ -728,7 +482,7 @@ mod tests {
 
     #[test]
     fn adaptive_run_stops_within_bounds_and_matches_fixed() {
-        let sim = ReplicationSimulator::new(quick_config()).unwrap();
+        let sim = StorageSimulator::new(quick_config()).unwrap();
         let rule = StoppingRule::new(0.25, 4, 32).unwrap();
         let adaptive = sim.run(8760.0, &rule, 9, 0.95, 2).unwrap();
         assert!(

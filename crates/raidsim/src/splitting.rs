@@ -24,12 +24,12 @@
 //! with the independent-stages confidence interval, the naive-equivalent
 //! effective sample size, and the measured variance-reduction factor.
 //!
-//! Restarting from a snapshot is statistically sound because a mission
-//! ([`crate::ReplicationMission`] / [`crate::StorageMission`])
-//! carries the full Markov state of the event-driven kernel — including
-//! the already-drawn future event times in its calendar — so a
-//! continuation with a fresh RNG stream is an exact conditional sample of
-//! the remaining mission.
+//! Restarting from a snapshot is statistically sound because a mission of
+//! the storage engine, under either [`Layout`](crate::Layout), carries the
+//! full Markov state of the event-driven kernel — including the
+//! already-drawn future event times in its calendar — so a continuation
+//! with a fresh RNG stream is an exact conditional sample of the remaining
+//! mission.
 //!
 //! # Determinism
 //!
@@ -41,8 +41,9 @@
 //!
 //! # Effort
 //!
-//! Each simulator has one entry point, `splitting_loss_probability`, run
-//! under a [`StoppingRule`] over the per-level trial count: a fixed rule
+//! The entry point,
+//! [`crate::StorageSimulator::splitting_loss_probability`],
+//! runs under a [`StoppingRule`] over the per-level trial count: a fixed rule
 //! ([`StoppingRule::fixed`]) runs exactly one round of `n` trials per
 //! level; an adaptive rule reruns the estimate with a doubling trial count
 //! until the relative target (with the rule's minimum final-level support)
@@ -52,12 +53,12 @@
 //!
 //! ```
 //! use probdist::stats::StoppingRule;
-//! use raidsim::{DiskModel, ReplicationConfig, ReplicationSimulator};
+//! use raidsim::{DiskModel, ReplicationConfig, StorageSimulator};
 //!
 //! # fn main() -> Result<(), raidsim::RaidError> {
 //! let disk = DiskModel { weibull_shape: 1.0, mtbf_hours: 200_000.0, capacity_gb: 250.0 };
 //! let config = ReplicationConfig::for_usable_capacity(12.0, 3, disk);
-//! let sim = ReplicationSimulator::new(config)?;
+//! let sim = StorageSimulator::new(config)?;
 //! // One year of a 3-way store with fast re-replication: deep sub-ppm.
 //! let trials = StoppingRule::fixed(200)?;
 //! let result = sim.splitting_loss_probability(8760.0, &trials, 42, 0.95, 1)?;
@@ -70,43 +71,8 @@ use probdist::rare::{splitting_probability, LevelPassage, RareEventEstimate};
 use probdist::stats::StoppingRule;
 use probdist::SimRng;
 
-use crate::storage::validate_run;
-use crate::{
-    RaidError, ReplicationMission, ReplicationSimulator, StorageMission, StorageSimulator,
-};
-
-/// A mission kernel the splitting driver can restart from exposure-level
-/// snapshots: cloneable full Markov state plus the advance-to-level
-/// primitive. Implemented by [`ReplicationMission`] and
-/// [`StorageMission`].
-pub trait SplittableMission: Clone + Send + Sync {
-    /// Highest exposure depth reached so far (monotone).
-    fn exposure_peak(&self) -> u32;
-
-    /// Advances until the exposure peak first reaches `level` (returns
-    /// `true`) or the mission ends at its horizon (returns `false`).
-    fn advance_to_exposure(&mut self, level: u32, rng: &mut SimRng) -> bool;
-}
-
-impl SplittableMission for ReplicationMission {
-    fn exposure_peak(&self) -> u32 {
-        self.exposure_peak()
-    }
-
-    fn advance_to_exposure(&mut self, level: u32, rng: &mut SimRng) -> bool {
-        self.advance(rng, Some(level))
-    }
-}
-
-impl SplittableMission for StorageMission {
-    fn exposure_peak(&self) -> u32 {
-        self.exposure_peak()
-    }
-
-    fn advance_to_exposure(&mut self, level: u32, rng: &mut SimRng) -> bool {
-        self.advance(rng, Some(level))
-    }
-}
+use crate::storage::{validate_run, LayoutRules, Mission};
+use crate::RaidError;
 
 /// Result of a multilevel-splitting estimation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,48 +90,50 @@ pub struct SplittingResult {
     pub loss_level: u32,
 }
 
-/// The generic fixed-effort splitting driver: estimates
-/// `P(exposure peak ≥ loss_level within the mission horizon)`.
+/// The fixed-effort splitting driver: estimates
+/// `P(exposure peak ≥ loss level within the mission horizon)`.
 ///
-/// `start` builds a fresh stage-1 mission from an RNG stream. Trial `i` of
-/// level `k` draws from `seed`-derived stream `(k, i)`; stage `k > 1`
-/// restarts trial `i` from snapshot `i mod (number of snapshots)` of the
-/// previous stage.
-fn estimate_loss_probability<M, F>(
-    loss_level: u32,
+/// Stage 1 primes a fresh copy of the unprimed `template` per trial. Trial
+/// `i` of level `k` draws from `seed`-derived stream `(k, i)`; stage
+/// `k > 1` restarts trial `i` from snapshot `i mod (number of snapshots)`
+/// of the previous stage.
+fn estimate_loss_probability<L: LayoutRules>(
+    template: &Mission<L>,
+    horizon_hours: f64,
     trials_per_level: usize,
     seed: u64,
     confidence_level: f64,
     workers: usize,
-    start: F,
-) -> Result<SplittingResult, RaidError>
-where
-    M: SplittableMission,
-    F: Fn(&mut SimRng) -> M + Sync,
-{
+) -> Result<SplittingResult, RaidError> {
+    let loss_level = template.loss_level();
     if loss_level == 0 {
         return Err(RaidError::InvalidRun {
             reason: "splitting needs a loss level of at least 1".into(),
         });
     }
     let mut passages: Vec<LevelPassage> = Vec::with_capacity(loss_level as usize);
-    let mut snapshots: Vec<M> = Vec::new();
+    let mut snapshots: Vec<Mission<L>> = Vec::new();
     for level in 1..=loss_level {
         // Per-level root stream: trial i then derives (root, i) inside
         // `replicate_with`, so every (level, trial) pair is well separated
         // and the batch is worker-count invariant.
         let root = SimRng::seed_from_u64(seed).derive_stream(level as u64);
         let keep_states = level < loss_level;
-        let outcomes: Vec<(bool, Option<M>)> = probdist::parallel::replicate_with(
+        let outcomes: Vec<(bool, Option<Mission<L>>)> = probdist::parallel::replicate_with(
             0..trials_per_level,
             &root,
             workers,
             None,
             || (),
             |i, rng, ()| {
-                let mut mission =
-                    if level == 1 { start(rng) } else { snapshots[i % snapshots.len()].clone() };
-                let reached = mission.advance_to_exposure(level, rng);
+                let mut mission = if level == 1 {
+                    let mut fresh = template.clone();
+                    fresh.reprime(horizon_hours, rng);
+                    fresh
+                } else {
+                    snapshots[i % snapshots.len()].clone()
+                };
+                let reached = mission.advance(rng, Some(level));
                 debug_assert!(!reached || mission.exposure_peak() >= level);
                 (reached, (reached && keep_states).then_some(mission))
             },
@@ -205,23 +173,26 @@ where
 /// `(rule, seed)`; the returned estimate's `replications` records the total
 /// trials spent across *all* rounds — the honest cost the
 /// variance-reduction factor is recomputed against.
-fn estimate_until<M, F>(
-    loss_level: u32,
+pub(crate) fn estimate_until<L: LayoutRules>(
+    template: &Mission<L>,
+    horizon_hours: f64,
     rule: &StoppingRule,
     seed: u64,
     confidence_level: f64,
     workers: usize,
-    start: F,
-) -> Result<SplittingResult, RaidError>
-where
-    M: SplittableMission,
-    F: Fn(&mut SimRng) -> M + Sync,
-{
+) -> Result<SplittingResult, RaidError> {
+    validate_run(horizon_hours, confidence_level)?;
     let mut trials = rule.min_replications();
     let mut spent = 0usize;
     loop {
-        let mut result =
-            estimate_loss_probability(loss_level, trials, seed, confidence_level, workers, &start)?;
+        let mut result = estimate_loss_probability(
+            template,
+            horizon_hours,
+            trials,
+            seed,
+            confidence_level,
+            workers,
+        )?;
         spent += result.estimate.replications;
         let met = rule.met_by_support(&result.estimate.interval, result.estimate.hits);
         if met || trials >= rule.max_replications() {
@@ -238,66 +209,10 @@ where
     }
 }
 
-impl ReplicationSimulator {
-    /// Estimates the probability of any data loss within `horizon_hours`
-    /// by multilevel splitting over exposure depth (levels `1..=replicas`),
-    /// with the per-level trial count under `rule` (see the
-    /// [module docs](self)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RaidError::InvalidRun`] for a non-positive horizon or a
-    /// confidence level outside `(0, 1)`.
-    pub fn splitting_loss_probability(
-        &self,
-        horizon_hours: f64,
-        rule: &StoppingRule,
-        seed: u64,
-        confidence_level: f64,
-        workers: usize,
-    ) -> Result<SplittingResult, RaidError> {
-        validate_run(horizon_hours, confidence_level)?;
-        estimate_until(self.config().replicas, rule, seed, confidence_level, workers, |rng| {
-            self.start_mission(horizon_hours, rng)
-        })
-    }
-}
-
-impl StorageSimulator {
-    /// Estimates the probability of any data loss within `horizon_hours`
-    /// by multilevel splitting over exposure depth — the concurrent
-    /// failed-disk count within a single tier, levels `1..=parity + 1` —
-    /// with the per-level trial count under `rule` (see the
-    /// [module docs](self)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RaidError::InvalidRun`] for a non-positive horizon or a
-    /// confidence level outside `(0, 1)`.
-    pub fn splitting_loss_probability(
-        &self,
-        horizon_hours: f64,
-        rule: &StoppingRule,
-        seed: u64,
-        confidence_level: f64,
-        workers: usize,
-    ) -> Result<SplittingResult, RaidError> {
-        validate_run(horizon_hours, confidence_level)?;
-        estimate_until(
-            self.config().geometry.parity_disks + 1,
-            rule,
-            seed,
-            confidence_level,
-            workers,
-            |rng| self.start_mission(horizon_hours, rng),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DiskModel, RaidGeometry, ReplicationConfig, StorageConfig};
+    use crate::{DiskModel, RaidGeometry, ReplicationConfig, StorageConfig, StorageSimulator};
     use probdist::{Distribution, Weibull};
 
     fn fixed(replications: usize) -> StoppingRule {
@@ -322,7 +237,7 @@ mod tests {
             replacement_hours: 4.0,
             data_loss_recovery_hours: 24.0,
         };
-        let sim = ReplicationSimulator::new(config).unwrap();
+        let sim = StorageSimulator::new(config).unwrap();
         let horizon = 2_000.0;
         let result = sim.splitting_loss_probability(horizon, &fixed(4000), 7, 0.95, 1).unwrap();
         let lifetime = Weibull::from_shape_and_mean(1.0, 50_000.0).unwrap();
@@ -350,7 +265,7 @@ mod tests {
             replacement_hours: 4.0,
             data_loss_recovery_hours: 24.0,
         };
-        let sim = ReplicationSimulator::new(config).unwrap();
+        let sim = StorageSimulator::new(config).unwrap();
         let horizon = 500.0;
 
         let split = sim.splitting_loss_probability(horizon, &fixed(2000), 3, 0.95, 1).unwrap();
@@ -381,7 +296,7 @@ mod tests {
             replacement_hours: 4.0,
             data_loss_recovery_hours: 24.0,
         };
-        let sim = ReplicationSimulator::new(config).unwrap();
+        let sim = StorageSimulator::new(config).unwrap();
         let result = sim.splitting_loss_probability(2190.0, &fixed(6000), 5, 0.95, 0).unwrap();
         let p = result.estimate.interval.point;
         assert!(p > 0.0, "the estimator must resolve the event");
@@ -434,7 +349,7 @@ mod tests {
             replacement_hours: 4.0,
             data_loss_recovery_hours: 24.0,
         };
-        let sim = ReplicationSimulator::new(config).unwrap();
+        let sim = StorageSimulator::new(config).unwrap();
         let serial = sim.splitting_loss_probability(4380.0, &fixed(300), 21, 0.95, 1).unwrap();
         let parallel = sim.splitting_loss_probability(4380.0, &fixed(300), 21, 0.95, 4).unwrap();
         assert_eq!(serial, parallel, "splitting must be bit-identical at any worker count");
@@ -460,7 +375,7 @@ mod tests {
             replacement_hours: 4.0,
             data_loss_recovery_hours: 24.0,
         };
-        let sim = ReplicationSimulator::new(config).unwrap();
+        let sim = StorageSimulator::new(config).unwrap();
         let rule = StoppingRule::new(0.2, 100, 3200).unwrap();
         let result = sim.splitting_loss_probability(2000.0, &rule, 13, 0.95, 0).unwrap();
         assert!(result.trials_per_level <= 3200);
@@ -478,7 +393,7 @@ mod tests {
 
     #[test]
     fn splitting_validates_parameters() {
-        let sim = ReplicationSimulator::new(ReplicationConfig::for_usable_capacity(
+        let sim = StorageSimulator::new(ReplicationConfig::for_usable_capacity(
             1.0,
             2,
             exponential_disk(10_000.0),
@@ -504,7 +419,7 @@ mod tests {
             replacement_hours: 0.1,
             data_loss_recovery_hours: 1.0,
         };
-        let sim = ReplicationSimulator::new(config).unwrap();
+        let sim = StorageSimulator::new(config).unwrap();
         let result = sim.splitting_loss_probability(10.0, &fixed(50), 3, 0.95, 1).unwrap();
         assert_eq!(result.estimate.interval.point, 0.0);
         assert_eq!(result.estimate.relative_error(), f64::INFINITY);

@@ -1,13 +1,17 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::fmt::Debug;
 
 use probdist::stats::{
     confidence_interval, run_to_precision, ConfidenceInterval, RunningStats, StoppingRule,
 };
+use probdist::telemetry::{counter_add, counter_inc, MetricId};
 use probdist::{Distribution, Exponential, SimRng, Weibull};
 use serde::{Deserialize, Serialize};
 
-use crate::{RaidError, StorageConfig};
+use crate::replication::ReplicatedStore;
+use crate::splitting::estimate_until;
+use crate::{RaidError, ReplicationConfig, SplittingResult, StorageConfig};
 
 /// Hours per week, used for replacement-rate normalisation.
 const HOURS_PER_WEEK: f64 = 168.0;
@@ -15,16 +19,15 @@ const HOURS_PER_WEEK: f64 = 168.0;
 /// Raw statistics of a single Monte-Carlo replication.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StorageRunStats {
-    /// Hours during which the storage system was unavailable (a tier in
-    /// data-loss recovery or a DDN controller pair entirely failed).
+    /// Hours during which the storage system was unavailable (a redundancy
+    /// group in data-loss recovery or a DDN controller pair entirely
+    /// failed).
     pub downtime_hours: f64,
-    /// Number of unrecoverable tier failures (more concurrent disk failures
-    /// than parity).
+    /// Number of unrecoverable group failures (more concurrent disk
+    /// failures than the layout tolerates).
     pub data_loss_events: u64,
     /// Number of disk replacements performed.
     pub disk_replacements: u64,
-    /// Hours during which at least one controller pair was entirely failed.
-    pub controller_downtime_hours: f64,
     /// Length of the simulated mission, hours.
     pub horizon_hours: f64,
 }
@@ -59,9 +62,155 @@ pub struct StorageSummary {
     pub horizon_hours: f64,
 }
 
-/// Validates the shared run parameters of both storage Monte-Carlo
-/// engines (the RAID simulator and [`crate::replication`]) and their
-/// splitting estimators: a positive finite horizon and a confidence level
+/// The redundancy layout a [`StorageSimulator`] runs: which disks form a
+/// redundancy group, when a group loses data, and how it recovers.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Layout {
+    /// `n+k` RAID tiers rebuilt onto replacement disks, with optional
+    /// RAID-controller fail-over pairs (see the crate-level documentation).
+    Raid(StorageConfig),
+    /// An `r`-way replicated object store with background re-replication
+    /// (see [`crate::replication`]).
+    Replicated(ReplicationConfig),
+}
+
+impl Layout {
+    /// Raw disks the layout provisions.
+    pub fn total_disks(&self) -> u32 {
+        match self {
+            Layout::Raid(config) => config.total_disks(),
+            Layout::Replicated(config) => config.disks,
+        }
+    }
+}
+
+impl From<StorageConfig> for Layout {
+    fn from(config: StorageConfig) -> Self {
+        Layout::Raid(config)
+    }
+}
+
+impl From<ReplicationConfig> for Layout {
+    fn from(config: ReplicationConfig) -> Self {
+        Layout::Replicated(config)
+    }
+}
+
+/// Event-driven Monte-Carlo simulator of a storage system under one
+/// redundancy [`Layout`].
+///
+/// See the crate-level documentation for the modelled RAID behaviour and
+/// [`crate::replication`] for the replicated store. Both layouts report
+/// through the same statistics pipeline, so their summaries compare
+/// directly.
+#[derive(Debug, Clone)]
+pub struct StorageSimulator {
+    engine: Engine,
+}
+
+/// The simulator's unprimed template mission, one variant per layout.
+/// Every entry point matches on it once and then runs that layout's
+/// monomorphised engine throughout.
+#[derive(Debug, Clone)]
+enum Engine {
+    Raid(Mission<RaidTiers>),
+    Replicated(Mission<ReplicatedStore>),
+}
+
+impl StorageSimulator {
+    /// Creates a simulator for a layout: a RAID [`StorageConfig`], a
+    /// [`ReplicationConfig`], or a [`Layout`] holding either.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RaidError::InvalidConfig`] if the configuration fails
+    /// validation.
+    pub fn new(layout: impl Into<Layout>) -> Result<Self, RaidError> {
+        let engine = match layout.into() {
+            Layout::Raid(config) => {
+                config.validate()?;
+                let lifetime = config.disk.lifetime()?;
+                Engine::Raid(Mission::new(RaidTiers::new(config), lifetime))
+            }
+            Layout::Replicated(config) => {
+                config.validate()?;
+                let lifetime = config.disk.lifetime()?;
+                Engine::Replicated(Mission::new(ReplicatedStore::new(config), lifetime))
+            }
+        };
+        Ok(StorageSimulator { engine })
+    }
+
+    /// Runs missions of `horizon_hours` each under `rule` — exactly `n`
+    /// for [`StoppingRule::fixed`], otherwise batches until availability
+    /// and replacements per week both meet the rule's relative target or
+    /// its cap is reached — and aggregates them at `confidence_level`.
+    /// `workers == 0` uses the machine's available parallelism; `1` forces
+    /// serial execution. Any worker count yields bit-identical statistics,
+    /// and the summary's `replications` field records the count used.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RaidError::InvalidRun`] for a non-positive horizon or a
+    /// confidence level outside `(0, 1)`.
+    pub fn run(
+        &self,
+        horizon_hours: f64,
+        rule: &StoppingRule,
+        seed: u64,
+        confidence_level: f64,
+        workers: usize,
+    ) -> Result<StorageSummary, RaidError> {
+        match &self.engine {
+            Engine::Raid(template) => {
+                run_missions(template, horizon_hours, rule, seed, confidence_level, workers)
+            }
+            Engine::Replicated(template) => {
+                run_missions(template, horizon_hours, rule, seed, confidence_level, workers)
+            }
+        }
+    }
+
+    /// Runs a single mission and returns its raw statistics.
+    pub fn run_once(&self, horizon_hours: f64, rng: &mut SimRng) -> StorageRunStats {
+        match &self.engine {
+            Engine::Raid(template) => template.clone().run_to_horizon(horizon_hours, rng),
+            Engine::Replicated(template) => template.clone().run_to_horizon(horizon_hours, rng),
+        }
+    }
+
+    /// Estimates the probability of any data loss within `horizon_hours`
+    /// by multilevel splitting over exposure depth — the concurrent
+    /// failed-disk count within a single RAID tier (levels
+    /// `1..=parity + 1`), or the concurrently exposed disks of a
+    /// replicated store (levels `1..=replicas`) — with the per-level trial
+    /// count under `rule` (see [`crate::splitting`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RaidError::InvalidRun`] for a non-positive horizon or a
+    /// confidence level outside `(0, 1)`.
+    pub fn splitting_loss_probability(
+        &self,
+        horizon_hours: f64,
+        rule: &StoppingRule,
+        seed: u64,
+        confidence_level: f64,
+        workers: usize,
+    ) -> Result<SplittingResult, RaidError> {
+        match &self.engine {
+            Engine::Raid(template) => {
+                estimate_until(template, horizon_hours, rule, seed, confidence_level, workers)
+            }
+            Engine::Replicated(template) => {
+                estimate_until(template, horizon_hours, rule, seed, confidence_level, workers)
+            }
+        }
+    }
+}
+
+/// Validates the shared run parameters of every storage Monte-Carlo run
+/// and splitting estimate: a positive finite horizon and a confidence level
 /// in `(0, 1)`.
 pub(crate) fn validate_run(horizon_hours: f64, confidence_level: f64) -> Result<(), RaidError> {
     if !(horizon_hours.is_finite() && horizon_hours > 0.0) {
@@ -77,22 +226,11 @@ pub(crate) fn validate_run(horizon_hours: f64, confidence_level: f64) -> Result<
     Ok(())
 }
 
-/// Telemetry flush for one completed mission: one mission counted, its
-/// data-loss events added. Called by both storage kernels' `run_once` /
-/// `run_once_reusing` — the replication-path entry points — so the counts
-/// are a pure function of the executed replication set.
-pub(crate) fn record_mission(stats: &StorageRunStats) {
-    use probdist::telemetry::{counter_add, counter_inc, MetricId};
-    counter_inc(MetricId::RaidMissions);
-    counter_add(MetricId::RaidLossEvents, stats.data_loss_events);
-}
-
-/// The mission driver both storage simulators run through: validates the
-/// run parameters, fans replications out with one mission per worker as
-/// scratch (after its first replication, later missions re-prime the same
-/// event queue and per-disk state in place instead of allocating afresh),
-/// stops under `rule` on availability and replacements per week, and
-/// summarises.
+/// The mission driver: validates the run parameters, fans replications out
+/// with one clone of `template` per worker as scratch (after its first
+/// replication, later missions re-prime the same event queue and per-disk
+/// state in place instead of allocating afresh), stops under `rule` on
+/// availability and replacements per week, and summarises.
 ///
 /// Data-loss events are not tracked by the rule: a rare-event count has a
 /// near-zero mean, so its *relative* width is ill-defined and would force
@@ -100,13 +238,13 @@ pub(crate) fn record_mission(stats: &StorageRunStats) {
 /// `(seed, i)` and results reduce in index order, so the summary is
 /// bit-identical for any worker count, and an adaptive run of `n`
 /// replications is bit-identical to a fixed run of `n`.
-pub(crate) fn run_missions<M>(
+fn run_missions<L: LayoutRules>(
+    template: &Mission<L>,
     horizon_hours: f64,
     rule: &StoppingRule,
     seed: u64,
     confidence_level: f64,
     workers: usize,
-    mission: impl Fn(&mut SimRng, &mut Option<M>) -> StorageRunStats + Sync,
 ) -> Result<StorageSummary, RaidError> {
     validate_run(horizon_hours, confidence_level)?;
     let root = SimRng::seed_from_u64(seed);
@@ -119,7 +257,9 @@ pub(crate) fn run_missions<M>(
                 workers,
                 None,
                 || None,
-                |_, rng, slot| mission(rng, slot),
+                |_, rng, slot: &mut Option<Mission<L>>| {
+                    slot.get_or_insert_with(|| template.clone()).run_to_horizon(horizon_hours, rng)
+                },
             ))
         },
         |runs: &[StorageRunStats]| -> Result<bool, RaidError> {
@@ -160,7 +300,227 @@ fn summarise_runs(
     })
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One calendar entry: a layout event of kind `K`, due at `time`.
+#[derive(Debug, Clone, Copy)]
+struct Event<K> {
+    time: f64,
+    kind: K,
+}
+
+impl<K> PartialEq for Event<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<K> Eq for Event<K> {}
+
+impl<K> Ord for Event<K> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reverse the time ordering so BinaryHeap pops the earliest event.
+        other.time.total_cmp(&self.time)
+    }
+}
+
+impl<K> PartialOrd for Event<K> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// A redundancy layout's half of a mission: its group state and its event
+/// rules. The engine ([`Mission`]) owns everything the layouts share.
+///
+/// The rules stay per layout because the recovery semantics differ in a
+/// way that consumes random draws: a RAID tier resets its disks at the
+/// moment of loss, while a replicated store lets replacements already in
+/// flight draw lifetimes until the store recovers.
+pub(crate) trait LayoutRules: Clone + Debug + Send + Sync {
+    /// The layout's events; the calendar orders them by time alone.
+    type Kind: Copy + Debug + Send + Sync;
+
+    /// The event of `disk`'s lifetime in `generation` running out.
+    fn disk_failure(disk: u32, generation: u32) -> Self::Kind;
+
+    /// Disks the layout simulates, one lifetime draw each when primed.
+    fn disk_count(&self) -> u32;
+
+    /// The exposure depth at which a redundancy group loses data.
+    fn loss_level(&self) -> u32;
+
+    /// Resets the group state to a fresh mission's and schedules the
+    /// layout's own initial events. Runs after every disk's first lifetime
+    /// is drawn.
+    fn prime(&mut self, core: &mut Core<Self::Kind>, rng: &mut SimRng);
+
+    /// Applies one event due at `t`, ignoring it when it is stale.
+    fn apply(&mut self, core: &mut Core<Self::Kind>, kind: Self::Kind, t: f64, rng: &mut SimRng);
+}
+
+/// The layout-independent state of a mission: the event calendar, the
+/// per-disk generation and failure flags, and the accumulators behind
+/// [`StorageRunStats`]. Layout rules read and update it.
+#[derive(Debug, Clone)]
+pub(crate) struct Core<K> {
+    pub(crate) lifetime: Weibull,
+    horizon_hours: f64,
+    queue: BinaryHeap<Event<K>>,
+    /// Per-disk generation; an event stamped with an older one is stale.
+    pub(crate) generation: Vec<u32>,
+    pub(crate) failed: Vec<bool>,
+    /// Highest exposure depth reached so far (monotone — the splitting
+    /// level function).
+    pub(crate) exposure_peak: u32,
+    /// Conditions currently making the storage unavailable: groups in
+    /// data-loss recovery and entirely failed controller pairs.
+    pub(crate) down_conditions: u32,
+    last_time: f64,
+    downtime: f64,
+    pub(crate) data_loss_events: u64,
+    pub(crate) replacements: u64,
+}
+
+impl<K> Core<K> {
+    /// Schedules an event of kind `kind` at `time`.
+    pub(crate) fn schedule(&mut self, time: f64, kind: K) {
+        self.queue.push(Event { time, kind });
+    }
+}
+
+/// One storage mission in resumable form: the full Markov state of the
+/// event-driven kernel, the layout's group state plus the shared [`Core`].
+///
+/// A mission is `Clone`, so the multilevel-splitting estimator can
+/// snapshot it the moment an exposure level is first reached and restart
+/// many continuation trials from the same state, each with its own RNG
+/// stream: the cloned calendar carries the already-drawn future event
+/// times (part of the Markov state), while everything sampled after the
+/// snapshot comes from the continuation's stream.
+#[derive(Debug, Clone)]
+pub(crate) struct Mission<L: LayoutRules> {
+    layout: L,
+    core: Core<L::Kind>,
+}
+
+impl<L: LayoutRules> Mission<L> {
+    /// An unprimed mission with empty buffers, the template every run
+    /// clones; [`Mission::reprime`] starts it.
+    fn new(layout: L, lifetime: Weibull) -> Self {
+        Mission {
+            layout,
+            core: Core {
+                lifetime,
+                horizon_hours: 0.0,
+                queue: BinaryHeap::new(),
+                generation: Vec::new(),
+                failed: Vec::new(),
+                exposure_peak: 0,
+                down_conditions: 0,
+                last_time: 0.0,
+                downtime: 0.0,
+                data_loss_events: 0,
+                replacements: 0,
+            },
+        }
+    }
+
+    /// The exposure depth at which the layout loses data.
+    pub(crate) fn loss_level(&self) -> u32 {
+        self.layout.loss_level()
+    }
+
+    /// Highest exposure depth reached so far.
+    pub(crate) fn exposure_peak(&self) -> u32 {
+        self.core.exposure_peak
+    }
+
+    /// Starts the mission afresh over `horizon_hours`, reusing its event
+    /// queue and per-disk and per-group buffers. It draws one lifetime per
+    /// disk in disk order, then the layout's own initial events: that draw
+    /// order is the RNG contract every fresh and reused mission shares.
+    pub(crate) fn reprime(&mut self, horizon_hours: f64, rng: &mut SimRng) {
+        let disks = self.layout.disk_count();
+        let core = &mut self.core;
+        core.horizon_hours = horizon_hours;
+        core.queue.clear();
+        core.queue.reserve(disks as usize + 8);
+        core.generation.clear();
+        core.generation.resize(disks as usize, 0);
+        core.failed.clear();
+        core.failed.resize(disks as usize, false);
+        core.exposure_peak = 0;
+        core.down_conditions = 0;
+        core.last_time = 0.0;
+        core.downtime = 0.0;
+        core.data_loss_events = 0;
+        core.replacements = 0;
+        for disk in 0..disks {
+            core.schedule(core.lifetime.sample(rng), L::disk_failure(disk, 0));
+        }
+        self.layout.prime(core, rng);
+    }
+
+    /// Processes events forward. With `stop_at_exposure = Some(level)` the
+    /// mission pauses right after the event that first lifts the exposure
+    /// peak to `level`, returning `true`; otherwise it runs to the horizon
+    /// and returns `false`. A paused mission resumes with a later call.
+    pub(crate) fn advance(&mut self, rng: &mut SimRng, stop_at_exposure: Option<u32>) -> bool {
+        let reached = |peak: u32| stop_at_exposure.is_some_and(|level| peak >= level);
+        let core = &mut self.core;
+        if reached(core.exposure_peak) {
+            return true;
+        }
+        while let Some(event) = core.queue.pop() {
+            let t = event.time;
+            if t > core.horizon_hours {
+                // Leave the popped event discarded: the mission is over.
+                break;
+            }
+            // Accumulate downtime since the previous event.
+            if core.down_conditions > 0 {
+                core.downtime += t - core.last_time;
+            }
+            core.last_time = t;
+            self.layout.apply(core, event.kind, t, rng);
+            if reached(core.exposure_peak) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Raw statistics of the mission so far, with the open interval since
+    /// the last event closed up to the horizon. Call after
+    /// [`Mission::advance`] ran to the horizon.
+    fn stats(&self) -> StorageRunStats {
+        let core = &self.core;
+        let mut downtime = core.downtime;
+        if core.down_conditions > 0 {
+            downtime += core.horizon_hours - core.last_time;
+        }
+        StorageRunStats {
+            downtime_hours: downtime,
+            data_loss_events: core.data_loss_events,
+            disk_replacements: core.replacements,
+            horizon_hours: core.horizon_hours,
+        }
+    }
+
+    /// Runs one whole mission of `horizon_hours` from a fresh start and
+    /// returns its statistics. Telemetry counts the mission and its
+    /// data-loss events here, on the replication path only, so the counts
+    /// are a pure function of the executed replication set.
+    fn run_to_horizon(&mut self, horizon_hours: f64, rng: &mut SimRng) -> StorageRunStats {
+        self.reprime(horizon_hours, rng);
+        self.advance(rng, None);
+        let stats = self.stats();
+        counter_inc(MetricId::RaidMissions);
+        counter_add(MetricId::RaidLossEvents, stats.data_loss_events);
+        stats
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
 enum EventKind {
     DiskFailure { disk: u32, generation: u32 },
     DiskRestored { disk: u32, generation: u32 },
@@ -169,398 +529,51 @@ enum EventKind {
     ControllerRepaired { unit: u32, slot: u8 },
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Event {
-    time: f64,
-    kind: EventKind,
-}
-
-impl Eq for Event {}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse the time ordering so BinaryHeap pops the earliest event.
-        other.time.total_cmp(&self.time)
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Event-driven Monte-Carlo simulator of a scratch-partition storage system.
-///
-/// See the crate-level documentation for the modelled failure and recovery
-/// behaviour.
+/// The RAID layout: `n+k` tiers whose exposure depth is the concurrent
+/// failed-disk count within one tier, plus the DDN controller pairs.
 #[derive(Debug, Clone)]
-pub struct StorageSimulator {
+struct RaidTiers {
     config: StorageConfig,
-    lifetime: Weibull,
-}
-
-impl StorageSimulator {
-    /// Creates a simulator for the given configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RaidError::InvalidConfig`] if the configuration fails
-    /// validation.
-    pub fn new(config: StorageConfig) -> Result<Self, RaidError> {
-        config.validate()?;
-        let lifetime = config.disk.lifetime()?;
-        Ok(StorageSimulator { config, lifetime })
-    }
-
-    /// The simulator's configuration.
-    pub fn config(&self) -> &StorageConfig {
-        &self.config
-    }
-
-    /// Runs missions of `horizon_hours` each under `rule` — exactly `n`
-    /// for [`StoppingRule::fixed`], otherwise batches until availability
-    /// and replacements per week both meet the rule's relative target or
-    /// its cap is reached — and aggregates them at `confidence_level`.
-    /// `workers == 0` uses the machine's available parallelism; `1` forces
-    /// serial execution. Any worker count yields bit-identical statistics,
-    /// and the summary's `replications` field records the count used.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RaidError::InvalidRun`] for a non-positive horizon or a
-    /// confidence level outside `(0, 1)`.
-    pub fn run(
-        &self,
-        horizon_hours: f64,
-        rule: &StoppingRule,
-        seed: u64,
-        confidence_level: f64,
-        workers: usize,
-    ) -> Result<StorageSummary, RaidError> {
-        run_missions(horizon_hours, rule, seed, confidence_level, workers, |rng, slot| {
-            self.run_once_reusing(horizon_hours, rng, slot)
-        })
-    }
-
-    /// Runs a single mission and returns its raw statistics.
-    pub fn run_once(&self, horizon_hours: f64, rng: &mut SimRng) -> StorageRunStats {
-        let mut mission = self.start_mission(horizon_hours, rng);
-        mission.advance(rng, None);
-        let stats = mission.finish();
-        record_mission(&stats);
-        stats
-    }
-
-    /// Runs a single mission, reusing the mission in `slot` as scratch when
-    /// present (and stashing a fresh one there otherwise). Re-priming draws
-    /// initial lifetimes in exactly the order [`StorageSimulator::start_mission`]
-    /// does, so the statistics are bit-identical to [`StorageSimulator::run_once`]
-    /// with the same RNG stream — only the allocations differ.
-    pub fn run_once_reusing(
-        &self,
-        horizon_hours: f64,
-        rng: &mut SimRng,
-        slot: &mut Option<StorageMission>,
-    ) -> StorageRunStats {
-        match slot {
-            Some(mission) => mission.reprime(horizon_hours, rng),
-            None => *slot = Some(self.start_mission(horizon_hours, rng)),
-        }
-        let mission = slot.as_mut().expect("mission was just initialised");
-        mission.advance(rng, None);
-        let stats = mission.stats();
-        record_mission(&stats);
-        stats
-    }
-
-    /// Starts a mission in resumable form: initial disk lifetimes (and
-    /// controller failure times, when configured) are drawn and the event
-    /// calendar is primed, but no event has been processed.
-    /// [`StorageMission::advance`] then runs it — to the horizon, or only
-    /// until an exposure-depth level (concurrent failed disks within one
-    /// tier) is first reached, the restart primitive of the
-    /// multilevel-splitting estimator ([`crate::splitting`]).
-    pub fn start_mission(&self, horizon_hours: f64, rng: &mut SimRng) -> StorageMission {
-        let cfg = &self.config;
-        let total_disks = cfg.total_disks();
-        let mut queue: BinaryHeap<Event> = BinaryHeap::with_capacity(total_disks as usize + 8);
-        let controller_dist = cfg
-            .controllers
-            .map(|c| Exponential::new(c.failure_rate_per_hour).expect("validated controller rate"));
-        prime_events(&self.lifetime, controller_dist.as_ref(), cfg, &mut queue, rng);
-        StorageMission {
-            config: self.config.clone(),
-            lifetime: self.lifetime,
-            controller_dist,
-            horizon_hours,
-            queue,
-            disk_generation: vec![0u32; total_disks as usize],
-            disk_failed: vec![false; total_disks as usize],
-            tier_failed_count: vec![0u32; cfg.tiers as usize],
-            tier_in_recovery: vec![false; cfg.tiers as usize],
-            tier_generation: vec![0u32; cfg.tiers as usize],
-            controller_failed: vec![[false, false]; cfg.ddn_units as usize],
-            exposure_peak: 0,
-            down_conditions: 0,
-            controller_down_units: 0,
-            last_time: 0.0,
-            downtime: 0.0,
-            controller_downtime: 0.0,
-            data_loss_events: 0,
-            replacements: 0,
-        }
-    }
-}
-
-/// Primes a mission's event calendar: one lifetime draw per disk, then one
-/// failure draw per controller slot. The draw order here *is* the RNG
-/// contract shared by [`StorageSimulator::start_mission`] and
-/// [`StorageMission::reprime`]; keep the two call sites on this single
-/// helper so they cannot drift apart.
-fn prime_events(
-    lifetime: &Weibull,
-    controller_dist: Option<&Exponential>,
-    cfg: &StorageConfig,
-    queue: &mut BinaryHeap<Event>,
-    rng: &mut SimRng,
-) {
-    for disk in 0..cfg.total_disks() {
-        queue.push(Event {
-            time: lifetime.sample(rng),
-            kind: EventKind::DiskFailure { disk, generation: 0 },
-        });
-    }
-    if let Some(dist) = controller_dist {
-        for unit in 0..cfg.ddn_units {
-            for slot in 0..2u8 {
-                queue.push(Event {
-                    time: dist.sample(rng),
-                    kind: EventKind::ControllerFailure { unit, slot },
-                });
-            }
-        }
-    }
-}
-
-/// One RAID-storage mission in resumable form: the full Markov state of
-/// the event-driven kernel (pending events, per-disk and per-tier state,
-/// controller pairs, and the downtime accumulators).
-///
-/// A mission is `Clone`, so the multilevel-splitting estimator can
-/// snapshot it the moment an exposure level — concurrent failed disks
-/// within a single tier — is first reached and restart many continuation
-/// trials from the same state, each with its own RNG stream.
-#[derive(Debug, Clone)]
-pub struct StorageMission {
-    config: StorageConfig,
-    lifetime: Weibull,
     controller_dist: Option<Exponential>,
-    horizon_hours: f64,
-    queue: BinaryHeap<Event>,
-    disk_generation: Vec<u32>,
-    disk_failed: Vec<bool>,
     tier_failed_count: Vec<u32>,
     tier_in_recovery: Vec<bool>,
     tier_generation: Vec<u32>,
     controller_failed: Vec<[bool; 2]>,
-    /// Highest concurrent failed-disk count seen in any single tier
-    /// (monotone — the splitting level function).
-    exposure_peak: u32,
-    down_conditions: u32,
-    controller_down_units: u32,
-    last_time: f64,
-    downtime: f64,
-    controller_downtime: f64,
-    data_loss_events: u64,
-    replacements: u64,
 }
 
-impl StorageMission {
-    /// Highest concurrent failed-disk count reached in any single tier:
-    /// `parity + 1` is the data-loss level.
-    pub fn exposure_peak(&self) -> u32 {
-        self.exposure_peak
+impl RaidTiers {
+    fn new(config: StorageConfig) -> Self {
+        let controller_dist = config
+            .controllers
+            .map(|c| Exponential::new(c.failure_rate_per_hour).expect("validated controller rate"));
+        RaidTiers {
+            config,
+            controller_dist,
+            tier_failed_count: Vec::new(),
+            tier_in_recovery: Vec::new(),
+            tier_generation: Vec::new(),
+            controller_failed: Vec::new(),
+        }
+    }
+}
+
+impl LayoutRules for RaidTiers {
+    type Kind = EventKind;
+
+    fn disk_failure(disk: u32, generation: u32) -> EventKind {
+        EventKind::DiskFailure { disk, generation }
     }
 
-    /// Data-loss events recorded so far.
-    pub fn data_loss_events(&self) -> u64 {
-        self.data_loss_events
+    fn disk_count(&self) -> u32 {
+        self.config.total_disks()
     }
 
-    /// The exposure depth at which a tier loses data (`parity + 1`).
-    pub fn loss_level(&self) -> u32 {
+    fn loss_level(&self) -> u32 {
         self.config.geometry.parity_disks + 1
     }
 
-    /// Processes events forward. With `stop_at_exposure = Some(level)` the
-    /// mission pauses right after the event that first lifts the exposure
-    /// peak to `level`, returning `true`; otherwise it runs to the horizon
-    /// and returns `false`. A paused mission resumes with a later call.
-    pub fn advance(&mut self, rng: &mut SimRng, stop_at_exposure: Option<u32>) -> bool {
-        if let Some(level) = stop_at_exposure {
-            if self.exposure_peak >= level {
-                return true;
-            }
-        }
-        let disks_per_tier = self.config.geometry.disks_per_tier();
-        let parity = self.config.geometry.parity_disks;
-        let repair_time = self.config.replacement_hours + self.config.rebuild_hours;
-
-        while let Some(event) = self.queue.pop() {
-            let t = event.time;
-            if t > self.horizon_hours {
-                break;
-            }
-            // Accumulate downtime since the previous event.
-            if self.down_conditions > 0 {
-                self.downtime += t - self.last_time;
-            }
-            if self.controller_down_units > 0 {
-                self.controller_downtime += t - self.last_time;
-            }
-            self.last_time = t;
-
-            match event.kind {
-                EventKind::DiskFailure { disk, generation } => {
-                    if generation != self.disk_generation[disk as usize]
-                        || self.disk_failed[disk as usize]
-                    {
-                        continue;
-                    }
-                    let tier = disk / disks_per_tier;
-                    if self.tier_in_recovery[tier as usize] {
-                        continue;
-                    }
-                    self.disk_failed[disk as usize] = true;
-                    self.tier_failed_count[tier as usize] += 1;
-                    self.exposure_peak =
-                        self.exposure_peak.max(self.tier_failed_count[tier as usize]);
-                    self.replacements += 1;
-
-                    if self.tier_failed_count[tier as usize] > parity {
-                        // Unrecoverable tier failure.
-                        self.data_loss_events += 1;
-                        self.tier_in_recovery[tier as usize] = true;
-                        self.tier_generation[tier as usize] += 1;
-                        self.down_conditions += 1;
-                        // Invalidate every pending event of this tier's disks
-                        // and clear their state; they come back fresh when the
-                        // tier is restored.
-                        let first = tier * disks_per_tier;
-                        for d in first..first + disks_per_tier {
-                            self.disk_generation[d as usize] += 1;
-                            self.disk_failed[d as usize] = false;
-                        }
-                        self.tier_failed_count[tier as usize] = 0;
-                        self.queue.push(Event {
-                            time: t + self.config.data_loss_recovery_hours,
-                            kind: EventKind::TierRecovered {
-                                tier,
-                                generation: self.tier_generation[tier as usize],
-                            },
-                        });
-                    } else {
-                        self.queue.push(Event {
-                            time: t + repair_time,
-                            kind: EventKind::DiskRestored { disk, generation },
-                        });
-                    }
-                    if let Some(level) = stop_at_exposure {
-                        if self.exposure_peak >= level {
-                            return true;
-                        }
-                    }
-                }
-                EventKind::DiskRestored { disk, generation } => {
-                    if generation != self.disk_generation[disk as usize]
-                        || !self.disk_failed[disk as usize]
-                    {
-                        continue;
-                    }
-                    let tier = disk / disks_per_tier;
-                    self.disk_failed[disk as usize] = false;
-                    self.tier_failed_count[tier as usize] -= 1;
-                    self.queue.push(Event {
-                        time: t + self.lifetime.sample(rng),
-                        kind: EventKind::DiskFailure { disk, generation },
-                    });
-                }
-                EventKind::TierRecovered { tier, generation } => {
-                    if generation != self.tier_generation[tier as usize]
-                        || !self.tier_in_recovery[tier as usize]
-                    {
-                        continue;
-                    }
-                    self.tier_in_recovery[tier as usize] = false;
-                    self.down_conditions -= 1;
-                    // All disks in the tier start fresh.
-                    let first = tier * disks_per_tier;
-                    for d in first..first + disks_per_tier {
-                        self.queue.push(Event {
-                            time: t + self.lifetime.sample(rng),
-                            kind: EventKind::DiskFailure {
-                                disk: d,
-                                generation: self.disk_generation[d as usize],
-                            },
-                        });
-                    }
-                }
-                EventKind::ControllerFailure { unit, slot } => {
-                    let pair = &mut self.controller_failed[unit as usize];
-                    if pair[slot as usize] {
-                        continue;
-                    }
-                    pair[slot as usize] = true;
-                    if pair[0] && pair[1] {
-                        self.controller_down_units += 1;
-                        self.down_conditions += 1;
-                    }
-                    let repair = self
-                        .config
-                        .controllers
-                        .expect("controller events only exist when configured")
-                        .repair_hours;
-                    self.queue.push(Event {
-                        time: t + repair,
-                        kind: EventKind::ControllerRepaired { unit, slot },
-                    });
-                }
-                EventKind::ControllerRepaired { unit, slot } => {
-                    let pair = &mut self.controller_failed[unit as usize];
-                    if !pair[slot as usize] {
-                        continue;
-                    }
-                    let was_double = pair[0] && pair[1];
-                    pair[slot as usize] = false;
-                    if was_double {
-                        self.controller_down_units -= 1;
-                        self.down_conditions -= 1;
-                    }
-                    if let Some(dist) = &self.controller_dist {
-                        self.queue.push(Event {
-                            time: t + dist.sample(rng),
-                            kind: EventKind::ControllerFailure { unit, slot },
-                        });
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// Resets this mission in place to the state
-    /// [`StorageSimulator::start_mission`] would produce for the same
-    /// configuration, reusing the event queue and per-disk/per-tier buffers.
-    fn reprime(&mut self, horizon_hours: f64, rng: &mut SimRng) {
-        let total_disks = self.config.total_disks() as usize;
+    fn prime(&mut self, core: &mut Core<EventKind>, rng: &mut SimRng) {
         let tiers = self.config.tiers as usize;
-        self.horizon_hours = horizon_hours;
-        self.queue.clear();
-        self.disk_generation.clear();
-        self.disk_generation.resize(total_disks, 0);
-        self.disk_failed.clear();
-        self.disk_failed.resize(total_disks, false);
         self.tier_failed_count.clear();
         self.tier_failed_count.resize(tiers, 0);
         self.tier_in_recovery.clear();
@@ -569,44 +582,121 @@ impl StorageMission {
         self.tier_generation.resize(tiers, 0);
         self.controller_failed.clear();
         self.controller_failed.resize(self.config.ddn_units as usize, [false, false]);
-        self.exposure_peak = 0;
-        self.down_conditions = 0;
-        self.controller_down_units = 0;
-        self.last_time = 0.0;
-        self.downtime = 0.0;
-        self.controller_downtime = 0.0;
-        self.data_loss_events = 0;
-        self.replacements = 0;
-        let StorageMission { config, lifetime, controller_dist, queue, .. } = self;
-        prime_events(lifetime, controller_dist.as_ref(), config, queue, rng);
-    }
-
-    /// Raw statistics of the mission so far, with the open interval since
-    /// the last event closed up to the horizon. Call after
-    /// [`StorageMission::advance`] ran to the horizon.
-    pub fn stats(&self) -> StorageRunStats {
-        let mut downtime = self.downtime;
-        let mut controller_downtime = self.controller_downtime;
-        // Close the interval up to the horizon.
-        if self.down_conditions > 0 {
-            downtime += self.horizon_hours - self.last_time;
-        }
-        if self.controller_down_units > 0 {
-            controller_downtime += self.horizon_hours - self.last_time;
-        }
-        StorageRunStats {
-            downtime_hours: downtime,
-            data_loss_events: self.data_loss_events,
-            disk_replacements: self.replacements,
-            controller_downtime_hours: controller_downtime,
-            horizon_hours: self.horizon_hours,
+        if let Some(dist) = &self.controller_dist {
+            for unit in 0..self.config.ddn_units {
+                for slot in 0..2u8 {
+                    core.schedule(dist.sample(rng), EventKind::ControllerFailure { unit, slot });
+                }
+            }
         }
     }
 
-    /// Closes the mission and returns its raw statistics. Call after
-    /// [`StorageMission::advance`] ran to the horizon.
-    pub fn finish(self) -> StorageRunStats {
-        self.stats()
+    fn apply(&mut self, core: &mut Core<EventKind>, kind: EventKind, t: f64, rng: &mut SimRng) {
+        let disks_per_tier = self.config.geometry.disks_per_tier();
+        match kind {
+            EventKind::DiskFailure { disk, generation } => {
+                if generation != core.generation[disk as usize] || core.failed[disk as usize] {
+                    return;
+                }
+                let tier = disk / disks_per_tier;
+                if self.tier_in_recovery[tier as usize] {
+                    return;
+                }
+                core.failed[disk as usize] = true;
+                self.tier_failed_count[tier as usize] += 1;
+                core.exposure_peak = core.exposure_peak.max(self.tier_failed_count[tier as usize]);
+                core.replacements += 1;
+
+                if self.tier_failed_count[tier as usize] > self.config.geometry.parity_disks {
+                    // Unrecoverable tier failure.
+                    core.data_loss_events += 1;
+                    self.tier_in_recovery[tier as usize] = true;
+                    self.tier_generation[tier as usize] += 1;
+                    core.down_conditions += 1;
+                    // Invalidate every pending event of this tier's disks
+                    // and clear their state; they come back fresh when the
+                    // tier is restored.
+                    let first = tier * disks_per_tier;
+                    for d in first..first + disks_per_tier {
+                        core.generation[d as usize] += 1;
+                        core.failed[d as usize] = false;
+                    }
+                    self.tier_failed_count[tier as usize] = 0;
+                    core.schedule(
+                        t + self.config.data_loss_recovery_hours,
+                        EventKind::TierRecovered {
+                            tier,
+                            generation: self.tier_generation[tier as usize],
+                        },
+                    );
+                } else {
+                    let repair_time = self.config.replacement_hours + self.config.rebuild_hours;
+                    core.schedule(t + repair_time, EventKind::DiskRestored { disk, generation });
+                }
+            }
+            EventKind::DiskRestored { disk, generation } => {
+                if generation != core.generation[disk as usize] || !core.failed[disk as usize] {
+                    return;
+                }
+                let tier = disk / disks_per_tier;
+                core.failed[disk as usize] = false;
+                self.tier_failed_count[tier as usize] -= 1;
+                core.schedule(
+                    t + core.lifetime.sample(rng),
+                    EventKind::DiskFailure { disk, generation },
+                );
+            }
+            EventKind::TierRecovered { tier, generation } => {
+                if generation != self.tier_generation[tier as usize]
+                    || !self.tier_in_recovery[tier as usize]
+                {
+                    return;
+                }
+                self.tier_in_recovery[tier as usize] = false;
+                core.down_conditions -= 1;
+                // All disks in the tier start fresh.
+                let first = tier * disks_per_tier;
+                for d in first..first + disks_per_tier {
+                    core.schedule(
+                        t + core.lifetime.sample(rng),
+                        EventKind::DiskFailure { disk: d, generation: core.generation[d as usize] },
+                    );
+                }
+            }
+            EventKind::ControllerFailure { unit, slot } => {
+                let pair = &mut self.controller_failed[unit as usize];
+                if pair[slot as usize] {
+                    return;
+                }
+                pair[slot as usize] = true;
+                if pair[0] && pair[1] {
+                    core.down_conditions += 1;
+                }
+                let repair = self
+                    .config
+                    .controllers
+                    .expect("controller events only exist when configured")
+                    .repair_hours;
+                core.schedule(t + repair, EventKind::ControllerRepaired { unit, slot });
+            }
+            EventKind::ControllerRepaired { unit, slot } => {
+                let pair = &mut self.controller_failed[unit as usize];
+                if !pair[slot as usize] {
+                    return;
+                }
+                let was_double = pair[0] && pair[1];
+                pair[slot as usize] = false;
+                if was_double {
+                    core.down_conditions -= 1;
+                }
+                if let Some(dist) = &self.controller_dist {
+                    core.schedule(
+                        t + dist.sample(rng),
+                        EventKind::ControllerFailure { unit, slot },
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -767,10 +857,135 @@ mod tests {
             downtime_hours: 87.36,
             data_loss_events: 1,
             disk_replacements: 52,
-            controller_downtime_hours: 0.0,
             horizon_hours: 8736.0, // exactly 52 weeks
         };
         assert!((stats.availability() - 0.99).abs() < 1e-12);
         assert!((stats.replacements_per_week() - 1.0).abs() < 1e-9);
+    }
+
+    /// Asserts each value matches its recorded one to a relative 1e-12: a
+    /// last-bit libm difference passes, a reordered draw does not.
+    fn assert_recorded(actual: &[f64], recorded: &[f64]) {
+        assert_eq!(actual.len(), recorded.len());
+        for (a, r) in actual.iter().zip(recorded) {
+            assert!((a - r).abs() <= 1e-12 * r.abs(), "got {a}, recorded {r}");
+        }
+    }
+
+    /// Checks a summary's counts exactly and its estimates against the
+    /// recorded values.
+    fn assert_summary(summary: &StorageSummary, replications: usize, recorded: [f64; 7]) {
+        assert_eq!(summary.replications, replications);
+        let actual = [
+            summary.availability.point,
+            summary.availability.half_width,
+            summary.replacements_per_week.point,
+            summary.replacements_per_week.half_width,
+            summary.data_loss_events.point,
+            summary.data_loss_events.half_width,
+            summary.prob_any_data_loss,
+        ];
+        assert_recorded(&actual, &recorded);
+    }
+
+    /// Checks a splitting result's counts exactly and its estimates
+    /// against the recorded values.
+    fn assert_splitting(
+        result: &SplittingResult,
+        counts: (usize, u64, usize, u32),
+        recorded: [f64; 4],
+        level_probabilities: &[f64],
+    ) {
+        let estimate = &result.estimate;
+        let actual_counts =
+            (estimate.replications, estimate.hits, result.trials_per_level, result.loss_level);
+        assert_eq!(actual_counts, counts, "replications, hits, trials per level, loss level");
+        let actual = [
+            estimate.interval.point,
+            estimate.interval.half_width,
+            estimate.effective_sample_size,
+            estimate.variance_reduction_factor,
+        ];
+        assert_recorded(&actual, &recorded);
+        assert_recorded(&result.level_probabilities, level_probabilities);
+    }
+
+    /// Pins the RAID layout's sample paths, controllers and losses
+    /// included, against values recorded before the RAID and replication
+    /// kernels shared one engine: the priming draw order (disk lifetimes,
+    /// then controller failures) and every event rule feed them.
+    #[test]
+    fn raid_sample_paths_match_recorded_history() {
+        let config = StorageConfig {
+            ddn_units: 2,
+            tiers: 24,
+            disk: DiskModel { weibull_shape: 0.7, mtbf_hours: 6_000.0, capacity_gb: 250.0 },
+            replacement_hours: 24.0,
+            rebuild_hours: 24.0,
+            controllers: Some(crate::ControllerModel {
+                failure_rate_per_hour: 1.0 / 500.0,
+                repair_hours: 48.0,
+            }),
+            ..StorageConfig::abe_scratch()
+        };
+        let sim = StorageSimulator::new(config).unwrap();
+        let summary = sim.run(2000.0, &fixed(8), 2008, 0.95, 1).unwrap();
+        assert_summary(
+            &summary,
+            8,
+            [
+                0.9719227897068661,
+                0.01575308373957785,
+                11.875499999999999,
+                0.7059838523313705,
+                1.375,
+                0.7656691161115652,
+                0.875,
+            ],
+        );
+        let split = sim.splitting_loss_probability(300.0, &fixed(64), 2008, 0.95, 1).unwrap();
+        assert_splitting(
+            &split,
+            (192, 24, 64, 3),
+            [0.375, 0.11860786400417443, 64.0, 0.3333333333333333],
+            &[1.0, 1.0, 0.375],
+        );
+    }
+
+    /// Pins the replicated layout's sample paths, data-loss recoveries
+    /// included, against values recorded before the RAID and replication
+    /// kernels shared one engine.
+    #[test]
+    fn replicated_sample_paths_match_recorded_history() {
+        let config = ReplicationConfig {
+            disks: 40,
+            replicas: 2,
+            disk: DiskModel { weibull_shape: 0.8, mtbf_hours: 4_000.0, capacity_gb: 250.0 },
+            re_replication_hours: 60.0,
+            replacement_hours: 4.0,
+            data_loss_recovery_hours: 24.0,
+        };
+        let sim = StorageSimulator::new(config).unwrap();
+        let summary = sim.run(2000.0, &fixed(8), 2008, 0.95, 1).unwrap();
+        assert_summary(
+            &summary,
+            8,
+            [
+                0.8470000000000001,
+                0.03160172887065243,
+                2.7405,
+                0.38805786653963104,
+                12.75,
+                2.6334774058877044,
+                1.0,
+            ],
+        );
+        let split = sim.splitting_loss_probability(300.0, &fixed(64), 2008, 0.95, 1).unwrap();
+        assert_splitting(
+            &split,
+            (128, 55, 64, 2),
+            [0.845947265625, 0.0878101473921666, 64.92604501607717, 0.5072347266881029],
+            &[0.984375, 0.859375],
+        );
     }
 }

@@ -87,8 +87,7 @@ pub mod prelude {
     pub use probdist::stats::{StoppingRule, WeightedRunning};
     pub use probdist::{Distribution, Exponential, SimRng, Weibull};
     pub use raidsim::{
-        DiskModel, RaidGeometry, ReplicationConfig, ReplicationSimulator, StorageConfig,
-        StorageSimulator,
+        DiskModel, Layout, RaidGeometry, ReplicationConfig, StorageConfig, StorageSimulator,
     };
     pub use sanet::beowulf::BeowulfConfig;
     pub use sanet::rare::{BiasedExperiment, FailureBias};
