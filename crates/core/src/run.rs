@@ -103,13 +103,6 @@ pub struct CheckpointPolicy {
 /// whose measures are not rare ignore it).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum RareEventPolicy {
-    /// Importance sampling with failure biasing: simulate with failure
-    /// rates tilted up by `bias_factor` and weight every replication by
-    /// its likelihood ratio (see `sanet::rare`).
-    ImportanceSampling {
-        /// Multiplier applied to the targeted failure rates (> 1).
-        bias_factor: f64,
-    },
     /// Fixed-effort multilevel splitting over exposure depth (see
     /// `raidsim::splitting`): restart trials from the states that reached
     /// each intermediate exposure level.
@@ -229,11 +222,11 @@ impl RunSpec {
     }
 
     /// Sets the rare-event estimation policy rare-event-aware scenarios
-    /// honour (importance sampling with failure biasing, or multilevel
-    /// splitting). Composes with [`RunSpec::with_precision_target`]: an
-    /// adaptive spec drives the rare-event estimator's own stopping loop
-    /// (relative half-width on the weighted mean / splitting estimate,
-    /// with the minimum non-zero support the stopping rule demands).
+    /// honour (multilevel splitting). Composes with
+    /// [`RunSpec::with_precision_target`]: an adaptive spec drives the
+    /// splitting estimator's own stopping loop (relative half-width on the
+    /// splitting estimate, with the minimum non-zero support the stopping
+    /// rule demands).
     pub fn with_rare_event(mut self, policy: RareEventPolicy) -> Self {
         self.rare_event = Some(policy);
         self
@@ -472,16 +465,6 @@ impl RunSpec {
             })?;
         }
         match self.rare_event {
-            Some(RareEventPolicy::ImportanceSampling { bias_factor })
-                if !(bias_factor.is_finite() && bias_factor > 1.0) =>
-            {
-                Err(CfsError::InvalidConfig {
-                    reason: format!(
-                        "run spec: importance-sampling bias factor must be finite and above 1 \
-                         (failures tilted *up*), got {bias_factor}"
-                    ),
-                })
-            }
             Some(RareEventPolicy::MultilevelSplitting { trials_per_level })
                 if trials_per_level < 2 =>
             {
@@ -579,28 +562,17 @@ mod tests {
 
     #[test]
     fn rare_event_policy_round_trips_and_validates() {
-        let spec = RunSpec::new()
-            .with_rare_event(RareEventPolicy::ImportanceSampling { bias_factor: 50.0 });
-        assert!(spec.validate().is_ok());
-        assert_eq!(
-            spec.rare_event(),
-            Some(&RareEventPolicy::ImportanceSampling { bias_factor: 50.0 })
-        );
-        assert!(spec.clone().without_rare_event().rare_event().is_none());
-        assert!(RunSpec::new().rare_event().is_none());
-
         let splitting = RunSpec::new()
             .with_rare_event(RareEventPolicy::MultilevelSplitting { trials_per_level: 256 });
         assert!(splitting.validate().is_ok());
+        assert_eq!(
+            splitting.rare_event(),
+            Some(&RareEventPolicy::MultilevelSplitting { trials_per_level: 256 })
+        );
+        assert!(splitting.clone().without_rare_event().rare_event().is_none());
+        assert!(RunSpec::new().rare_event().is_none());
 
         // Invalid policies are named in the error.
-        for bad in [0.5, 1.0, 0.0, -3.0, f64::NAN, f64::INFINITY] {
-            let err = RunSpec::new()
-                .with_rare_event(RareEventPolicy::ImportanceSampling { bias_factor: bad })
-                .validate()
-                .unwrap_err();
-            assert!(err.to_string().contains("bias factor"), "{err}");
-        }
         let large = RareEventPolicy::MultilevelSplitting { trials_per_level: MAX_REPLICATIONS + 1 };
         assert!(RunSpec::new().with_rare_event(large).validate().is_ok());
         for bad in [0, 1] {

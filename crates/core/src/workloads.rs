@@ -362,9 +362,7 @@ const DEFAULT_TRIALS_PER_LEVEL: usize = 256;
 /// adaptive splitting loop (the target's min/max bound the *per-level*
 /// trial count); otherwise
 /// [`RareEventPolicy::MultilevelSplitting`] fixes the per-level effort,
-/// with a default of 256 trials. An
-/// [`RareEventPolicy::ImportanceSampling`] policy does not apply to these
-/// storage kernels and falls back to the default effort.
+/// with a default of 256 trials.
 #[derive(Debug, Clone)]
 pub struct UltraReliableSweep {
     /// Usable capacity every scheme must provide, terabytes.
@@ -402,7 +400,7 @@ fn splitting_rule(spec: &RunSpec) -> Result<StoppingRule, CfsError> {
     }
     let trials = match spec.rare_event() {
         Some(RareEventPolicy::MultilevelSplitting { trials_per_level }) => *trials_per_level,
-        _ => DEFAULT_TRIALS_PER_LEVEL,
+        None => DEFAULT_TRIALS_PER_LEVEL,
     };
     Ok(StoppingRule::fixed(trials)?)
 }

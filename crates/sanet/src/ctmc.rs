@@ -1,300 +1,26 @@
-//! Continuous-time Markov chain (CTMC) solver used as an analytic
+//! The continuous-time Markov chain (CTMC) solver: the analytic
 //! cross-check of the simulation engine.
 //!
 //! Möbius can solve small models numerically instead of simulating them;
-//! this module provides the same capability for the building blocks of the
-//! cluster model whose state spaces are small (a fail-over pair, a
-//! k-out-of-n redundancy group): build the generator matrix, solve for the
-//! steady-state distribution, and evaluate availability-style rewards
-//! exactly. The tests in this crate and the integration tests of the
-//! workspace compare these exact values against the discrete-event
-//! estimates.
+//! this module provides the same capability through one solver,
+//! [`SparseCtmc`]. The generators [`reach`](crate::reach) assembles for
+//! admissible models, the k-out-of-n redundancy group
+//! ([`k_out_of_n_chain`]) and the fail-over pair's hitting-probability
+//! oracle ([`failover_pair_hitting_oracle`](crate::rare::failover_pair_hitting_oracle))
+//! all solve through it. The tests in this crate compare its exact values
+//! against closed forms, a Gaussian-elimination test oracle and the
+//! discrete-event estimates.
+//!
+//! The module also owns the one graph condensation (iterative Tarjan) of
+//! the crate: the steady-state solver takes its terminal class from it,
+//! and [`reach`](crate::reach) its ergodicity summary and vanishing-cycle
+//! verdict.
 
 use crate::SanError;
 
-/// A continuous-time Markov chain over states `0..n`, defined by its
-/// transition rates.
-///
-/// # Example
-///
-/// ```
-/// use sanet::ctmc::Ctmc;
-///
-/// // A repairable unit: state 0 = up, state 1 = down.
-/// let mut chain = Ctmc::new(2).unwrap();
-/// chain.add_transition(0, 1, 1.0 / 1000.0).unwrap(); // failure
-/// chain.add_transition(1, 0, 1.0 / 10.0).unwrap();   // repair
-/// let pi = chain.steady_state().unwrap();
-/// let availability = pi[0];
-/// assert!((availability - 1000.0 / 1010.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Ctmc {
-    states: usize,
-    /// Dense generator matrix `Q` in row-major order; `rate[i][j]` is the
-    /// transition rate from state `i` to state `j` (diagonal filled in at
-    /// solve time).
-    rates: Vec<Vec<f64>>,
-}
-
-impl Ctmc {
-    /// Creates a chain with `states` states and no transitions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SanError::InvalidExperiment`] if `states` is zero.
-    pub fn new(states: usize) -> Result<Self, SanError> {
-        if states == 0 {
-            return Err(SanError::InvalidExperiment {
-                reason: "a CTMC needs at least one state".into(),
-            });
-        }
-        Ok(Ctmc { states, rates: vec![vec![0.0; states]; states] })
-    }
-
-    /// Number of states.
-    pub fn states(&self) -> usize {
-        self.states
-    }
-
-    /// Adds (accumulates) a transition rate from `from` to `to`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SanError::UnknownId`] if either state is out of range and
-    /// [`SanError::InvalidExperiment`] if the rate is not finite and
-    /// positive or the transition is a self-loop.
-    pub fn add_transition(&mut self, from: usize, to: usize, rate: f64) -> Result<(), SanError> {
-        if from >= self.states || to >= self.states {
-            return Err(SanError::UnknownId { what: format!("CTMC state {from}->{to}") });
-        }
-        if from == to {
-            return Err(SanError::InvalidExperiment {
-                reason: "self-loops are not allowed in a CTMC".into(),
-            });
-        }
-        if !(rate.is_finite() && rate > 0.0) {
-            return Err(SanError::InvalidExperiment {
-                reason: format!("transition rate must be positive, got {rate}"),
-            });
-        }
-        self.rates[from][to] += rate;
-        Ok(())
-    }
-
-    /// Iterates over the non-zero `(from, to, rate)` entries of `Q` in
-    /// row-major order.
-    pub fn transitions(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        self.rates.iter().enumerate().flat_map(|(from, row)| {
-            row.iter()
-                .enumerate()
-                .filter(|&(_, &rate)| rate > 0.0)
-                .map(move |(to, &rate)| (from, to, rate))
-        })
-    }
-
-    /// Solves the steady-state (stationary) distribution `π` with
-    /// `π Q = 0`, `Σ π = 1`, by Gaussian elimination with partial pivoting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SanError::InvalidExperiment`] if the chain has no
-    /// transitions at all or the linear system is singular beyond the usual
-    /// rank-1 deficiency (e.g. the chain is not irreducible enough to have a
-    /// unique stationary distribution).
-    // Index-style loops mirror the Qᵀπ = 0 linear-algebra notation.
-    #[allow(clippy::needless_range_loop)]
-    pub fn steady_state(&self) -> Result<Vec<f64>, SanError> {
-        let _span = probdist::telemetry::span(probdist::telemetry::MetricId::SpanSolve);
-        let n = self.states;
-        if n == 1 {
-            return Ok(vec![1.0]);
-        }
-        if self.rates.iter().all(|row| row.iter().all(|&r| r == 0.0)) {
-            return Err(SanError::InvalidExperiment { reason: "CTMC has no transitions".into() });
-        }
-
-        // Build the transposed generator Qᵀ π = 0 and replace the last
-        // equation with the normalisation Σ π = 1.
-        let mut a = vec![vec![0.0_f64; n + 1]; n];
-        for i in 0..n {
-            let diagonal: f64 = self.rates[i].iter().sum();
-            for j in 0..n {
-                // Qᵀ[j][i] = Q[i][j]
-                if i == j {
-                    a[j][i] -= diagonal;
-                } else {
-                    a[j][i] += self.rates[i][j];
-                }
-            }
-        }
-        for j in 0..n {
-            a[n - 1][j] = 1.0;
-        }
-        a[n - 1][n] = 1.0;
-
-        // Gaussian elimination with partial pivoting.
-        for col in 0..n {
-            let pivot_row = (col..n)
-                .max_by(|&r1, &r2| a[r1][col].abs().partial_cmp(&a[r2][col].abs()).expect("finite"))
-                .expect("non-empty range");
-            if a[pivot_row][col].abs() < 1e-14 {
-                return Err(SanError::InvalidExperiment {
-                    reason: "CTMC generator is singular; the chain has no unique stationary distribution".into(),
-                });
-            }
-            a.swap(col, pivot_row);
-            let pivot = a[col][col];
-            for j in col..=n {
-                a[col][j] /= pivot;
-            }
-            for row in 0..n {
-                if row != col && a[row][col].abs() > 0.0 {
-                    let factor = a[row][col];
-                    for j in col..=n {
-                        a[row][j] -= factor * a[col][j];
-                    }
-                }
-            }
-        }
-
-        let mut pi: Vec<f64> = (0..n).map(|i| a[i][n].max(0.0)).collect();
-        let total: f64 = pi.iter().sum();
-        if !(total.is_finite() && total > 0.0) {
-            return Err(SanError::InvalidExperiment {
-                reason: "steady-state solve produced a degenerate distribution".into(),
-            });
-        }
-        for p in &mut pi {
-            *p /= total;
-        }
-        Ok(pi)
-    }
-
-    /// Expected steady-state value of a reward function over states.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`Ctmc::steady_state`].
-    pub fn steady_state_reward(&self, reward: impl Fn(usize) -> f64) -> Result<f64, SanError> {
-        Ok(self.steady_state()?.iter().enumerate().map(|(s, &p)| p * reward(s)).sum())
-    }
-
-    /// Solves the transient state distribution `π(t)` from a deterministic
-    /// start state by uniformization (Jensen's method): with `Λ ≥ max_i
-    /// |q_ii|` and the DTMC `P = I + Q/Λ`,
-    /// `π(t) = Σ_k Poisson(Λt; k) · π(0) Pᵏ`, truncated once the Poisson
-    /// tail mass drops below 10⁻¹². Large `Λt` horizons are split into
-    /// steps so the Poisson weights never underflow.
-    ///
-    /// Absorbing states (rows of zero rates) are handled naturally, so the
-    /// chain doubles as an analytic oracle for finite-horizon *hitting*
-    /// probabilities — exactly the shape of a rare-event measure: make the
-    /// failure state absorbing and read `π(t)` at its index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SanError::UnknownId`] if `initial` is out of range and
-    /// [`SanError::InvalidExperiment`] for a negative or non-finite `t`.
-    pub fn transient(&self, initial: usize, t: f64) -> Result<Vec<f64>, SanError> {
-        let _span = probdist::telemetry::span(probdist::telemetry::MetricId::SpanSolve);
-        if initial >= self.states {
-            return Err(SanError::UnknownId { what: format!("CTMC state {initial}") });
-        }
-        if !(t.is_finite() && t >= 0.0) {
-            return Err(SanError::InvalidExperiment {
-                reason: format!("transient horizon must be non-negative and finite, got {t}"),
-            });
-        }
-        let mut pi = vec![0.0; self.states];
-        pi[initial] = 1.0;
-        if t == 0.0 {
-            return Ok(pi);
-        }
-
-        // Uniformization rate: the largest exit rate, floored so a chain
-        // with all-absorbing reachable states still steps.
-        let rate =
-            self.rates.iter().map(|row| row.iter().sum::<f64>()).fold(0.0_f64, f64::max).max(1e-12);
-
-        // Split the horizon so each step's Poisson parameter stays small
-        // enough that e^{-Λτ} does not underflow (Λτ ≤ 64 keeps the series
-        // short and the weights comfortably inside f64 range).
-        let steps = (rate * t / 64.0).ceil().max(1.0);
-        let tau = t / steps;
-        for _ in 0..steps as u64 {
-            pi = self.uniformized_step(&pi, rate, tau);
-        }
-        Ok(pi)
-    }
-
-    /// Expected value of a reward function over the transient distribution
-    /// at time `t`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`Ctmc::transient`].
-    pub fn transient_reward(
-        &self,
-        initial: usize,
-        t: f64,
-        reward: impl Fn(usize) -> f64,
-    ) -> Result<f64, SanError> {
-        Ok(self.transient(initial, t)?.iter().enumerate().map(|(s, &p)| p * reward(s)).sum())
-    }
-
-    /// One uniformized step of length `tau`: `π ← Σ_k w_k · π Pᵏ` with
-    /// Poisson weights `w_k = e^{-Λτ}(Λτ)ᵏ/k!`, truncated at relative tail
-    /// mass 10⁻¹².
-    fn uniformized_step(&self, pi: &[f64], rate: f64, tau: f64) -> Vec<f64> {
-        let n = self.states;
-        let lambda_t = rate * tau;
-        let mut weight = (-lambda_t).exp();
-        let mut accumulated = weight;
-        let mut term: Vec<f64> = pi.to_vec();
-        let mut out: Vec<f64> = term.iter().map(|&p| p * weight).collect();
-        let mut k = 0u64;
-        // Hard cap well past the Poisson tail for Λτ ≤ 64 (mean + ~40σ).
-        let max_terms = (lambda_t + 40.0 * lambda_t.sqrt() + 64.0) as u64;
-        while accumulated < 1.0 - 1e-12 && k < max_terms {
-            // term ← term · P with P = I + Q/Λ, i.e.
-            // next[j] = term[j]·(1 − Σ_m q_jm/Λ) + Σ_i term[i]·q_ij/Λ.
-            let mut next = vec![0.0; n];
-            for (i, row) in self.rates.iter().enumerate() {
-                let exit: f64 = row.iter().sum();
-                next[i] += term[i] * (1.0 - exit / rate);
-                if term[i] != 0.0 {
-                    for (j, &q) in row.iter().enumerate() {
-                        if q > 0.0 {
-                            next[j] += term[i] * q / rate;
-                        }
-                    }
-                }
-            }
-            term = next;
-            k += 1;
-            weight *= lambda_t / k as f64;
-            accumulated += weight;
-            for (o, &p) in out.iter_mut().zip(&term) {
-                *o += weight * p;
-            }
-        }
-        // Renormalise away the truncated tail so the distribution stays a
-        // distribution.
-        let total: f64 = out.iter().sum();
-        if total > 0.0 {
-            for o in &mut out {
-                *o /= total;
-            }
-        }
-        out
-    }
-}
-
-/// A sparse continuous-time Markov chain: the same `steady_state` /
-/// `transient` API as the dense [`Ctmc`], with the generator held as
-/// `(from, to, rate)` triplets compiled to compressed-sparse-row form at
-/// solve time.
+/// A continuous-time Markov chain over states `0..n`, with the generator
+/// held as `(from, to, rate)` triplets compiled to compressed-sparse-row
+/// form at solve time.
 ///
 /// Built for the statically assembled generators of
 /// [`reach`](crate::reach): state spaces with thousands of markings where
@@ -303,16 +29,17 @@ impl Ctmc {
 /// uniformized chain `P = I + Q/Λ` (with `Λ` strictly above the largest
 /// exit rate, so every state keeps a positive self-probability and the
 /// iteration cannot cycle); the transient solution is Jensen
-/// uniformization on the sparse rows, mirroring [`Ctmc::transient`].
+/// uniformization on the sparse rows.
 ///
 /// # Example
 ///
 /// ```
 /// use sanet::ctmc::SparseCtmc;
 ///
+/// // A repairable unit: state 0 = up, state 1 = down.
 /// let mut chain = SparseCtmc::new(2).unwrap();
-/// chain.add_transition(0, 1, 1.0 / 1000.0).unwrap();
-/// chain.add_transition(1, 0, 1.0 / 10.0).unwrap();
+/// chain.add_transition(0, 1, 1.0 / 1000.0).unwrap(); // failure
+/// chain.add_transition(1, 0, 1.0 / 10.0).unwrap(); // repair
 /// let pi = chain.steady_state().unwrap();
 /// assert!((pi[0] - 1000.0 / 1010.0).abs() < 1e-12);
 /// ```
@@ -366,10 +93,10 @@ impl SparseCtmc {
         self.triplets.len()
     }
 
-    /// Adds (accumulates) a transition rate from `from` to `to`, with the
-    /// same validation as the dense [`Ctmc::add_transition`]: both states
-    /// in range, no self-loops, rate finite and positive — rejecting the
-    /// inputs that would silently corrupt the diagonal at solve time.
+    /// Adds (accumulates) a transition rate from `from` to `to`. Both
+    /// states must be in range, self-loops are rejected and the rate must
+    /// be finite and positive: the inputs that would silently corrupt the
+    /// diagonal at solve time.
     ///
     /// # Errors
     ///
@@ -458,26 +185,16 @@ impl SparseCtmc {
             return Err(SanError::InvalidExperiment { reason: "CTMC has no transitions".into() });
         }
         let csr = self.csr();
-        let (component, count) = sparse_sccs(n, &csr);
-        let mut terminal = vec![true; count];
-        for state in 0..n {
-            for (to, _) in csr.row(state) {
-                if component[to] != component[state] {
-                    terminal[component[state]] = false;
-                }
-            }
-        }
-        let classes: Vec<usize> =
-            (0..count).filter(|&component_id| terminal[component_id]).collect();
-        if classes.len() != 1 {
+        let (component, terminal) = condense(n, |state| csr.row(state).map(|(to, _)| to));
+        let classes = terminal.iter().filter(|&&t| t).count();
+        if classes != 1 {
             return Err(SanError::InvalidExperiment {
                 reason: format!(
-                    "chain has {} terminal classes; the stationary distribution is not unique",
-                    classes.len()
+                    "chain has {classes} terminal classes; the stationary distribution is not unique"
                 ),
             });
         }
-        let members: Vec<usize> = (0..n).filter(|&state| component[state] == classes[0]).collect();
+        let members: Vec<usize> = (0..n).filter(|&state| terminal[component[state]]).collect();
         let mut pi = vec![0.0; n];
         if members.len() == 1 {
             // A single absorbing state carries all the mass exactly.
@@ -544,9 +261,16 @@ impl SparseCtmc {
     }
 
     /// Solves the transient distribution `π(t)` from a deterministic start
-    /// state by uniformization on the sparse rows — the same Jensen scheme
-    /// (horizon split at `Λτ ≤ 64`, Poisson tail `10⁻¹²`, renormalised) as
-    /// the dense [`Ctmc::transient`].
+    /// state by uniformization (Jensen's method) on the sparse rows: with
+    /// `Λ ≥ max_i |q_ii|` and the DTMC `P = I + Q/Λ`,
+    /// `π(t) = Σ_k Poisson(Λt; k) · π(0) Pᵏ`, truncated once the Poisson
+    /// tail mass drops below 10⁻¹². Large `Λt` horizons are split into
+    /// steps of `Λτ ≤ 64` so the Poisson weights never underflow.
+    ///
+    /// Absorbing states (rows of zero rates) are handled naturally, so the
+    /// chain doubles as an analytic oracle for finite-horizon *hitting*
+    /// probabilities — exactly the shape of a rare-event measure: make the
+    /// failure state absorbing and read `π(t)` at its index.
     ///
     /// # Errors
     ///
@@ -568,6 +292,8 @@ impl SparseCtmc {
             return Ok(pi);
         }
         let csr = self.csr();
+        // The largest exit rate, floored so a chain without transitions
+        // still steps.
         let rate = csr.exit.iter().copied().fold(0.0_f64, f64::max).max(1e-12);
         let steps = (rate * t / 64.0).ceil().max(1.0);
         let tau = t / steps;
@@ -593,71 +319,77 @@ impl SparseCtmc {
     }
 }
 
-/// Strongly connected components of the CSR transition graph by iterative
-/// Tarjan: returns one component id per state (ids in reverse topological
-/// order of discovery) and the component count.
-fn sparse_sccs(n: usize, csr: &Csr) -> (Vec<usize>, usize) {
+/// Condenses the digraph over `0..states` whose out-edges `successors`
+/// lists: returns the strongly connected component of every state and,
+/// per component, whether it is *terminal* (no edge leaves it).
+///
+/// Iterative Tarjan with one explicit DFS frame per open state, so deep
+/// chains cannot overflow the stack. Callers use component membership
+/// only, never the order of the ids. Self-loops and duplicate edges are
+/// allowed.
+pub(crate) fn condense<I>(states: usize, successors: impl Fn(usize) -> I) -> (Vec<usize>, Vec<bool>)
+where
+    I: Iterator<Item = usize>,
+{
     const UNVISITED: usize = usize::MAX;
-    let mut index = vec![UNVISITED; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut component = vec![UNVISITED; n];
-    let mut next_index = 0usize;
-    let mut count = 0usize;
-    // (state, next CSR edge offset) — an explicit DFS frame per state.
-    let mut frames: Vec<(usize, usize)> = Vec::new();
-
-    for root in 0..n {
+    let mut index = vec![UNVISITED; states];
+    let mut low = vec![0; states];
+    let mut on_stack = vec![false; states];
+    let mut stack = Vec::new();
+    let mut component = vec![UNVISITED; states];
+    let mut terminal = Vec::new();
+    let mut next_index = 0;
+    let mut frames: Vec<(usize, I)> = Vec::new();
+    for root in 0..states {
         if index[root] != UNVISITED {
             continue;
         }
-        index[root] = next_index;
-        low[root] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root] = true;
-        frames.push((root, csr.row_ptr[root]));
-        while let Some(frame) = frames.last_mut() {
-            let state = frame.0;
-            if frame.1 < csr.row_ptr[state + 1] {
-                let successor = csr.columns[frame.1];
-                frame.1 += 1;
-                if index[successor] == UNVISITED {
-                    index[successor] = next_index;
-                    low[successor] = next_index;
-                    next_index += 1;
-                    stack.push(successor);
-                    on_stack[successor] = true;
-                    frames.push((successor, csr.row_ptr[successor]));
-                } else if on_stack[successor] {
-                    low[state] = low[state].min(index[successor]);
-                }
-            } else {
-                frames.pop();
-                if let Some(parent) = frames.last_mut() {
-                    low[parent.0] = low[parent.0].min(low[state]);
-                }
-                if low[state] == index[state] {
-                    loop {
-                        let member = stack.pop().expect("Tarjan stack underflow");
-                        on_stack[member] = false;
-                        component[member] = count;
-                        if member == state {
-                            break;
-                        }
+        let mut open = Some(root);
+        loop {
+            if let Some(state) = open.take() {
+                index[state] = next_index;
+                low[state] = next_index;
+                next_index += 1;
+                stack.push(state);
+                on_stack[state] = true;
+                frames.push((state, successors(state)));
+            }
+            let Some((state, edges)) = frames.last_mut() else { break };
+            let state = *state;
+            match edges.next() {
+                Some(next) if index[next] == UNVISITED => open = Some(next),
+                Some(next) if on_stack[next] => low[state] = low[state].min(index[next]),
+                Some(_) => {}
+                None => {
+                    frames.pop();
+                    if let Some(&(parent, _)) = frames.last() {
+                        low[parent] = low[parent].min(low[state]);
                     }
-                    count += 1;
+                    if low[state] == index[state] {
+                        loop {
+                            let member = stack.pop().expect("Tarjan stack underflow");
+                            on_stack[member] = false;
+                            component[member] = terminal.len();
+                            if member == state {
+                                break;
+                            }
+                        }
+                        terminal.push(true);
+                    }
                 }
             }
         }
     }
-    (component, count)
+    for state in 0..states {
+        if successors(state).any(|next| component[next] != component[state]) {
+            terminal[component[state]] = false;
+        }
+    }
+    (component, terminal)
 }
 
 /// One uniformized step of length `tau` over the CSR rows: `π ← Σ_k w_k ·
-/// π Pᵏ` with Poisson weights truncated at relative tail mass `10⁻¹²` —
-/// the sparse twin of the dense `Ctmc::uniformized_step`.
+/// π Pᵏ` with Poisson weights truncated at relative tail mass `10⁻¹²`.
 fn uniformized_sparse_step(csr: &Csr, pi: &[f64], rate: f64, tau: f64) -> Vec<f64> {
     let n = pi.len();
     let lambda_t = rate * tau;
@@ -666,6 +398,7 @@ fn uniformized_sparse_step(csr: &Csr, pi: &[f64], rate: f64, tau: f64) -> Vec<f6
     let mut term: Vec<f64> = pi.to_vec();
     let mut out: Vec<f64> = term.iter().map(|&p| p * weight).collect();
     let mut k = 0u64;
+    // Hard cap well past the Poisson tail for Λτ ≤ 64 (mean + ~40σ).
     let max_terms = (lambda_t + 40.0 * lambda_t.sqrt() + 64.0) as u64;
     while accumulated < 1.0 - 1e-12 && k < max_terms {
         let mut next = vec![0.0; n];
@@ -688,6 +421,8 @@ fn uniformized_sparse_step(csr: &Csr, pi: &[f64], rate: f64, tau: f64) -> Vec<f6
             *o += weight * p;
         }
     }
+    // Renormalise away the truncated tail so the result stays a
+    // distribution.
     let total: f64 = out.iter().sum();
     if total > 0.0 {
         for o in &mut out {
@@ -713,7 +448,7 @@ pub fn k_out_of_n_chain(
     k: usize,
     failure_rate: f64,
     repair_rate: f64,
-) -> Result<(Ctmc, usize), SanError> {
+) -> Result<(SparseCtmc, usize), SanError> {
     if n == 0 || k == 0 || k > n {
         return Err(SanError::InvalidExperiment {
             reason: format!("k-out-of-n requires 1 <= k <= n, got k={k}, n={n}"),
@@ -722,7 +457,7 @@ pub fn k_out_of_n_chain(
     if failure_rate <= 0.0 || repair_rate <= 0.0 {
         return Err(SanError::InvalidExperiment { reason: "rates must be positive".into() });
     }
-    let mut chain = Ctmc::new(n + 1)?;
+    let mut chain = SparseCtmc::new(n + 1)?;
     for failed in 0..n {
         let working = n - failed;
         chain.add_transition(failed, failed + 1, working as f64 * failure_rate)?;
@@ -754,22 +489,6 @@ mod tests {
     use probdist::Exponential;
 
     #[test]
-    fn construction_and_validation() {
-        assert!(Ctmc::new(0).is_err());
-        let mut c = Ctmc::new(3).unwrap();
-        assert_eq!(c.states(), 3);
-        assert!(c.add_transition(0, 0, 1.0).is_err());
-        assert!(c.add_transition(0, 5, 1.0).is_err());
-        assert!(c.add_transition(0, 1, 0.0).is_err());
-        assert!(c.add_transition(0, 1, f64::NAN).is_err());
-        assert!(c.add_transition(0, 1, f64::INFINITY).is_err());
-        assert!(c.add_transition(0, 1, -0.5).is_err());
-        assert!(c.add_transition(0, 1, 2.0).is_ok());
-        // No transitions at all -> error.
-        assert!(Ctmc::new(2).unwrap().steady_state().is_err());
-    }
-
-    #[test]
     fn sparse_construction_mirrors_dense_validation() {
         assert!(SparseCtmc::new(0).is_err());
         let mut c = SparseCtmc::new(3).unwrap();
@@ -787,44 +506,58 @@ mod tests {
         assert_eq!(SparseCtmc::new(1).unwrap().steady_state().unwrap(), vec![1.0]);
     }
 
+    /// The k-out-of-n chain is a birth–death chain, so its stationary
+    /// distribution has the product form `π_i ∝ n!/(n−i)! · (λ/μ)^i`.
     #[test]
-    fn sparse_steady_state_matches_dense() {
-        let (dense, _) = k_out_of_n_chain(4, 2, 1.0 / 300.0, 1.0 / 12.0).unwrap();
-        let mut sparse = SparseCtmc::new(dense.states()).unwrap();
-        for (from, to, rate) in dense.transitions() {
-            sparse.add_transition(from, to, rate).unwrap();
+    fn sparse_steady_state_matches_the_product_form() {
+        let (n, lambda, mu) = (4, 1.0 / 300.0, 1.0 / 12.0);
+        let (chain, first_down) = k_out_of_n_chain(n, 2, lambda, mu).unwrap();
+        let mut weights = vec![1.0_f64];
+        for failed in 1..=n {
+            let birth = (n - failed + 1) as f64 * lambda / mu;
+            weights.push(weights[failed - 1] * birth);
         }
-        let pi_dense = dense.steady_state().unwrap();
-        let pi_sparse = sparse.steady_state().unwrap();
-        for (a, b) in pi_sparse.iter().zip(&pi_dense) {
-            assert!((a - b).abs() < 1e-10, "sparse {a} vs dense {b}");
+        let total: f64 = weights.iter().sum();
+        let pi = chain.steady_state().unwrap();
+        for (state, (&p, &w)) in pi.iter().zip(&weights).enumerate() {
+            assert!((p - w / total).abs() < 1e-10, "state {state}: {p} vs {}", w / total);
         }
-        let up = sparse.steady_state_reward(|s| if s < 3 { 1.0 } else { 0.0 }).unwrap();
-        let up_dense = dense.steady_state_reward(|s| if s < 3 { 1.0 } else { 0.0 }).unwrap();
-        assert!((up - up_dense).abs() < 1e-10);
+        let up = chain.steady_state_reward(|s| if s < first_down { 1.0 } else { 0.0 }).unwrap();
+        let expected: f64 = weights[..first_down].iter().sum::<f64>() / total;
+        assert!((up - expected).abs() < 1e-10, "availability {up} vs {expected}");
+        assert!(
+            (k_out_of_n_availability(n, 2, lambda, mu).unwrap() - expected).abs() < 1e-10,
+            "k_out_of_n_availability agrees"
+        );
     }
 
+    /// Three independent units, each failing at `λ` and repaired by its own
+    /// crew at `μ`: the number failed at `t` from all-up is
+    /// Binomial(3, p(t)) with `p(t) = λ/(λ+μ) · (1 − e^{−(λ+μ)t})`.
     #[test]
-    fn sparse_transient_matches_dense() {
-        let (dense, _) = k_out_of_n_chain(3, 2, 1.0 / 500.0, 1.0 / 24.0).unwrap();
-        let mut sparse = SparseCtmc::new(dense.states()).unwrap();
-        for (from, to, rate) in dense.transitions() {
-            sparse.add_transition(from, to, rate).unwrap();
+    fn sparse_transient_matches_the_binomial_closed_form() {
+        let (lambda, mu) = (1.0 / 500.0, 1.0 / 24.0);
+        let mut chain = SparseCtmc::new(4).unwrap();
+        for failed in 0..3 {
+            chain.add_transition(failed, failed + 1, (3 - failed) as f64 * lambda).unwrap();
+            chain.add_transition(failed + 1, failed, (failed + 1) as f64 * mu).unwrap();
         }
-        assert!(sparse.transient(9, 1.0).is_err());
-        assert!(sparse.transient(0, -1.0).is_err());
-        assert!(sparse.transient(0, f64::NAN).is_err());
+        assert!(chain.transient(9, 1.0).is_err());
+        assert!(chain.transient(0, -1.0).is_err());
+        assert!(chain.transient(0, f64::NAN).is_err());
+        let binomial = [1.0, 3.0, 3.0, 1.0];
         for t in [0.0, 1.0, 40.0, 2_000.0, 200_000.0] {
-            let pi_d = dense.transient(0, t).unwrap();
-            let pi_s = sparse.transient(0, t).unwrap();
-            for (a, b) in pi_s.iter().zip(&pi_d) {
-                assert!((a - b).abs() < 1e-10, "t={t}: sparse {a} vs dense {b}");
+            let p = lambda / (lambda + mu) * (1.0 - (-(lambda + mu) * t).exp());
+            let pi = chain.transient(0, t).unwrap();
+            for (i, &mass) in pi.iter().enumerate() {
+                let expected = binomial[i] * p.powi(i as i32) * (1.0 - p).powi(3 - i as i32);
+                assert!((mass - expected).abs() < 1e-10, "t={t}, {i} failed: {mass} vs {expected}");
             }
-            assert!((pi_s.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+            assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         }
-        let r_s = sparse.transient_reward(0, 40.0, |s| s as f64).unwrap();
-        let r_d = dense.transient_reward(0, 40.0, |s| s as f64).unwrap();
-        assert!((r_s - r_d).abs() < 1e-10);
+        let p = lambda / (lambda + mu) * (1.0 - (-(lambda + mu) * 40.0_f64).exp());
+        let mean_failed = chain.transient_reward(0, 40.0, |s| s as f64).unwrap();
+        assert!((mean_failed - 3.0 * p).abs() < 1e-10, "mean {mean_failed} vs {}", 3.0 * p);
     }
 
     #[test]
@@ -864,13 +597,13 @@ mod tests {
 
     #[test]
     fn single_state_chain_is_trivial() {
-        let c = Ctmc::new(1).unwrap();
+        let c = SparseCtmc::new(1).unwrap();
         assert_eq!(c.steady_state().unwrap(), vec![1.0]);
     }
 
     #[test]
     fn two_state_availability_matches_closed_form() {
-        let mut c = Ctmc::new(2).unwrap();
+        let mut c = SparseCtmc::new(2).unwrap();
         c.add_transition(0, 1, 1.0 / 500.0).unwrap();
         c.add_transition(1, 0, 1.0 / 20.0).unwrap();
         let pi = c.steady_state().unwrap();
@@ -884,7 +617,7 @@ mod tests {
     fn birth_death_chain_matches_erlang_formula() {
         // M/M/1-style chain with 3 states and distinct rates; compare with
         // the balance-equation solution computed by hand.
-        let mut c = Ctmc::new(3).unwrap();
+        let mut c = SparseCtmc::new(3).unwrap();
         c.add_transition(0, 1, 2.0).unwrap();
         c.add_transition(1, 2, 1.0).unwrap();
         c.add_transition(1, 0, 3.0).unwrap();
@@ -929,7 +662,7 @@ mod tests {
     fn transient_matches_two_state_closed_form() {
         let lambda = 1.0 / 500.0;
         let mu = 1.0 / 20.0;
-        let mut c = Ctmc::new(2).unwrap();
+        let mut c = SparseCtmc::new(2).unwrap();
         c.add_transition(0, 1, lambda).unwrap();
         c.add_transition(1, 0, mu).unwrap();
         for t in [0.0, 1.0, 10.0, 100.0, 1_000.0, 50_000.0] {
@@ -967,7 +700,7 @@ mod tests {
         // oracle the importance-sampling cross-validation uses.
         let lambda = 1e-3;
         let mu = 1.0;
-        let mut c = Ctmc::new(3).unwrap();
+        let mut c = SparseCtmc::new(3).unwrap();
         c.add_transition(0, 1, 2.0 * lambda).unwrap();
         c.add_transition(1, 0, mu).unwrap();
         c.add_transition(1, 2, lambda).unwrap(); // no way back: absorbing
@@ -987,20 +720,20 @@ mod tests {
 
     #[test]
     fn transient_validates_inputs() {
-        let mut c = Ctmc::new(2).unwrap();
+        let mut c = SparseCtmc::new(2).unwrap();
         c.add_transition(0, 1, 1.0).unwrap();
         assert!(c.transient(5, 1.0).is_err());
         assert!(c.transient(0, -1.0).is_err());
         assert!(c.transient(0, f64::NAN).is_err());
         assert!(c.transient(0, f64::INFINITY).is_err());
         // A transition-free chain stays where it started.
-        let idle = Ctmc::new(2).unwrap();
+        let idle = SparseCtmc::new(2).unwrap();
         assert_eq!(idle.transient(1, 100.0).unwrap(), vec![0.0, 1.0]);
     }
 
     #[test]
     fn transient_reward_weights_states() {
-        let mut c = Ctmc::new(2).unwrap();
+        let mut c = SparseCtmc::new(2).unwrap();
         c.add_transition(0, 1, 0.01).unwrap();
         c.add_transition(1, 0, 0.5).unwrap();
         let availability =

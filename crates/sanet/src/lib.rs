@@ -46,6 +46,12 @@
 //!   [`SolverAdmissibility`] verdict and — for admissible models — exact
 //!   sparse generator assembly into a [`ctmc::SparseCtmc`] solvable
 //!   without simulation.
+//! * [`ctmc`] — the one CTMC solver, [`ctmc::SparseCtmc`]: steady state by
+//!   power iteration inside the single terminal class, transient
+//!   distributions by uniformization. It solves the assembled generators,
+//!   the k-out-of-n redundancy group and the fail-over pair's
+//!   hitting-probability oracle, and shares its graph condensation with
+//!   [`reach`].
 //!
 //! # The event-calendar engine
 //!

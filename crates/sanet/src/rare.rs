@@ -348,10 +348,10 @@ impl BiasedModel {
 ///
 /// The matching analytic oracle is [`failover_pair_hitting_oracle`]: the
 /// 3-state absorbing CTMC (`both up → one down → hit`) solved by
-/// [`Ctmc::transient`](crate::ctmc::Ctmc::transient) uniformization. The
-/// tests, benches, and examples that pin the subsystem all build the pair
-/// through this one constructor so the SAN and its oracle cannot drift
-/// apart.
+/// [`SparseCtmc::transient`](crate::ctmc::SparseCtmc::transient)
+/// uniformization. The tests, benches, and examples that pin the
+/// subsystem all build the pair through this one constructor so the SAN
+/// and its oracle cannot drift apart.
 #[derive(Debug, Clone)]
 pub struct FailoverPair {
     /// The SAN model (activities `fail`, `repair`, instantaneous `latch`).
@@ -410,13 +410,18 @@ pub fn failover_pair(lambda: f64, mu: f64) -> Result<FailoverPair, SanError> {
 
 /// The exact hitting probability of the [`failover_pair`] model: the
 /// absorbing 3-state CTMC (`0` both up, `1` one down, `2` hit) solved by
+/// [`SparseCtmc::transient`](crate::ctmc::SparseCtmc::transient)
 /// uniformization — `π₂(horizon)` starting from both up.
+///
+/// Lumping the SAN's latched markings into one absorbing state is exact
+/// because latching is irreversible; `reach_oracle.rs` checks the
+/// assembled five-state generator against this chain to 1e-10.
 ///
 /// # Errors
 ///
 /// Propagates CTMC construction and transient-solve errors.
 pub fn failover_pair_hitting_oracle(lambda: f64, mu: f64, horizon: f64) -> Result<f64, SanError> {
-    let mut chain = crate::ctmc::Ctmc::new(3)?;
+    let mut chain = crate::ctmc::SparseCtmc::new(3)?;
     chain.add_transition(0, 1, 2.0 * lambda)?;
     chain.add_transition(1, 0, mu)?;
     chain.add_transition(1, 2, lambda)?;

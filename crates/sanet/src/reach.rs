@@ -51,7 +51,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use probdist::Dist;
 
-use crate::ctmc::SparseCtmc;
+use crate::ctmc::{condense, SparseCtmc};
 use crate::engine::TraceEvent;
 use crate::error::SanError;
 use crate::lint::{codes, Diagnostic, LintReport, Severity};
@@ -131,6 +131,9 @@ struct SccSummary {
     terminal_classes: usize,
     /// Number of markings outside every terminal class.
     transient_states: usize,
+    /// Whether the instantaneous activities form a cycle of vanishing
+    /// markings.
+    instant_loop: bool,
 }
 
 /// The eliminated (tangible-only) generator, retained when the model is
@@ -194,7 +197,6 @@ pub struct ReachReport {
     place_bounds: Vec<u64>,
     dead_ends: Vec<u32>,
     offenders: Vec<TimingOffender>,
-    instant_loop: bool,
     scc: Option<SccSummary>,
     admissibility: SolverAdmissibility,
     generator: Option<GeneratorData>,
@@ -314,7 +316,7 @@ impl ReachReport {
     /// markings (an unstable zero-delay loop the engine would reject at
     /// run time). Only detectable when the exploration is complete.
     pub fn has_unstable_instant_loop(&self) -> bool {
-        self.instant_loop
+        self.scc.as_ref().is_some_and(|s| s.instant_loop)
     }
 
     /// Builds the sparse CTMC generator over the tangible markings.
@@ -566,129 +568,32 @@ fn classify_rate(
     }
 }
 
-/// Iterative Tarjan SCC over the explored graph; returns the component id
-/// of each state plus the component count (ids in reverse topological
-/// order of discovery — only membership and counts are used).
-fn strongly_connected_components(edges: &[Vec<Edge>]) -> (Vec<u32>, usize) {
-    let n = edges.len();
-    let mut component = vec![u32::MAX; n];
-    let mut index = vec![u32::MAX; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut next_index = 0u32;
-    let mut components = 0usize;
-    // Explicit DFS frames: (state, next child position).
-    let mut frames: Vec<(u32, usize)> = Vec::new();
-
-    for root in 0..n as u32 {
-        if index[root as usize] != u32::MAX {
-            continue;
-        }
-        frames.push((root, 0));
-        while let Some(&mut (v, ref mut child)) = frames.last_mut() {
-            let vi = v as usize;
-            if *child == 0 {
-                index[vi] = next_index;
-                lowlink[vi] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[vi] = true;
-            }
-            if let Some(edge) = edges[vi].get(*child) {
-                *child += 1;
-                let w = edge.to as usize;
-                if index[w] == u32::MAX {
-                    frames.push((edge.to, 0));
-                } else if on_stack[w] {
-                    lowlink[vi] = lowlink[vi].min(index[w]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    let pi = parent as usize;
-                    lowlink[pi] = lowlink[pi].min(lowlink[vi]);
-                }
-                if lowlink[vi] == index[vi] {
-                    let id = components as u32;
-                    components += 1;
-                    while let Some(w) = stack.pop() {
-                        on_stack[w as usize] = false;
-                        component[w as usize] = id;
-                        if w == v {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    (component, components)
-}
-
-/// Classifies the condensation: terminal classes and transient states.
-fn classify_sccs(edges: &[Vec<Edge>], component: &[u32], components: usize) -> SccSummary {
-    let mut terminal = vec![true; components];
-    for (v, out) in edges.iter().enumerate() {
-        for edge in out {
-            if component[v] != component[edge.to as usize] {
-                terminal[component[v] as usize] = false;
-            }
-        }
-    }
-    let transient_states = component.iter().filter(|&&c| !terminal[c as usize]).count();
+/// Classifies a completely explored marking graph through the crate's one
+/// condensation: terminal classes and transient markings from the whole
+/// graph, and the vanishing-cycle verdict from the vanishing-only subgraph
+/// (a cycle exists iff some edge joins two vanishing markings of one
+/// component there).
+fn classify(edges: &[Vec<Edge>], vanishing: &[bool]) -> SccSummary {
+    let successors = |state: usize| edges[state].iter().map(|edge| edge.to as usize);
+    let (component, terminal) = condense(edges.len(), successors);
+    let instant = move |state: usize| {
+        successors(state).filter(move |&next| vanishing[state] && vanishing[next])
+    };
+    let (instant_component, _) = condense(edges.len(), instant);
     SccSummary {
-        components,
+        components: terminal.len(),
         terminal_classes: terminal.iter().filter(|&&t| t).count(),
-        transient_states,
+        transient_states: component.iter().filter(|&&c| !terminal[c]).count(),
+        instant_loop: (0..edges.len()).any(|state| {
+            instant(state).any(|next| instant_component[next] == instant_component[state])
+        }),
     }
-}
-
-/// Detects a cycle restricted to vanishing markings (an unstable
-/// instantaneous loop) by three-colour DFS over the vanishing subgraph.
-fn has_vanishing_cycle(edges: &[Vec<Edge>], vanishing: &[bool]) -> bool {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Colour {
-        White,
-        Grey,
-        Black,
-    }
-    let mut colour = vec![Colour::White; edges.len()];
-    for root in 0..edges.len() {
-        if !vanishing[root] || colour[root] != Colour::White {
-            continue;
-        }
-        let mut frames: Vec<(usize, usize)> = vec![(root, 0)];
-        colour[root] = Colour::Grey;
-        while let Some(&mut (v, ref mut child)) = frames.last_mut() {
-            let next = edges[v][*child..]
-                .iter()
-                .position(|e| vanishing[e.to as usize])
-                .map(|offset| *child + offset);
-            if let Some(pos) = next {
-                *child = pos + 1;
-                let w = edges[v][pos].to as usize;
-                match colour[w] {
-                    Colour::Grey => return true,
-                    Colour::White => {
-                        colour[w] = Colour::Grey;
-                        frames.push((w, 0));
-                    }
-                    Colour::Black => {}
-                }
-            } else {
-                colour[v] = Colour::Black;
-                frames.pop();
-            }
-        }
-    }
-    false
 }
 
 /// Eliminates the vanishing markings: resolves each to its distribution
 /// over tangible markings through the instantaneous-case probabilities,
 /// then aggregates the tangible-to-tangible rates. Fails on a vanishing
-/// cycle (which [`has_vanishing_cycle`] should already have caught).
+/// cycle (which [`classify`] should already have caught).
 fn eliminate_vanishing(
     markings: &[Vec<u64>],
     vanishing: &[bool],
@@ -887,15 +792,7 @@ pub(crate) fn explore(model: &Model, config: &ReachConfig) -> ReachReport {
     let mut offenders: Vec<TimingOffender> = offender_map.into_values().collect();
     offenders.sort_by(|a, b| a.activity.cmp(&b.activity));
 
-    let (scc, instant_loop) = if complete {
-        let (component, components) = strongly_connected_components(&edges);
-        (
-            Some(classify_sccs(&edges, &component, components)),
-            has_vanishing_cycle(&edges, &vanishing),
-        )
-    } else {
-        (None, false)
-    };
+    let scc = complete.then(|| classify(&edges, &vanishing));
 
     // Admissibility verdict, then (only for admissible models) the
     // eliminated generator.
@@ -918,10 +815,10 @@ pub(crate) fn explore(model: &Model, config: &ReachConfig) -> ReachReport {
     if offenders.len() > 8 {
         reasons.push(format!("{} further non-exponential activities", offenders.len() - 8));
     }
-    if instant_loop {
-        reasons.push("instantaneous activities form a cycle of vanishing markings".to_string());
-    }
     if let Some(summary) = &scc {
+        if summary.instant_loop {
+            reasons.push("instantaneous activities form a cycle of vanishing markings".to_string());
+        }
         if summary.terminal_classes != 1 {
             reasons.push(format!(
                 "{} terminal classes — the steady state depends on the initial marking",
@@ -956,7 +853,6 @@ pub(crate) fn explore(model: &Model, config: &ReachConfig) -> ReachReport {
         place_bounds,
         dead_ends,
         offenders,
-        instant_loop,
         scc,
         admissibility,
         generator,
@@ -1003,6 +899,7 @@ mod tests {
     use crate::lint::Severity;
     use crate::{ModelBuilder, Simulator};
     use probdist::{Exponential, SimRng, Weibull};
+    use proptest::prelude::*;
 
     /// A plain repairable unit: up --fail--> down --repair--> up.
     fn repairable_unit(fail_rate: f64, repair_rate: f64) -> Model {
@@ -1117,17 +1014,13 @@ mod tests {
         assert!((rate(fix_state, up_state) - 0.5).abs() < 1e-15);
         assert!((rate(swap_state, up_state) - 0.05).abs() < 1e-15);
 
-        // The sparse steady state agrees with the dense oracle built from
-        // the very same transitions.
-        let mut dense = crate::ctmc::Ctmc::new(assembly.states.len()).unwrap();
-        for (f, t, r) in assembly.ctmc.transitions() {
-            dense.add_transition(f, t, r).unwrap();
-        }
-        let sparse_pi = assembly.ctmc.steady_state().unwrap();
-        let dense_pi = dense.steady_state().unwrap();
-        for (a, b) in sparse_pi.iter().zip(&dense_pi) {
-            assert!((a - b).abs() < 1e-10, "sparse {a} vs dense {b}");
-        }
+        // Balance equations of the 3-state chain: π_fix · 0.5 = π_up · 0.006
+        // and π_swap · 0.05 = π_up · 0.004.
+        let pi = assembly.ctmc.steady_state().unwrap();
+        let pi_up = 1.0 / (1.0 + 0.006 / 0.5 + 0.004 / 0.05);
+        assert!((pi[up_state] - pi_up).abs() < 1e-10, "pi_up {}", pi[up_state]);
+        assert!((pi[fix_state] - pi_up * 0.006 / 0.5).abs() < 1e-10);
+        assert!((pi[swap_state] - pi_up * 0.004 / 0.05).abs() < 1e-10);
     }
 
     #[test]
@@ -1406,5 +1299,71 @@ mod tests {
         assert_eq!(report.successors(0).collect::<Vec<_>>(), vec![1]);
         assert_eq!(report.successors(1).collect::<Vec<_>>(), vec![0]);
         assert_eq!(report.successors(7).count(), 0);
+    }
+
+    /// Transitive closure by Floyd–Warshall: `closure[u][v]` iff a path of
+    /// at least one edge leads from `u` to `v`.
+    fn closure(adjacency: &[Vec<usize>]) -> Vec<Vec<bool>> {
+        let n = adjacency.len();
+        let mut reach = vec![vec![false; n]; n];
+        for (from, out) in adjacency.iter().enumerate() {
+            for &to in out {
+                reach[from][to] = true;
+            }
+        }
+        for via in 0..n {
+            let onward = reach[via].clone();
+            for row in reach.iter_mut().filter(|row| row[via]) {
+                for (cell, &step) in row.iter_mut().zip(&onward) {
+                    *cell |= step;
+                }
+            }
+        }
+        reach
+    }
+
+    // The shared condensation against a closure oracle on random digraphs
+    // with self-loops, duplicate edges and a random vanishing mask: the
+    // partition, the terminal flags and the vanishing-cycle verdict.
+    proptest! {
+        #[test]
+        fn condensation_matches_the_closure_oracle(seed in any::<u64>()) {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+            let n = 1 + pick(12);
+            let mut adjacency = vec![Vec::new(); n];
+            for _ in 0..pick(3 * n + 1) {
+                adjacency[pick(n)].push(pick(n));
+            }
+            let vanishing: Vec<bool> = (0..n).map(|_| pick(2) == 0).collect();
+
+            let reach = closure(&adjacency);
+            let same = |u: usize, v: usize| u == v || (reach[u][v] && reach[v][u]);
+            let (component, terminal) = condense(n, |state| adjacency[state].iter().copied());
+            for u in 0..n {
+                for v in 0..n {
+                    assert_eq!(component[u] == component[v], same(u, v), "{adjacency:?}: {u}, {v}");
+                }
+                let closed = (0..n).all(|v| !reach[u][v] || same(u, v));
+                assert_eq!(terminal[component[u]], closed, "{adjacency:?}: terminal {u}");
+            }
+
+            let instant: Vec<Vec<usize>> = adjacency
+                .iter()
+                .enumerate()
+                .map(|(u, out)| out.iter().copied().filter(|&v| vanishing[u] && vanishing[v]).collect())
+                .collect();
+            let instant_reach = closure(&instant);
+            let edges: Vec<Vec<Edge>> = adjacency
+                .iter()
+                .map(|out| out.iter().map(|&to| Edge { to: to as u32, weight: 1.0 }).collect())
+                .collect();
+            let summary = classify(&edges, &vanishing);
+            assert_eq!(summary.instant_loop, (0..n).any(|v| instant_reach[v][v]), "{adjacency:?}");
+            assert_eq!(summary.components, terminal.len());
+            assert_eq!(summary.terminal_classes, terminal.iter().filter(|&&t| t).count());
+            let transient = (0..n).filter(|&u| !terminal[component[u]]).count();
+            assert_eq!(summary.transient_states, transient);
+        }
     }
 }

@@ -1,21 +1,13 @@
 //! Cross-validation of the statically assembled sparse generator against
-//! the dense CTMC solver, closed forms, and simulation: the acceptance
-//! oracle for the reachability/admissibility tier.
+//! the dense Gaussian-elimination oracle, closed forms, and simulation: the
+//! acceptance oracle for the reachability/admissibility tier.
 
-use sanet::ctmc::Ctmc;
+mod common;
+
+use common::gaussian_steady_state;
 use sanet::rare::{failover_pair, failover_pair_hitting_oracle};
 use sanet::reward::RewardSpec;
 use sanet::{beowulf, Experiment, StoppingRule};
-
-/// Rebuilds an assembled sparse chain as a dense [`Ctmc`] so the two
-/// solver paths can be compared state by state.
-fn densify(assembly: &sanet::GeneratorAssembly) -> Ctmc {
-    let mut dense = Ctmc::new(assembly.states.len()).expect("non-empty state space");
-    for (from, to, rate) in assembly.ctmc.transitions() {
-        dense.add_transition(from, to, rate).expect("valid assembled rate");
-    }
-    dense
-}
 
 #[test]
 fn failover_pair_is_analytic_and_matches_the_dense_solver() {
@@ -32,7 +24,7 @@ fn failover_pair_is_analytic_and_matches_the_dense_solver() {
     let assembly = report.assemble_generator().unwrap();
     assert_eq!(assembly.states.len(), 5, "5 tangible markings");
     let sparse_pi = assembly.ctmc.steady_state().unwrap();
-    let dense_pi = densify(&assembly).steady_state().unwrap();
+    let dense_pi = gaussian_steady_state(&assembly.ctmc);
     for (s, d) in sparse_pi.iter().zip(&dense_pi) {
         assert!((s - d).abs() < 1e-10, "sparse {s} vs dense {d}");
     }
@@ -112,7 +104,7 @@ fn beowulf_is_analytic_and_sparse_matches_dense_and_simulation() {
 
     let assembly = report.assemble_generator().unwrap();
     let sparse_pi = assembly.ctmc.steady_state().unwrap();
-    let dense_pi = densify(&assembly).steady_state().unwrap();
+    let dense_pi = gaussian_steady_state(&assembly.ctmc);
     for (s, d) in sparse_pi.iter().zip(&dense_pi) {
         assert!((s - d).abs() < 1e-10, "sparse {s} vs dense {d}");
     }

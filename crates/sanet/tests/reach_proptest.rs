@@ -17,6 +17,8 @@
 //!   statically assembled sparse generator and the dense Gaussian solver
 //!   agree on the steady state to 1e-10.
 
+mod common;
+
 use proptest::prelude::*;
 
 use probdist::{Dist, Exponential, SimRng};
@@ -137,12 +139,8 @@ proptest! {
         prop_assert!(report.is_ergodic());
         prop_assert!(report.admissibility().is_analytic(), "{:?}", report.admissibility());
         let assembly = report.assemble_generator().unwrap();
-        let mut dense = sanet::ctmc::Ctmc::new(assembly.states.len()).unwrap();
-        for (from, to, rate) in assembly.ctmc.transitions() {
-            dense.add_transition(from, to, rate).unwrap();
-        }
         let sparse_pi = assembly.ctmc.steady_state().unwrap();
-        let dense_pi = dense.steady_state().unwrap();
+        let dense_pi = common::gaussian_steady_state(&assembly.ctmc);
         for (s, d) in sparse_pi.iter().zip(&dense_pi) {
             prop_assert!((s - d).abs() < 1e-10, "sparse {} vs dense {}", s, d);
         }
