@@ -28,12 +28,45 @@
 //! — e.g. a `Study` running scenarios, each of which fans out its own
 //! replications through [`replicate_with`] — registers on the **same** pool
 //! instead of spawning a second one: the process never runs more than
-//! `workers` busy threads. Workers prefer the **innermost** registered
-//! fan-out with unclaimed work, so nested replication fan-outs drain
-//! first and their waiting scenario can retire. A fan-out's submitting
-//! thread always participates in its own fan-out, which is what keeps the
-//! nesting deadlock-free: every blocked thread only waits on work that
-//! strictly deeper threads are actively executing.
+//! `workers` busy threads. Each registration takes the next **sequence
+//! number**, so a fan-out registered from inside another's task is always
+//! newer than it. Workers prefer the **newest** registered fan-out with
+//! unclaimed work, so nested replication fan-outs drain first and their
+//! waiting scenario can retire.
+//!
+//! A fan-out's submitting thread always participates in its own fan-out.
+//! When its claims run out it *quiesces*: it unregisters the fan-out and
+//! waits until every worker attached to it has detached. While it waits it
+//! **helps**: it attaches to the newest registered fan-out that is newer
+//! than its own and still has unclaimed work, through the same
+//! attach-run-detach step a parked worker uses, and like a parked worker
+//! without its own ambient [`cancel_scope`] token. At two workers the
+//! newer fan-outs are the ones its last attached worker registers
+//! underneath it, so a study whose heaviest scenario landed on the pool
+//! thread still runs that scenario's replications on both threads. A
+//! helper leaves the helped fan-out between batches once nothing is
+//! attached to its own, so a detour into an unrelated newer fan-out —
+//! possible at three or more workers, or when two submitting threads share
+//! a pool — delays its return by at most one batch.
+//!
+//! **Deadlock freedom.** A thread quiescing on fan-out F waits only on
+//! threads attached to F. Each of those is running F's tasks, or is
+//! blocked quiescing on a fan-out that one of F's tasks registered, which
+//! is a fan-out registered after F. Wait chains therefore strictly
+//! increase in sequence number and cannot cycle; each ends at a thread
+//! that is running tasks. Helping keeps the order, because a helper only
+//! attaches to fan-outs newer than the one it quiesces on. The argument
+//! assumes tasks wait on one another only through nested fan-outs: a task
+//! that blocks until some other fan-out's submitter returns can deadlock
+//! if that submitter is the thread helping to run it.
+//!
+//! **Stack bound.** Every help frame is for a fan-out newer than the one
+//! below it on the thread's stack, and every fan-out on a stack is alive
+//! (registered, or quiescing in its submitter's frame). The sessions on
+//! one stack therefore belong to distinct live fan-outs in increasing
+//! sequence order. When the newer fan-outs are nested under the helper's
+//! own, as at two workers, the helper's stack grows no deeper than that
+//! of a pool worker attached to the same nested fan-out.
 //!
 //! # The two fan-outs
 //!
@@ -164,6 +197,11 @@ thread_local! {
 /// that a scenario's evaluator can pick it up without every intermediate
 /// layer threading it through its signature; the evaluator then hands it
 /// to its fan-outs explicitly.
+///
+/// Of the fan-out tasks, only those this thread runs of its own fan-outs
+/// see the token. A pool worker never sees it, and a submitter that helps
+/// another fan-out while quiescing sets it aside, because that fan-out's
+/// tasks may belong to another study.
 pub fn cancel_scope<R>(token: &CancelToken, body: impl FnOnce() -> R) -> R {
     struct PopGuard;
     impl Drop for PopGuard {
@@ -182,6 +220,16 @@ pub fn cancel_scope<R>(token: &CancelToken, body: impl FnOnce() -> R) -> R {
 /// enclosing [`cancel_scope`], if any.
 pub fn current_cancel_token() -> Option<CancelToken> {
     AMBIENT_CANCEL.with(|stack| stack.borrow().last().cloned())
+}
+
+/// Runs `body` with this thread's ambient cancellation tokens set aside,
+/// as a session attached from the registry runs (see [`cancel_scope`]).
+/// `body` must not unwind; pool sessions never do.
+fn without_ambient_cancel<R>(body: impl FnOnce() -> R) -> R {
+    let saved = AMBIENT_CANCEL.with(RefCell::take);
+    let result = body();
+    AMBIENT_CANCEL.with(|stack| *stack.borrow_mut() = saved);
+    result
 }
 
 /// The typed panic payload the engine forwards when a work unit panics:
@@ -280,10 +328,12 @@ fn resolve_workers(workers: usize) -> usize {
 /// under the registry lock — before the fan-out is freed. Workers *attach*
 /// (increment the fan-out's refcount) under the same lock, and detach
 /// under it too; the submitter quiesces by removing the entry and then
-/// waiting until the refcount is zero. Together these guarantee a worker
-/// never touches a fan-out after its submitter's stack frame is gone, and
-/// that all worker writes are visible to the submitter (the registry mutex
-/// orders them).
+/// waiting until the refcount is zero. A quiescing submitter that helps a
+/// newer fan-out is, for that fan-out, just another attached worker.
+/// Together these guarantee a worker never touches a fan-out after its
+/// submitter's stack frame is gone, and that all worker writes are visible
+/// to the submitter (the registry mutex orders them). Sessions never
+/// unwind, so a quiesce wait that helps cannot be cut short by a panic.
 #[allow(unsafe_code)]
 mod fanout {
     use std::any::Any;
@@ -300,14 +350,19 @@ mod fanout {
         registry: Mutex<Registry>,
         /// Signalled when a fan-out registers or the pool shuts down.
         work_cv: Condvar,
-        /// Signalled when a worker detaches from a fan-out.
+        /// Where quiescing submitters wait. Signalled when a worker
+        /// detaches from a fan-out (the submitter's own may now be idle)
+        /// and when a fan-out registers (newer work it may help with).
         done_cv: Condvar,
     }
 
     struct Registry {
-        /// Active fan-outs, oldest first; workers scan newest-first so
-        /// nested (innermost) fan-outs drain before their parents.
+        /// Active fan-outs in registration order, so `seq` ascends; workers
+        /// scan newest-first so nested (innermost) fan-outs drain before
+        /// their parents.
         entries: Vec<FanEntry>,
+        /// The sequence number the next registration takes.
+        next_seq: u64,
         shutdown: bool,
     }
 
@@ -316,9 +371,12 @@ mod fanout {
     /// re-types `data` and executes one claiming session on it.
     #[derive(Clone, Copy)]
     struct FanEntry {
+        /// Registration order: a fan-out registered from inside another's
+        /// task has a larger `seq` than it.
+        seq: u64,
         header: *const FanHeader,
         data: *const (),
-        run: unsafe fn(*const ()),
+        run: unsafe fn(*const (), Option<&FanHeader>),
     }
 
     // SAFETY: the pointers refer to a fan-out that the registration
@@ -340,8 +398,10 @@ mod fanout {
         /// Cooperative cancellation token, checked between batch claims.
         /// `None` when the fan-out was handed no token.
         cancel: Option<super::CancelToken>,
-        /// Attached-worker count. Only read/written while holding the
-        /// registry lock; atomic so the header stays `Sync`.
+        /// Attached-worker count. Only written while holding the registry
+        /// lock; atomic so the header stays `Sync`. A helper also reads
+        /// its own fan-out's count unlocked between batches, as a hint to
+        /// go back to its quiesce wait, which re-reads it under the lock.
         refs: AtomicUsize,
         /// The first panic payload captured from a task.
         payload: Mutex<Option<Box<dyn Any + Send>>>,
@@ -409,16 +469,25 @@ mod fanout {
     {
         /// One worker's participation in the fan-out: create the worker
         /// state, then claim and execute adaptive batches until the index
-        /// space is exhausted (or a task panics).
-        fn session(&self) {
+        /// space is exhausted (or a task panics). `own` is set when a
+        /// quiescing submitter helps here: it is that submitter's own
+        /// fan-out, and the session then also ends between batches once
+        /// nothing is attached to `own`.
+        ///
+        /// Never unwinds: a panic in `init`, a task, or the state's drop
+        /// poisons this fan-out instead.
+        fn session(&self, own: Option<&FanHeader>) {
             let _busy = crate::telemetry::span(crate::telemetry::MetricId::PoolBusyNs);
-            let mut state = match catch_unwind(AssertUnwindSafe(self.init)) {
-                Ok(state) => state,
-                Err(payload) => {
-                    self.poison(payload);
-                    return;
-                }
-            };
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                let mut state = (self.init)();
+                self.claim_batches(&mut state, own);
+            }));
+            if let Err(payload) = ran {
+                self.poison(payload);
+            }
+        }
+
+        fn claim_batches(&self, state: &mut S, own: Option<&FanHeader>) {
             loop {
                 // Cooperative cancellation: observed between batch claims,
                 // so every claimed batch still runs to completion and the
@@ -428,6 +497,9 @@ mod fanout {
                         self.header.halted.store(true, Ordering::Relaxed);
                         return;
                     }
+                }
+                if own.is_some_and(|own| own.refs.load(Ordering::Relaxed) == 0) {
+                    return;
                 }
                 let snapshot = self.header.next.load(Ordering::Relaxed);
                 if snapshot >= self.header.count {
@@ -449,7 +521,7 @@ mod fanout {
                     (end - start) as u64,
                 );
                 for index in start..end {
-                    match catch_unwind(AssertUnwindSafe(|| (self.task)(index, &mut state))) {
+                    match catch_unwind(AssertUnwindSafe(|| (self.task)(index, state))) {
                         Ok(value) => {
                             // SAFETY: `index` was claimed exactly once (the
                             // fetch_add hands out disjoint ranges), so this
@@ -488,21 +560,25 @@ mod fanout {
     /// `data` must point to a live `FanOut<T, S, I, F>` with exactly these
     /// type parameters — guaranteed because the pointer and this function
     /// instantiation are stored side by side in the same [`FanEntry`].
-    unsafe fn run_session<T, S, I, F>(data: *const ())
+    unsafe fn run_session<T, S, I, F>(data: *const (), own: Option<&FanHeader>)
     where
         T: Send,
         I: Fn() -> S + Sync,
         F: Fn(usize, &mut S) -> T + Sync,
     {
         let fan = unsafe { &*data.cast::<FanOut<'_, T, S, I, F>>() };
-        fan.session();
+        fan.session(own);
     }
 
     impl PoolShared {
         pub(super) fn new(total: usize) -> PoolShared {
             PoolShared {
                 total,
-                registry: Mutex::new(Registry { entries: Vec::new(), shutdown: false }),
+                registry: Mutex::new(Registry {
+                    entries: Vec::new(),
+                    next_seq: 0,
+                    shutdown: false,
+                }),
                 work_cv: Condvar::new(),
                 done_cv: Condvar::new(),
             }
@@ -517,10 +593,49 @@ mod fanout {
             self.lock_registry().shutdown = true;
             self.work_cv.notify_all();
         }
+
+        /// The attach-run-detach step of parked workers and quiescing
+        /// submitters alike: under the registry lock `reg`, attach to the
+        /// newest registered fan-out with unclaimed work whose `seq` is at
+        /// least `min_seq`, run one session on it (`own` as in
+        /// `FanOut::session`) with the lock released, and detach. Returns
+        /// the re-taken lock and whether a session ran.
+        fn run_newest<'a>(
+            &'a self,
+            reg: MutexGuard<'a, Registry>,
+            min_seq: u64,
+            own: Option<&FanHeader>,
+        ) -> (MutexGuard<'a, Registry>, bool) {
+            // SAFETY: entries are only reachable while registered, and
+            // registered fan-outs are alive (module docs).
+            let found = reg
+                .entries
+                .iter()
+                .rev()
+                .take_while(|entry| entry.seq >= min_seq)
+                .copied()
+                .find(|entry| unsafe { (*entry.header).has_work() });
+            let Some(entry) = found else {
+                return (reg, false);
+            };
+            // SAFETY: still under the registry lock, so the entry is still
+            // registered and the attach is race-free.
+            unsafe {
+                (*entry.header).refs.fetch_add(1, Ordering::Relaxed);
+            }
+            drop(reg);
+            {
+                let _attached = Attached { shared: self, header: entry.header };
+                // SAFETY: we attached under the lock; the submitter cannot
+                // free the fan-out until we detach.
+                super::without_ambient_cancel(|| unsafe { (entry.run)(entry.data, own) });
+            }
+            (self.lock_registry(), true)
+        }
     }
 
-    /// Detaches a worker from a fan-out when its session ends (or
-    /// unwinds), and wakes the submitter's quiesce wait.
+    /// Detaches a worker from a fan-out when its session ends, and wakes
+    /// the submitter's quiesce wait.
     struct Attached<'a> {
         shared: &'a PoolShared,
         header: *const FanHeader,
@@ -530,8 +645,8 @@ mod fanout {
         fn drop(&mut self) {
             let guard = self.shared.lock_registry();
             // SAFETY: this guard holds a reference on the header (refs >=
-            // 1), so the submitter is still blocked in its quiesce wait
-            // and the fan-out is alive.
+            // 1), so the submitter has not finished quiescing and the
+            // fan-out is alive.
             unsafe {
                 (*self.header).refs.fetch_sub(1, Ordering::Relaxed);
             }
@@ -550,31 +665,9 @@ mod fanout {
             if reg.shutdown {
                 return;
             }
-            // SAFETY: entries are only reachable while registered, and
-            // registered fan-outs are alive (module docs).
-            let found = reg
-                .entries
-                .iter()
-                .rev()
-                .copied()
-                .find(|entry| unsafe { (*entry.header).has_work() });
-            if let Some(entry) = found {
-                // SAFETY: still under the registry lock, so the entry is
-                // still registered and the attach is race-free.
-                unsafe {
-                    (*entry.header).refs.fetch_add(1, Ordering::Relaxed);
-                }
-                drop(reg);
-                {
-                    let _attached = Attached { shared: &shared, header: entry.header };
-                    // SAFETY: we attached under the lock; the submitter
-                    // cannot free the fan-out until we detach.
-                    unsafe {
-                        (entry.run)(entry.data);
-                    }
-                }
-                reg = shared.lock_registry();
-            } else {
+            let ran;
+            (reg, ran) = shared.run_newest(reg, 0, None);
+            if !ran {
                 crate::telemetry::counter_inc(crate::telemetry::MetricId::PoolParks);
                 let idle = crate::telemetry::span(crate::telemetry::MetricId::PoolIdleNs);
                 reg = shared.work_cv.wait(reg).unwrap_or_else(PoisonError::into_inner);
@@ -585,26 +678,31 @@ mod fanout {
     }
 
     /// Unregisters the fan-out and waits for every attached worker to
-    /// detach. Runs on unwind too, so a panicking fan-out still quiesces
-    /// before its stack frame is freed.
+    /// detach, helping newer fan-outs meanwhile (module docs). Runs on
+    /// unwind too, so a panicking fan-out still quiesces before its stack
+    /// frame is freed.
     struct Quiesce<'a> {
         shared: &'a PoolShared,
-        header: *const FanHeader,
+        header: &'a FanHeader,
+        seq: u64,
     }
 
     impl Drop for Quiesce<'_> {
         fn drop(&mut self) {
             let mut reg = self.shared.lock_registry();
-            if let Some(pos) =
-                reg.entries.iter().position(|entry| std::ptr::eq(entry.header, self.header))
-            {
+            if let Some(pos) = reg.entries.iter().position(|entry| entry.seq == self.seq) {
                 reg.entries.remove(pos);
             }
-            // SAFETY: the header lives on this thread's own stack, below
-            // this guard. Workers only detach under the registry lock, so
-            // observing refs == 0 here means every worker is gone.
-            while unsafe { (*self.header).refs.load(Ordering::Relaxed) } > 0 {
-                reg = self.shared.done_cv.wait(reg).unwrap_or_else(PoisonError::into_inner);
+            // Workers only detach under the registry lock, so observing
+            // refs == 0 here means every worker is gone.
+            while self.header.refs.load(Ordering::Relaxed) > 0 {
+                let helped;
+                (reg, helped) = self.shared.run_newest(reg, self.seq + 1, Some(self.header));
+                if helped {
+                    crate::telemetry::counter_inc(crate::telemetry::MetricId::PoolHelps);
+                } else {
+                    reg = self.shared.done_cv.wait(reg).unwrap_or_else(PoisonError::into_inner);
+                }
             }
         }
     }
@@ -640,24 +738,30 @@ mod fanout {
             written: &written,
             marker: std::marker::PhantomData,
         };
-        {
+        let seq = {
             let mut reg = shared.lock_registry();
+            let seq = reg.next_seq;
+            reg.next_seq += 1;
             reg.entries.push(FanEntry {
+                seq,
                 header: &fan.header,
                 data: std::ptr::from_ref(&fan).cast(),
                 run: run_session::<T, S, I, F>,
             });
-        }
+            seq
+        };
         // Wake at most one parked worker per remaining work item beyond
         // the submitter's own share; busy workers rescan the registry on
-        // their own when their current session ends.
+        // their own when their current session ends. Quiescing submitters
+        // all wake: this fan-out is newer than theirs.
         let wake = (count - 1).min(shared.total - 1);
         for _ in 0..wake {
             shared.work_cv.notify_one();
         }
+        shared.done_cv.notify_all();
         {
-            let _quiesce = Quiesce { shared, header: &fan.header };
-            fan.session();
+            let _quiesce = Quiesce { shared, header: &fan.header, seq };
+            fan.session(None);
         }
         // Every worker has detached and the registry entry is gone; the
         // registry mutex ordered all their slot writes before us.
@@ -1051,15 +1155,137 @@ mod tests {
     #[test]
     fn nested_fan_outs_stay_deterministic() {
         let root = SimRng::seed_from_u64(11);
-        let run = |pool: &Pool| {
+        let two_levels = |pool: &Pool| {
             run_indexed(pool, 3, |outer| {
                 let root = root.derive_stream(outer as u64);
                 replicate(0..6, &root, 8, |_, rng| rng.next_u64())
             })
         };
+        // Two OS threads submit at once, so one thread's fan-outs can be
+        // newer than the one the other quiesces on without being nested
+        // under it: a helper there returns between batches.
+        let three_levels_from_two_threads = |pool: &Pool| {
+            std::thread::scope(|scope| {
+                let submitters: Vec<_> = (0..2u64)
+                    .map(|thread| {
+                        let root = root.derive_stream(100 + thread);
+                        scope.spawn(move || {
+                            run_indexed(pool, 3, |outer| {
+                                let root = root.derive_stream(outer as u64);
+                                replicate(0..5, &root, 8, |_, rng| {
+                                    let root = SimRng::seed_from_u64(rng.next_u64());
+                                    replicate(0..4, &root, 8, |_, rng| {
+                                        (0..64).fold(0, |acc, _| acc ^ rng.next_u64())
+                                    })
+                                })
+                            })
+                        })
+                    })
+                    .collect();
+                submitters.into_iter().map(|s| s.join().unwrap()).collect::<Vec<_>>()
+            })
+        };
+        let run = |pool: &Pool| (two_levels(pool), three_levels_from_two_threads(pool));
         let serial = run(&Pool::new(1));
         for workers in [2, 4, 8] {
             assert_eq!(serial, run(&Pool::new(workers)), "workers = {workers}");
+        }
+    }
+
+    /// Runs a 2-task outer fan-out on `pool` (2 workers). A barrier holds
+    /// each outer task until the other index is claimed, so the two run on
+    /// different threads and the submitter's task returns once the pool
+    /// thread has claimed its index. That task then runs `nested` on the
+    /// ambient pool; the submitter's task yields `None`.
+    fn nested_under_the_pool_thread<T: Send>(
+        pool: &Pool,
+        nested: impl Fn(&Pool) -> T + Sync,
+    ) -> Vec<Option<T>> {
+        let submitter = std::thread::current().id();
+        let both_claimed = std::sync::Barrier::new(2);
+        run_indexed(pool, 2, |_| {
+            both_claimed.wait();
+            (std::thread::current().id() != submitter)
+                .then(|| nested(&Pool::current().expect("a task runs under its pool")))
+        })
+    }
+
+    #[test]
+    fn quiescing_submitter_helps_a_nested_fan_out() {
+        // The submitter's outer fan-out runs out of claims while the pool
+        // thread's task still runs a nested fan-out: the submitter must
+        // help with it rather than wait for the pool thread to finish. It
+        // helps as a pool worker would, without the ambient cancellation
+        // token of its own scope.
+        let pool = Pool::new(2);
+        let ran_on = Mutex::new(std::collections::HashSet::new());
+        let saw_a_token = AtomicBool::new(false);
+        let outer = cancel_scope(&CancelToken::new(), || {
+            nested_under_the_pool_thread(&pool, |inner| {
+                run_indexed(inner, 64, |i| {
+                    ran_on.lock().unwrap().insert(std::thread::current().id());
+                    if current_cancel_token().is_some() {
+                        saw_a_token.store(true, Ordering::SeqCst);
+                    }
+                    std::thread::sleep(Duration::from_millis(2));
+                    i
+                })
+            })
+        });
+        let nested: Vec<Vec<usize>> = outer.into_iter().flatten().collect();
+        assert_eq!(nested, vec![(0..64).collect::<Vec<_>>()]);
+        assert_eq!(ran_on.lock().unwrap().len(), 2, "both threads must run nested indices");
+        assert!(!saw_a_token.load(Ordering::SeqCst), "the helper's token reached a nested task");
+    }
+
+    #[test]
+    fn panic_in_a_helped_fan_out_reaches_its_own_submitter() {
+        // The nested fan-out panics only on the helping thread: in a task,
+        // or in the drop of the helper's scratch, which runs inside the
+        // helper's quiesce wait. Either way the panic belongs to the nested
+        // fan-out, so it must surface there, on the pool thread that
+        // submitted it, while the helper's own outer fan-out returns
+        // normally and the pool stays usable.
+        struct Scratch(bool);
+        impl Drop for Scratch {
+            fn drop(&mut self) {
+                assert!(!self.0, "helper scratch dropped");
+            }
+        }
+        let helper = std::thread::current().id();
+        let on_helper = || std::thread::current().id() == helper;
+        for in_drop in [false, true] {
+            let pool = Pool::new(2);
+            let panicked_at = AtomicUsize::new(usize::MAX);
+            let outer = nested_under_the_pool_thread(&pool, |inner| {
+                let nested = catch_unwind(AssertUnwindSafe(|| {
+                    inner.run_indexed_with(
+                        64,
+                        None,
+                        || Scratch(in_drop && on_helper()),
+                        |i, _| {
+                            if !in_drop && on_helper() {
+                                panicked_at.store(i, Ordering::SeqCst);
+                                panic!("helped index {i}");
+                            }
+                            std::thread::sleep(Duration::from_millis(2));
+                            i
+                        },
+                    )
+                }));
+                let payload = nested.expect_err("the helper's panic must reach the nested fan-out");
+                let index = payload.downcast_ref::<WorkUnitPanic>().map(WorkUnitPanic::index);
+                (index, panic_message(payload.as_ref()))
+            });
+            let expected = if in_drop {
+                (None, "helper scratch dropped".to_string())
+            } else {
+                let index = panicked_at.load(Ordering::SeqCst);
+                (Some(index), format!("helped index {index}"))
+            };
+            let surfaced: Vec<_> = outer.into_iter().flatten().collect();
+            assert_eq!(surfaced, vec![expected], "panic in the scratch drop: {in_drop}");
+            assert_eq!(run_indexed(&pool, 8, |i| i), (0..8).collect::<Vec<_>>());
         }
     }
 

@@ -41,7 +41,7 @@
 //!   tests) — except under deadline truncation, where the completed
 //!   prefix itself is timing-dependent.
 //! * [`Determinism::Scheduling`] — dependent on how the pool interleaved
-//!   claims: batches claimed, batch sizes, park/wake counts. These vary
+//!   claims: batches claimed, batch sizes, park/wake/help counts. These vary
 //!   run to run even at a fixed worker count (the claim loop races).
 //! * [`Determinism::WallClock`] — durations in nanoseconds: spans, busy
 //!   and idle time. Never comparable across runs.
@@ -181,6 +181,9 @@ metrics! {
     PoolWakes = "pool_wakes_total", Counter,
         "count", Scheduling,
         "Times a parked pool worker woke to rescan the registry";
+    PoolHelps = "pool_helps_total", Counter,
+        "count", Scheduling,
+        "Times a quiescing fan-out submitter attached to a newer fan-out to help it";
 
     // Storage kernels (raidsim).
     RaidMissions = "raid_missions_total", Counter,
