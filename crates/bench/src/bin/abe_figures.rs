@@ -1,5 +1,6 @@
 //! Prints the reproductions of Figures 2–4 and the ablation studies,
-//! through the unified `Study` API.
+//! through the unified `Study` API, followed by the `paper:` lines of the
+//! published values the selected figures reproduce.
 //!
 //! Usage:
 //! `cargo run --release -p cfs-bench --bin abe-figures [fig2|fig3|fig4|ablations|all] [text|csv|json]`
@@ -8,7 +9,7 @@
 //! `CFS_BENCH_REPLICATIONS`, `CFS_BENCH_HORIZON_HOURS`, and
 //! `CFS_BENCH_WORKERS` environment variables.
 
-use cfs_bench::{run_and_print, study_spec};
+use cfs_bench::{paper_lines, run_and_print, study_spec};
 use cfs_model::scenario::{
     Figure2StorageAvailability, Figure3DiskReplacements, Figure4CfsAvailability,
 };
@@ -30,9 +31,10 @@ fn main() {
         other => panic!("unknown selection '{other}': use fig2, fig3, fig4, ablations, or all"),
     };
 
-    run_and_print(
+    let report = run_and_print(
         &format!("Figures and ablations ({which})"),
         || study.run(&spec),
         |r| r.render(format),
     );
+    print!("{}", paper_lines(&report));
 }

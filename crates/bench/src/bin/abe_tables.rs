@@ -1,9 +1,10 @@
 //! Prints the reproductions of Tables 1–5 of the paper from the calibrated
-//! synthetic ABE failure log, through the unified `Study` API.
+//! synthetic ABE failure log, through the unified `Study` API, followed by
+//! the `paper:` lines of the published values the tables reproduce.
 //!
 //! Usage: `cargo run -p cfs-bench --bin abe-tables [seed] [text|csv|json]`
 
-use cfs_bench::{run_and_print, study_spec};
+use cfs_bench::{paper_lines, run_and_print, study_spec};
 use cfs_model::{ReportFormat, Study};
 
 fn main() {
@@ -21,9 +22,10 @@ fn main() {
         }
     }
 
-    run_and_print(
+    let report = run_and_print(
         "Tables 1-5 (synthetic ABE failure log)",
         || Study::tables().run(&spec),
         |r| r.render(format),
     );
+    print!("{}", paper_lines(&report));
 }

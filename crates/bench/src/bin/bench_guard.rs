@@ -2,40 +2,31 @@
 //!
 //! Usage: `bench_guard <baseline BENCH.json> <fresh BENCH.json>`
 //!
-//! Compares a freshly generated `BENCH.json` against the committed baseline
-//! and exits non-zero if any guarded throughput metric regressed by more
-//! than the tolerance (default 25 %). Only *horizon-independent* metrics
-//! are guarded, so CI's shrunken smoke parameters (tiny replication counts
-//! and horizons) still produce comparable numbers:
+//! Compares a fresh `BENCH.json` from the microbench with the committed
+//! baseline. Every row holds one number as `{name, layer, unit, value,
+//! workers}`, and the row's unit alone picks the rule its fresh value must
+//! meet:
 //!
-//! * simulation-kernel rows (`san_*` with an `events/s` unit) by
-//!   `events_per_sec` — per-event cost does not depend on how many events a
-//!   smoke run processes;
-//! * the pool row (`study_global_work_stealing_pool`) by `speedup` — a
-//!   dimensionless serial-vs-pooled ratio;
-//! * the telemetry overhead row (`telemetry_overhead_pct`, unit
-//!   `"percent"`) absolutely: the fresh overhead may not exceed the
-//!   committed baseline by more than 2 percentage points.
+//! | unit | fresh value |
+//! |---|---|
+//! | `count` | equal to the baseline: work done at a fixed seed repeats exactly |
+//! | `ratio`, `events/s`, `states/s` | at least 0.75 × the baseline |
+//! | `percent` | at most the baseline + 2 points |
+//! | `ns/iter` | anything: reported, never fails |
 //!
-//! Wall-clock rows (`ns_per_iter` on horizon-scaled loops) and the
-//! million-replication row (whose replication count the smoke run shrinks)
-//! are deliberately not guarded.
+//! Rows pair across the two files by `(name, unit, workers)`; no rule looks
+//! at a row's name. A baseline row the fresh run lacks is a
+//! [`GuardError::MissingRows`]: a row leaves the baseline in the change
+//! that stops measuring it. A fresh row without a baseline is reported as
+//! new.
 //!
-//! Records are matched by `(name, workers)`; rows present on only one side
-//! are reported but do not fail the guard, so adding or retiring benches
-//! does not require touching the guard.
-//!
-//! Every failure mode — a missing or truncated `BENCH.fresh.json`, a
-//! malformed document, a record without the expected fields — is a typed
-//! [`GuardError`] with the offending path, never a panic, so a broken
-//! bench run produces an actionable CI message instead of a backtrace.
-//!
-//! Knobs:
-//!
-//! * `CFS_BENCH_GUARD_SKIP=1` — skip the guard entirely (exit 0), the
-//!   documented escape hatch for machines with known-noisy timing.
-//! * `CFS_BENCH_GUARD_TOLERANCE=<fraction>` — override the allowed relative
-//!   regression (default `0.25`).
+//! Exit status: 0 when every row meets its rule, 1 when one does not, and
+//! 2 for a usage error or a [`GuardError`]. Every failure mode — a missing
+//! or truncated `BENCH.fresh.json`, a document that is not the row shape
+//! (the retired seven-field rows included), an unknown unit, missing
+//! baseline rows — is a typed [`GuardError`] naming the offending file,
+//! never a panic, so a broken bench run produces an actionable CI message
+//! instead of a backtrace.
 
 #![forbid(unsafe_code)]
 
@@ -44,11 +35,12 @@ use std::error::Error;
 use std::fmt;
 use std::process::ExitCode;
 
+use cfs_bench::Unit;
 use serde::{json, Value};
 
-/// Everything that can go wrong before the guard has two comparable metric
-/// sets: each variant names the offending file so CI output points straight
-/// at the problem.
+/// Everything that stops the guard from comparing two ledgers: each
+/// variant names the offending file so CI output points straight at the
+/// problem.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum GuardError {
     /// The file could not be read (missing `BENCH.fresh.json` after a bench
@@ -69,12 +61,19 @@ enum GuardError {
         /// What the parser expected.
         message: String,
     },
-    /// The document is valid JSON but not the BENCH.json shape.
+    /// The document is valid JSON but not a ledger of five-key rows.
     Schema {
         /// Path of the off-schema document.
         path: String,
         /// Which expectation the document broke.
         reason: String,
+    },
+    /// Baseline rows the fresh ledger lacks.
+    MissingRows {
+        /// Path of the fresh ledger.
+        path: String,
+        /// The missing rows, as `name [unit, Nw]`.
+        rows: Vec<String>,
     },
 }
 
@@ -88,159 +87,144 @@ impl fmt::Display for GuardError {
                  usually a bench run that died mid-write"
             ),
             GuardError::Schema { path, reason } => {
-                write!(f, "{path} is not a BENCH.json document: {reason}")
+                write!(f, "{path} is not a BENCH.json ledger: {reason}")
             }
+            GuardError::MissingRows { path, rows } => write!(
+                f,
+                "{path} lacks {} baseline row(s): {} — a change that stops measuring a row \
+                 also drops it from the committed BENCH.json",
+                rows.len(),
+                rows.join(", ")
+            ),
         }
     }
 }
 
 impl Error for GuardError {}
 
-/// The guarded metric of one record, if the record is guarded at all.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Metric {
-    /// Higher-is-better event throughput.
-    EventsPerSec(f64),
-    /// Higher-is-better dimensionless speedup.
-    Speedup(f64),
-    /// Lower-is-better overhead in percentage points (the telemetry row):
-    /// gated absolutely, not relatively — the guard fails when the fresh
-    /// overhead exceeds the baseline by more than
-    /// [`OVERHEAD_HEADROOM_POINTS`].
-    OverheadPct(f64),
-}
+/// The keys of every ledger row.
+const ROW_KEYS: [&str; 5] = ["name", "layer", "unit", "value", "workers"];
 
-/// Absolute headroom, in percentage points, allowed on [`Metric::OverheadPct`]
-/// rows before the guard fails.
-const OVERHEAD_HEADROOM_POINTS: f64 = 2.0;
+/// The fraction of its baseline a `ratio`, `events/s` or `states/s` row
+/// may fall to.
+const RELATIVE_FLOOR: f64 = 0.75;
 
-impl Metric {
-    fn value(self) -> f64 {
-        match self {
-            Metric::EventsPerSec(v) | Metric::Speedup(v) | Metric::OverheadPct(v) => v,
-        }
-    }
+/// The percentage points a `percent` row may grow by.
+const PERCENT_HEADROOM_POINTS: f64 = 2.0;
 
-    fn label(self) -> &'static str {
-        match self {
-            Metric::EventsPerSec(_) => "events/s",
-            Metric::Speedup(_) => "speedup",
-            Metric::OverheadPct(_) => "overhead %",
-        }
-    }
+/// A row's identity across runs: name, unit, worker count.
+type RowKey = (String, Unit, u64);
 
-    /// Whether `fresh` regressed against `self`: a relative throughput /
-    /// speedup drop beyond `tolerance`, or an absolute overhead growth
-    /// beyond the headroom.
-    fn regressed_by(self, fresh: Metric, tolerance: f64) -> bool {
-        match (self, fresh) {
-            (Metric::OverheadPct(base), Metric::OverheadPct(new)) => {
-                new > base + OVERHEAD_HEADROOM_POINTS
-            }
-            _ => fresh.value() < self.value() * (1.0 - tolerance),
-        }
+/// Whether a row of `unit` meets its rule with `fresh` against `baseline`.
+fn passes(unit: Unit, baseline: f64, fresh: f64) -> bool {
+    match unit {
+        Unit::Count => fresh == baseline,
+        Unit::Ratio | Unit::EventsPerSec | Unit::StatesPerSec => fresh >= RELATIVE_FLOOR * baseline,
+        Unit::Percent => fresh <= baseline + PERCENT_HEADROOM_POINTS,
+        Unit::NsPerIter => true,
     }
 }
 
-/// Reads and parses one BENCH.json, wrapping each failure mode in its
-/// typed error.
-fn load_document(path: &str) -> Result<Value, GuardError> {
+/// The rule of `unit`, as the report states it.
+fn rule(unit: Unit) -> String {
+    match unit {
+        Unit::Count => "must equal the baseline".to_string(),
+        Unit::Ratio | Unit::EventsPerSec | Unit::StatesPerSec => {
+            format!("floor {RELATIVE_FLOOR} x baseline")
+        }
+        Unit::Percent => format!("ceiling baseline + {PERCENT_HEADROOM_POINTS} points"),
+        Unit::NsPerIter => "reported only".to_string(),
+    }
+}
+
+fn label((name, unit, workers): &RowKey) -> String {
+    format!("{name} [{}, {workers}w]", unit.label())
+}
+
+/// Reads and parses one BENCH.json into its rows, wrapping each failure
+/// mode in its typed error.
+fn load_rows(path: &str) -> Result<BTreeMap<RowKey, f64>, GuardError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| GuardError::Io { path: path.to_string(), reason: e.to_string() })?;
-    json::parse(&text).map_err(|e| GuardError::Parse {
+    let doc = json::parse(&text).map_err(|e| GuardError::Parse {
         path: path.to_string(),
         offset: e.offset,
         message: e.message,
-    })
+    })?;
+    rows(path, &doc)
 }
 
-/// Extracts `(name, workers) -> guarded metric` from a parsed BENCH.json.
-fn guarded_metrics(path: &str, doc: &Value) -> Result<BTreeMap<(String, i64), Metric>, GuardError> {
-    let schema_error =
-        |reason: &str| GuardError::Schema { path: path.to_string(), reason: reason.to_string() };
-    let records = doc.as_array().ok_or_else(|| schema_error("root must be an array"))?;
-    let mut metrics = BTreeMap::new();
-    for record in records {
-        let Some(name) = record.get("name").and_then(Value::as_str) else {
-            return Err(schema_error("record without a string 'name'"));
+/// Extracts `(name, unit, workers) -> value` from a parsed BENCH.json.
+fn rows(path: &str, doc: &Value) -> Result<BTreeMap<RowKey, f64>, GuardError> {
+    let schema_error = |reason: String| GuardError::Schema { path: path.to_string(), reason };
+    let records = doc.as_array().ok_or_else(|| schema_error("root must be an array".into()))?;
+    let mut rows = BTreeMap::new();
+    for (index, record) in records.iter().enumerate() {
+        let Value::Object(fields) = record else {
+            return Err(schema_error(format!("row {index} is not an object")));
         };
-        let workers = record.get("workers").and_then(Value::as_f64).map_or(-1, |w| w as i64);
-        let unit = record.get("unit").and_then(Value::as_str).unwrap_or("");
-        let metric = if name == "study_global_work_stealing_pool" {
-            record.get("speedup").and_then(Value::as_f64).map(Metric::Speedup)
-        } else if (name.starts_with("san_") && unit == "events/s") || unit == "states/s" {
-            // SAN engine throughput, plus the reachability explorer
-            // (states interned per second; the throughput rides in the
-            // same `events_per_sec` slot).
-            record.get("events_per_sec").and_then(Value::as_f64).map(Metric::EventsPerSec)
-        } else if unit == "percent" {
-            // The telemetry overhead row: percentage points in the
-            // `events_per_sec` slot, gated absolutely (+2 points).
-            record.get("events_per_sec").and_then(Value::as_f64).map(Metric::OverheadPct)
-        } else {
-            None
-        };
-        if let Some(metric) = metric {
-            metrics.insert((name.to_string(), workers), metric);
+        if fields.len() != ROW_KEYS.len() || ROW_KEYS.iter().any(|key| record.get(key).is_none()) {
+            let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+            return Err(schema_error(format!(
+                "row {index} has keys {keys:?}; every row has exactly {ROW_KEYS:?}"
+            )));
         }
+        let text = |key| record.get(key).and_then(Value::as_str);
+        let (Some(name), Some(_layer), Some(unit), Some(value), Some(workers)) = (
+            text("name"),
+            text("layer"),
+            text("unit"),
+            record.get("value").and_then(Value::as_f64),
+            record.get("workers").and_then(Value::as_u64),
+        ) else {
+            return Err(schema_error(format!(
+                "row {index}: name, layer and unit must be strings, value a finite number, \
+                 workers a non-negative integer"
+            )));
+        };
+        let Some(unit) = Unit::parse(unit) else {
+            let known: Vec<&str> = Unit::ALL.iter().map(|unit| unit.label()).collect();
+            return Err(schema_error(format!(
+                "row {index} (`{name}`) has unknown unit '{unit}'; the units are {known:?}"
+            )));
+        };
+        let key = (name.to_string(), unit, workers);
+        if rows.contains_key(&key) {
+            return Err(schema_error(format!("row {index} repeats {}", label(&key))));
+        }
+        rows.insert(key, value);
     }
-    Ok(metrics)
-}
-
-fn tolerance() -> f64 {
-    std::env::var("CFS_BENCH_GUARD_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&t: &f64| t > 0.0 && t < 1.0)
-        .unwrap_or(0.25)
+    Ok(rows)
 }
 
 fn run(baseline_path: &str, fresh_path: &str) -> Result<bool, GuardError> {
-    let baseline = guarded_metrics(baseline_path, &load_document(baseline_path)?)?;
-    let fresh = guarded_metrics(fresh_path, &load_document(fresh_path)?)?;
-    let tolerance = tolerance();
+    let baseline = load_rows(baseline_path)?;
+    let fresh = load_rows(fresh_path)?;
+    let missing: Vec<String> =
+        baseline.keys().filter(|key| !fresh.contains_key(*key)).map(label).collect();
+    if !missing.is_empty() {
+        return Err(GuardError::MissingRows { path: fresh_path.to_string(), rows: missing });
+    }
 
     let mut ok = true;
-    for ((name, workers), base) in &baseline {
-        let key_label = if *workers >= 0 { format!("{name} [{workers}w]") } else { name.clone() };
-        let Some(new) = fresh.get(&(name.clone(), *workers)) else {
-            println!("guard: {key_label}: missing from fresh run (skipped)");
-            continue;
-        };
-        if base.regressed_by(*new, tolerance) {
-            println!(
-                "guard: FAIL {key_label}: {} regressed ({:.4} -> {:.4}, tolerance {})",
-                new.label(),
-                base.value(),
-                new.value(),
-                match base {
-                    Metric::OverheadPct(_) => format!("+{OVERHEAD_HEADROOM_POINTS:.0} points"),
-                    _ => format!("{:.0}%", tolerance * 100.0),
-                }
-            );
-            ok = false;
-        } else {
-            println!(
-                "guard: ok   {key_label}: {} {:.4} vs baseline {:.4}",
-                new.label(),
-                new.value(),
-                base.value()
-            );
-        }
+    for (key, &base) in &baseline {
+        let new = fresh[key];
+        let pass = passes(key.1, base, new);
+        ok &= pass;
+        println!(
+            "guard: {} {}: {new:.4} vs baseline {base:.4} ({})",
+            if pass { "ok  " } else { "FAIL" },
+            label(key),
+            rule(key.1)
+        );
     }
-    for key in fresh.keys() {
-        if !baseline.contains_key(key) {
-            println!("guard: new bench {} [{}w] (no baseline yet)", key.0, key.1);
-        }
+    for key in fresh.keys().filter(|key| !baseline.contains_key(*key)) {
+        println!("guard: new  {} (no baseline yet)", label(key));
     }
     Ok(ok)
 }
 
 fn main() -> ExitCode {
-    if std::env::var("CFS_BENCH_GUARD_SKIP").is_ok_and(|v| v == "1") {
-        println!("guard: skipped (CFS_BENCH_GUARD_SKIP=1)");
-        return ExitCode::SUCCESS;
-    }
     let args: Vec<String> = std::env::args().collect();
     let [_, baseline, fresh] = &args[..] else {
         eprintln!("usage: bench_guard <baseline BENCH.json> <fresh BENCH.json>");
@@ -249,11 +233,7 @@ fn main() -> ExitCode {
     match run(baseline, fresh) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => {
-            eprintln!(
-                "bench guard failed: a guarded metric regressed more than {:.0}% \
-                 (set CFS_BENCH_GUARD_SKIP=1 to bypass on known-noisy machines)",
-                tolerance() * 100.0
-            );
+            eprintln!("bench guard failed: a row broke its unit's rule");
             ExitCode::FAILURE
         }
         Err(error) => {
@@ -267,75 +247,115 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    /// Writes a baseline and a fresh ledger to files unique to `tag` and
+    /// runs the guard over them.
+    fn run_on(tag: &str, baseline: &str, fresh: &str) -> Result<bool, GuardError> {
+        let dir = std::env::temp_dir();
+        let id = std::process::id();
+        let baseline_path = dir.join(format!("bench-guard-{tag}-base-{id}.json"));
+        let fresh_path = dir.join(format!("bench-guard-{tag}-fresh-{id}.json"));
+        std::fs::write(&baseline_path, baseline).unwrap();
+        std::fs::write(&fresh_path, fresh).unwrap();
+        let result = run(baseline_path.to_str().unwrap(), fresh_path.to_str().unwrap());
+        std::fs::remove_file(&baseline_path).unwrap();
+        std::fs::remove_file(&fresh_path).unwrap();
+        result
+    }
+
+    fn row(name: &str, unit: &str, value: f64, workers: u64) -> String {
+        format!(
+            r#"{{"name": "{name}", "layer": "sanet", "unit": "{unit}", "value": {value}, "workers": {workers}}}"#
+        )
+    }
+
     #[test]
     fn parses_the_bench_schema() {
-        let doc = json::parse(
-            r#"[
-                {"name": "san_abe_model_calendar", "unit": "events/s", "workers": null,
-                 "ns_per_iter": 100.5, "events_per_sec": 6.5e6, "speedup": 1.8,
-                 "replications_to_target": null},
-                {"name": "study_global_work_stealing_pool", "unit": "ns/iter", "workers": 4,
-                 "ns_per_iter": 7e8, "events_per_sec": null, "speedup": 1.4,
-                 "replications_to_target": null},
-                {"name": "reach_states_per_sec", "unit": "states/s", "workers": null,
-                 "ns_per_iter": 5e7, "events_per_sec": 4.0e4, "speedup": null,
-                 "replications_to_target": null}
-            ]"#,
-        )
+        let doc = json::parse(&format!(
+            "[{}, {}, {}]",
+            row("san_abe_model_calendar", "events/s", 6.5e6, 1),
+            row("study_million_replications_speedup", "ratio", 1.9, 2),
+            row("reach_states_per_sec", "states/s", 4.0e4, 1),
+        ))
         .unwrap();
-        let metrics = guarded_metrics("test.json", &doc).unwrap();
-        assert_eq!(
-            metrics.get(&("san_abe_model_calendar".to_string(), -1)),
-            Some(&Metric::EventsPerSec(6.5e6))
-        );
-        assert_eq!(
-            metrics.get(&("study_global_work_stealing_pool".to_string(), 4)),
-            Some(&Metric::Speedup(1.4))
-        );
-        assert_eq!(
-            metrics.get(&("reach_states_per_sec".to_string(), -1)),
-            Some(&Metric::EventsPerSec(4.0e4))
-        );
+        let rows = rows("test.json", &doc).unwrap();
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows[&("san_abe_model_calendar".to_string(), Unit::EventsPerSec, 1)], 6.5e6);
+        assert_eq!(rows[&("study_million_replications_speedup".to_string(), Unit::Ratio, 2)], 1.9);
+        assert_eq!(rows[&("reach_states_per_sec".to_string(), Unit::StatesPerSec, 1)], 4.0e4);
+    }
+
+    #[test]
+    fn count_rows_must_equal_the_baseline() {
+        assert!(passes(Unit::Count, 16_000.0, 16_000.0));
+        assert!(!passes(Unit::Count, 16_000.0, 16_001.0));
+        // Less work is a change of algorithm too: it fails until the
+        // baseline is regenerated.
+        assert!(!passes(Unit::Count, 16_000.0, 15_999.0));
+    }
+
+    #[test]
+    fn ratio_and_throughput_rows_may_fall_to_three_quarters() {
+        for unit in [Unit::Ratio, Unit::EventsPerSec, Unit::StatesPerSec] {
+            assert!(passes(unit, 2.0, 1.5), "{unit:?}");
+            assert!(!passes(unit, 2.0, 1.49), "{unit:?}");
+            assert!(passes(unit, 2.0, 40.0), "{unit:?}: improvements never fail");
+        }
     }
 
     #[test]
     fn overhead_rows_are_guarded_absolutely() {
-        let doc = json::parse(
-            r#"[
-                {"name": "telemetry_overhead_pct", "unit": "percent", "workers": null,
-                 "ns_per_iter": 1e6, "events_per_sec": 0.8, "speedup": null,
-                 "replications_to_target": null}
-            ]"#,
-        )
-        .unwrap();
-        let metrics = guarded_metrics("test.json", &doc).unwrap();
-        let base = metrics.get(&("telemetry_overhead_pct".to_string(), -1)).copied().unwrap();
-        assert_eq!(base, Metric::OverheadPct(0.8));
-        // Inside the 2-point headroom — even with zero relative tolerance.
-        assert!(!base.regressed_by(Metric::OverheadPct(2.7), 0.0));
-        // Beyond it — regardless of how loose the relative tolerance is.
-        assert!(base.regressed_by(Metric::OverheadPct(2.9), 0.9));
-        // Improvements (less overhead, even negative) never fail.
-        assert!(!base.regressed_by(Metric::OverheadPct(-1.0), 0.0));
+        // Inside the 2-point headroom, beyond it, and an improvement (less
+        // overhead, even negative), which never fails.
+        assert!(passes(Unit::Percent, 0.8, 2.7));
+        assert!(!passes(Unit::Percent, 0.8, 2.9));
+        assert!(passes(Unit::Percent, 0.8, -1.0));
     }
 
     #[test]
     fn unguarded_rows_are_ignored() {
-        let doc = json::parse(
-            r#"[
-                {"name": "weibull_sample", "unit": "ns/iter", "workers": null,
-                 "ns_per_iter": 27.0, "events_per_sec": null, "speedup": null,
-                 "replications_to_target": null},
-                {"name": "study_million_replications", "unit": "replications/s",
-                 "workers": 8, "ns_per_iter": 50.0, "events_per_sec": 2e7,
-                 "speedup": null, "replications_to_target": null},
-                {"name": "sweep_replication_vs_raid", "unit": "points/s", "workers": null,
-                 "ns_per_iter": 1e9, "events_per_sec": 4.0, "speedup": null,
-                 "replications_to_target": null}
-            ]"#,
-        )
-        .unwrap();
-        assert!(guarded_metrics("test.json", &doc).unwrap().is_empty());
+        // ns/iter rows are reported but never fail, however far they move.
+        assert!(passes(Unit::NsPerIter, 27.0, 1e9));
+        let baseline = format!("[{}]", row("weibull_sample", "ns/iter", 27.0, 1));
+        let fresh = format!("[{}]", row("weibull_sample", "ns/iter", 2.7e9, 1));
+        assert_eq!(run_on("unguarded", &baseline, &fresh), Ok(true));
+    }
+
+    #[test]
+    fn a_row_that_breaks_its_rule_fails_the_run() {
+        let baseline = format!(
+            "[{}, {}]",
+            row("san_abe_model_events", "count", 196_348.0, 1),
+            row("san_abe_model_calendar", "events/s", 4.0e6, 1)
+        );
+        let fresh = format!(
+            "[{}, {}, {}]",
+            row("san_abe_model_calendar", "events/s", 3.9e6, 1),
+            row("san_abe_model_events", "count", 196_349.0, 1),
+            row("a_new_row", "count", 1.0, 1)
+        );
+        assert_eq!(run_on("regressed", &baseline, &fresh), Ok(false));
+        assert_eq!(run_on("clean", &baseline, &baseline), Ok(true));
+    }
+
+    #[test]
+    fn a_baseline_row_missing_from_the_fresh_run_is_a_typed_error() {
+        let baseline = format!(
+            "[{}, {}]",
+            row("study_million_replications_speedup", "ratio", 1.9, 2),
+            row("telemetry_overhead_pct", "percent", 0.3, 1)
+        );
+        // Same name, other worker count: still not the baseline's row.
+        let fresh = format!(
+            "[{}, {}]",
+            row("study_million_replications_speedup", "ratio", 1.9, 4),
+            row("telemetry_overhead_pct", "percent", 0.3, 1)
+        );
+        match run_on("missing", &baseline, &fresh).unwrap_err() {
+            GuardError::MissingRows { rows, .. } => {
+                assert_eq!(rows, ["study_million_replications_speedup [ratio, 2w]"]);
+            }
+            other => panic!("expected MissingRows, got {other}"),
+        }
     }
 
     #[test]
@@ -350,30 +370,36 @@ mod tests {
 
     #[test]
     fn truncated_fresh_file_is_a_typed_parse_error() {
-        let dir = std::env::temp_dir();
-        let baseline = dir.join(format!("bench-guard-base-{}.json", std::process::id()));
-        let fresh = dir.join(format!("bench-guard-fresh-{}.json", std::process::id()));
-        std::fs::write(&baseline, "[]").unwrap();
         // A bench run killed mid-write leaves a truncated document.
-        std::fs::write(&fresh, r#"[{"name": "san_abe_model_calendar", "unit": "ev"#).unwrap();
-        let err = run(baseline.to_str().unwrap(), fresh.to_str().unwrap()).unwrap_err();
+        let err = run_on("truncated", "[]", r#"[{"name": "san_abe_model_calendar", "unit": "ev"#)
+            .unwrap_err();
         match &err {
-            GuardError::Parse { path, .. } => assert_eq!(path, fresh.to_str().unwrap()),
+            GuardError::Parse { path, .. } => assert!(path.contains("truncated-fresh"), "{path}"),
             other => panic!("expected Parse error, got {other}"),
         }
         assert!(err.to_string().contains("not valid JSON"), "{err}");
-        std::fs::remove_file(&baseline).unwrap();
-        std::fs::remove_file(&fresh).unwrap();
     }
 
     #[test]
     fn off_schema_documents_are_typed_schema_errors() {
-        let doc = json::parse(r#"{"not": "an array"}"#).unwrap();
-        let err = guarded_metrics("test.json", &doc).unwrap_err();
-        assert!(matches!(err, GuardError::Schema { .. }), "{err}");
-
-        let doc = json::parse(r#"[{"unit": "events/s"}]"#).unwrap();
-        let err = guarded_metrics("test.json", &doc).unwrap_err();
-        assert!(err.to_string().contains("'name'"), "{err}");
+        let schema_error = |doc: &str| match rows("test.json", &json::parse(doc).unwrap()) {
+            Err(GuardError::Schema { reason, .. }) => reason,
+            other => panic!("expected a Schema error for {doc}, got {other:?}"),
+        };
+        assert!(schema_error(r#"{"not": "an array"}"#).contains("array"));
+        assert!(schema_error(r#"[{"unit": "events/s"}]"#).contains("exactly"));
+        // The retired seven-field row shape.
+        let old = r#"[{"name": "san_abe_model_calendar", "unit": "events/s", "workers": null,
+                       "ns_per_iter": 100.5, "events_per_sec": 6.5e6, "speedup": 1.8,
+                       "replications_to_target": null}]"#;
+        assert!(schema_error(old).contains("exactly"));
+        let unknown = format!("[{}]", row("sweep_replication_vs_raid", "points/s", 4.0, 1));
+        let reason = schema_error(&unknown);
+        assert!(reason.contains("unknown unit 'points/s'"), "{reason}");
+        let null_value = r#"[{"name": "x", "layer": "sanet", "unit": "count", "value": null,
+                              "workers": 1}]"#;
+        assert!(schema_error(null_value).contains("finite number"));
+        let twice = format!("[{0}, {0}]", row("x", "count", 1.0, 1));
+        assert!(schema_error(&twice).contains("repeats"));
     }
 }

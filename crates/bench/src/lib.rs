@@ -1,102 +1,110 @@
-//! Shared helpers for the benchmark harness that regenerates every table and
-//! figure of the paper's evaluation.
+//! The benchmark harness of the paper's evaluation.
 //!
-//! Each bench target (`cargo bench -p cfs-bench --bench <name>`) runs the
-//! corresponding [`cfs_model::Scenario`] through the [`cfs_model::Study`]
-//! API, prints the same rows/series the paper reports, and prints how long
-//! the regeneration took. Replication counts default to values that finish
-//! in seconds-to-minutes on a laptop and can be overridden with the
-//! `CFS_BENCH_REPLICATIONS`, `CFS_BENCH_HORIZON_HOURS`, and
-//! `CFS_BENCH_WORKERS` environment variables for higher-precision runs.
+//! * `abe-tables` and `abe-figures` regenerate Tables 1–5, Figures 2–4 and
+//!   the ablations through the [`cfs_model::Study`] API under
+//!   [`study_spec`], then print the report and, after it, one `paper:`
+//!   line per published value of [`PAPER_VALUES`] whose artefact ran.
+//!   Replication counts default to values that finish in
+//!   seconds-to-minutes on a laptop and can be overridden with the
+//!   `CFS_BENCH_REPLICATIONS`, `CFS_BENCH_HORIZON_HOURS`, and
+//!   `CFS_BENCH_WORKERS` environment variables for higher-precision runs.
+//! * The microbench (`cargo bench -p cfs-bench --bench microbench`) times
+//!   the simulation substrates into the `BENCH.json` ledger, one
+//!   [`BenchRecord`] per number, and `bench_guard` checks a fresh ledger
+//!   against the committed one by each row's [`Unit`]. The microbench
+//!   reads none of the variables above: it measures fixed work, so a CI
+//!   run and the committed baseline compare like with like.
 
 #![forbid(unsafe_code)]
 
+use std::fmt::Write as _;
 use std::time::Instant;
 
-use cfs_model::RunSpec;
-use serde::Serialize;
+use cfs_model::{Report, RunSpec};
+use serde::{Serialize, Value};
 
-/// One machine-readable microbenchmark result.
-///
-/// Serialised into `BENCH.json` (one JSON array of these rows) so CI can
-/// record the performance trajectory across commits instead of scraping the
-/// human-readable text lines.
+/// The unit of a [`BenchRecord`]'s value. `bench_guard` takes each row's
+/// rule from its unit alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Unit {
+    /// Work done at a fixed seed, which repeats exactly from run to run.
+    Count,
+    /// A dimensionless, higher-is-better ratio: a speedup or a
+    /// variance-reduction factor.
+    Ratio,
+    /// A lower-is-better overhead in percentage points.
+    Percent,
+    /// Simulation events per second.
+    EventsPerSec,
+    /// Reachable markings interned per second.
+    StatesPerSec,
+    /// Mean wall-clock nanoseconds per iteration.
+    NsPerIter,
+}
+
+impl Unit {
+    /// Every unit, in declaration order.
+    pub const ALL: [Unit; 6] = [
+        Unit::Count,
+        Unit::Ratio,
+        Unit::Percent,
+        Unit::EventsPerSec,
+        Unit::StatesPerSec,
+        Unit::NsPerIter,
+    ];
+
+    /// The unit's label in `BENCH.json`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Unit::Count => "count",
+            Unit::Ratio => "ratio",
+            Unit::Percent => "percent",
+            Unit::EventsPerSec => "events/s",
+            Unit::StatesPerSec => "states/s",
+            Unit::NsPerIter => "ns/iter",
+        }
+    }
+
+    /// The unit a `BENCH.json` label names, if any.
+    pub fn parse(label: &str) -> Option<Unit> {
+        Unit::ALL.into_iter().find(|unit| unit.label() == label)
+    }
+}
+
+impl Serialize for Unit {
+    fn to_value(&self) -> Value {
+        Value::String(self.label().to_string())
+    }
+}
+
+/// One row of the `BENCH.json` ledger: one number, the layer it measures,
+/// its unit, and the worker-thread count it was measured at. A row is
+/// identified across runs by `(name, unit, workers)`.
 #[derive(Debug, Clone, Serialize)]
 pub struct BenchRecord {
-    /// Benchmark name (matches the text output line). Bare — units belong
-    /// in [`BenchRecord::unit`], not in the name.
+    /// What the number measures. Bare: the unit belongs in
+    /// [`BenchRecord::unit`].
     pub name: String,
-    /// Unit of the record's primary metric: `"ns/iter"` for plain timing
-    /// rows, or the throughput unit (`"events/s"`, `"points/s"`,
-    /// `"replications/s"`, …) when `events_per_sec` carries the headline
-    /// number.
-    pub unit: String,
-    /// Worker-thread count the row was measured with, for parallel benches
-    /// that report one row per worker count.
-    pub workers: Option<u64>,
-    /// Mean wall-clock nanoseconds per iteration.
-    pub ns_per_iter: f64,
-    /// Throughput in `unit`s per second, for benches that process events
-    /// (or points, or replications — see `unit`).
-    pub events_per_sec: Option<f64>,
-    /// Speedup against the named baseline bench, for comparison rows. For
-    /// the rare-event estimator rows this is the measured
-    /// variance-reduction factor — the speedup against naive Monte Carlo.
-    pub speedup: Option<f64>,
-    /// Replications (or splitting trials) the estimator spent to reach its
-    /// precision target, for the rare-event rows.
-    pub replications_to_target: Option<f64>,
+    /// The module whose work the number measures (e.g. `"sanet"`,
+    /// `"probdist::parallel"`).
+    pub layer: &'static str,
+    /// The unit of [`BenchRecord::value`].
+    pub unit: Unit,
+    /// The measured number.
+    pub value: f64,
+    /// Worker threads the measurement ran on.
+    pub workers: u64,
 }
 
 impl BenchRecord {
-    /// A plain timing row.
-    pub fn timing(name: impl Into<String>, ns_per_iter: f64) -> Self {
-        BenchRecord {
-            name: name.into(),
-            unit: "ns/iter".to_string(),
-            workers: None,
-            ns_per_iter,
-            events_per_sec: None,
-            speedup: None,
-            replications_to_target: None,
-        }
+    /// A row measured on one thread.
+    pub fn new(name: impl Into<String>, layer: &'static str, unit: Unit, value: f64) -> Self {
+        BenchRecord { name: name.into(), layer, unit, value, workers: 1 }
     }
 
-    /// A timing row with an events/sec throughput.
-    pub fn with_events(name: impl Into<String>, ns_per_iter: f64, events_per_sec: f64) -> Self {
-        BenchRecord {
-            name: name.into(),
-            unit: "events/s".to_string(),
-            workers: None,
-            ns_per_iter,
-            events_per_sec: Some(events_per_sec),
-            speedup: None,
-            replications_to_target: None,
-        }
-    }
-
-    /// Overrides the unit label (e.g. `"points/s"` for sweep rows whose
-    /// `events_per_sec` counts design points).
-    pub fn with_unit(mut self, unit: impl Into<String>) -> Self {
-        self.unit = unit.into();
-        self
-    }
-
-    /// Attaches the worker-thread count the row was measured with.
+    /// Sets the worker-thread count the row was measured at.
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers as u64);
-        self
-    }
-
-    /// Attaches a speedup-vs-baseline annotation.
-    pub fn with_speedup(mut self, speedup: f64) -> Self {
-        self.speedup = Some(speedup);
-        self
-    }
-
-    /// Attaches a replications-to-target-precision annotation.
-    pub fn with_replications_to_target(mut self, replications: f64) -> Self {
-        self.replications_to_target = Some(replications);
+        self.workers = workers as u64;
         self
     }
 }
@@ -143,7 +151,7 @@ pub const DEFAULT_HORIZON_HOURS: f64 = 8760.0;
 pub const DEFAULT_SEED: u64 = 20080625;
 
 /// Replication count, overridable via `CFS_BENCH_REPLICATIONS`.
-pub fn replications() -> usize {
+fn replications() -> usize {
     std::env::var("CFS_BENCH_REPLICATIONS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -152,7 +160,7 @@ pub fn replications() -> usize {
 }
 
 /// Simulation horizon in hours, overridable via `CFS_BENCH_HORIZON_HOURS`.
-pub fn horizon_hours() -> f64 {
+fn horizon_hours() -> f64 {
     std::env::var("CFS_BENCH_HORIZON_HOURS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -161,7 +169,7 @@ pub fn horizon_hours() -> f64 {
 }
 
 /// Worker-thread count, overridable via `CFS_BENCH_WORKERS` (`0` = auto).
-pub fn workers() -> usize {
+fn workers() -> usize {
     std::env::var("CFS_BENCH_WORKERS").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
 }
 
@@ -193,6 +201,100 @@ pub fn run_and_print<T, E: std::fmt::Display>(
     println!("{}", render(&result));
     println!("[{name}] regenerated in {:.2} s\n", elapsed.as_secs_f64());
     result
+}
+
+/// One of the paper's published values, beside the report metrics that
+/// reproduce it.
+#[derive(Debug, Clone, Copy)]
+pub struct PaperValue {
+    /// The artefact that states the value, as the paper numbers it.
+    pub artefact: &'static str,
+    /// The scenario whose output carries the metrics.
+    pub scenario: &'static str,
+    /// The value as published.
+    pub published: &'static str,
+    /// The reproducing metrics, each with the decimals it prints at.
+    pub metrics: &'static [(&'static str, usize)],
+}
+
+/// The paper's published values, one row per artefact that states one.
+pub const PAPER_VALUES: [PaperValue; 6] = [
+    PaperValue {
+        artefact: "Table 1",
+        scenario: "table1_outages",
+        published: "SAN availability 0.97-0.98",
+        metrics: &[("san_availability", 4), ("outages", 0)],
+    },
+    PaperValue {
+        artefact: "Table 2",
+        scenario: "table2_mount_failures",
+        published: "12 storm days, peak 591 nodes",
+        metrics: &[("storm_days", 0), ("peak_day_nodes", 0)],
+    },
+    PaperValue {
+        artefact: "Table 3",
+        scenario: "table3_jobs",
+        published: "transient:other job-failure ratio ~6.7 (1234/184)",
+        metrics: &[("transient_to_other_ratio", 2)],
+    },
+    PaperValue {
+        artefact: "Table 4",
+        scenario: "table4_disk_weibull",
+        published: "Weibull shape 0.696 (sd 0.192), 0-2 replacements/week",
+        metrics: &[
+            ("weibull_shape", 3),
+            ("weibull_shape_std_error", 3),
+            ("mean_replacements_per_week", 2),
+        ],
+    },
+    PaperValue {
+        artefact: "Figure 3",
+        scenario: "figure3_disk_replacements",
+        published: "ABE configuration 0-2 replacements/week",
+        metrics: &[("replacements_per_week (0.7,2.92,8+2,4) @480 disks", 2)],
+    },
+    PaperValue {
+        artefact: "Figure 4",
+        scenario: "figure4_cfs_availability",
+        published: "CFS availability 0.972 -> 0.909, spare OSS +3%",
+        metrics: &[
+            ("cfs_availability_first", 3),
+            ("cfs_availability_last", 3),
+            ("spare_oss_gain_last", 3),
+        ],
+    },
+];
+
+/// One `paper:` line per [`PAPER_VALUES`] row whose scenario `report`
+/// ran: the value as published, then each reproducing metric as measured.
+///
+/// # Panics
+///
+/// If a scenario that ran lacks a metric the table names: the scenario
+/// renamed it without this table following.
+pub fn paper_lines(report: &Report) -> String {
+    let mut lines = String::new();
+    for value in &PAPER_VALUES {
+        let Some(output) = report.output(value.scenario) else { continue };
+        let measured: Vec<String> = value
+            .metrics
+            .iter()
+            .map(|&(name, decimals)| {
+                let Some(measured) = output.metric(name) else {
+                    panic!("{} reports no metric '{name}'", value.scenario)
+                };
+                format!("{name} {measured:.decimals$}")
+            })
+            .collect();
+        let _ = writeln!(
+            lines,
+            "paper: {} | {} | measured: {}",
+            value.artefact,
+            value.published,
+            measured.join(", ")
+        );
+    }
+    lines
 }
 
 #[cfg(test)]
@@ -227,27 +329,51 @@ mod tests {
     #[test]
     fn bench_records_serialise_with_stable_field_names() {
         let records = [
-            BenchRecord::timing("plain", 12.5),
-            BenchRecord::with_events("engine", 100.0, 2.0e6).with_speedup(3.5),
-            BenchRecord::with_events("pool", 50.0, 4.0e6)
-                .with_unit("replications/s")
-                .with_workers(8),
+            BenchRecord::new("plain", "probdist", Unit::NsPerIter, 12.5),
+            BenchRecord::new("engine", "sanet", Unit::EventsPerSec, 2.0e6),
+            BenchRecord::new("pool", "probdist::parallel", Unit::Ratio, 1.5).with_workers(2),
         ];
         let json = serde::to_json(&records[..]);
         assert_eq!(
             json,
-            "[{\"name\":\"plain\",\"unit\":\"ns/iter\",\"workers\":null,\
-             \"ns_per_iter\":12.5,\"events_per_sec\":null,\
-             \"speedup\":null,\"replications_to_target\":null},\
-             {\"name\":\"engine\",\"unit\":\"events/s\",\"workers\":null,\
-             \"ns_per_iter\":100,\
-             \"events_per_sec\":2000000,\"speedup\":3.5,\
-             \"replications_to_target\":null},\
-             {\"name\":\"pool\",\"unit\":\"replications/s\",\"workers\":8,\
-             \"ns_per_iter\":50,\
-             \"events_per_sec\":4000000,\"speedup\":null,\
-             \"replications_to_target\":null}]"
+            "[{\"name\":\"plain\",\"layer\":\"probdist\",\"unit\":\"ns/iter\",\
+             \"value\":12.5,\"workers\":1},\
+             {\"name\":\"engine\",\"layer\":\"sanet\",\"unit\":\"events/s\",\
+             \"value\":2000000,\"workers\":1},\
+             {\"name\":\"pool\",\"layer\":\"probdist::parallel\",\"unit\":\"ratio\",\
+             \"value\":1.5,\"workers\":2}]"
         );
+        for unit in Unit::ALL {
+            assert_eq!(Unit::parse(unit.label()), Some(unit));
+        }
+        assert_eq!(Unit::parse("replications/s"), None);
+    }
+
+    #[test]
+    fn every_published_value_names_a_metric_the_report_renders() {
+        // A short run is enough: the table checks metric names, not values.
+        let spec = RunSpec::new()
+            .with_horizon_hours(500.0)
+            .with_replications(2)
+            .with_base_seed(DEFAULT_SEED);
+        let report =
+            cfs_model::Study::tables().and(cfs_model::Study::figures()).run(&spec).unwrap();
+        for value in &PAPER_VALUES {
+            let output = report.output(value.scenario).unwrap_or_else(|| {
+                panic!("{} names scenario '{}', which did not run", value.artefact, value.scenario)
+            });
+            for (name, _) in value.metrics {
+                assert!(
+                    output.metric(name).is_some(),
+                    "{} names metric '{name}', which {} does not report",
+                    value.artefact,
+                    value.scenario
+                );
+            }
+        }
+        let lines = paper_lines(&report);
+        assert_eq!(lines.lines().count(), PAPER_VALUES.len(), "{lines}");
+        assert!(lines.lines().all(|line| line.starts_with("paper: ")), "{lines}");
     }
 
     #[test]

@@ -29,8 +29,6 @@
 
 use std::sync::Arc;
 
-use sanet::lint::{codes, Diagnostic, Severity};
-
 use crate::report::TextTable;
 use crate::run::RunSpec;
 use crate::scenario::{Metric, Scenario, ScenarioOutput};
@@ -147,60 +145,6 @@ impl DesignSpace {
             }
         }
         Ok(())
-    }
-
-    /// Lints the space for *degenerate* axes — shapes [`validate`] accepts
-    /// (or reports as hard errors) but that usually signal a mis-built
-    /// sweep: an axis with a single value (nothing is being swept), an axis
-    /// repeating a value (the duplicate designs are evaluated twice and
-    /// can shadow the winner), plus the hard-error shapes (no axes, an
-    /// empty axis, non-finite values) so a lint pass surfaces everything
-    /// in one report.
-    ///
-    /// Every finding is a [`Diagnostic`] with code
-    /// [`codes::DEGENERATE_AXIS`] (`SAN030`), severity `Warning`.
-    ///
-    /// [`validate`]: DesignSpace::validate
-    pub fn lint(&self) -> Vec<Diagnostic> {
-        let mut diagnostics = Vec::new();
-        let mut degenerate = |element: &str, message: String| {
-            diagnostics.push(Diagnostic::new(
-                codes::DEGENERATE_AXIS,
-                Severity::Warning,
-                element,
-                message,
-            ));
-        };
-        if self.axes.is_empty() {
-            degenerate("design space", "has no axes to sweep".into());
-        }
-        let mut seen = std::collections::HashSet::new();
-        for axis in &self.axes {
-            let element = format!("axis `{}`", axis.name);
-            if !seen.insert(axis.name.as_str()) {
-                degenerate(&element, "declared twice".into());
-            }
-            if axis.values.is_empty() {
-                degenerate(&element, "has no values, so the space has no points".into());
-            } else if axis.values.len() == 1 {
-                degenerate(
-                    &element,
-                    format!("has a single value ({}); nothing is being swept", axis.values[0]),
-                );
-            }
-            if let Some(bad) = axis.values.iter().find(|v| !v.is_finite()) {
-                degenerate(&element, format!("contains non-finite value {bad}"));
-            }
-            let mut sorted = axis.values.clone();
-            sorted.sort_by(f64::total_cmp);
-            if sorted.windows(2).any(|w| w[0].total_cmp(&w[1]).is_eq()) {
-                degenerate(
-                    &element,
-                    "repeats a value; duplicate designs are evaluated twice".into(),
-                );
-            }
-        }
-        diagnostics
     }
 
     /// Enumerates every grid point in row-major order (first axis slowest).
@@ -387,53 +331,6 @@ impl SweepScenario {
     pub fn space(&self) -> &DesignSpace {
         &self.space
     }
-
-    /// Lints the sweep's configuration under a run spec: the space's
-    /// degenerate-axis findings ([`DesignSpace::lint`]) plus a collision
-    /// check over the per-point seeds the sweep would actually run with
-    /// (`spec.offset_seed(index · stride)` for every point).
-    pub fn lint(&self, spec: &RunSpec) -> Vec<Diagnostic> {
-        let mut diagnostics = self.space.lint();
-        let seeds: Vec<u64> = (0..self.space.len())
-            .map(|i| spec.offset_seed((i as u64).wrapping_mul(POINT_SEED_STRIDE)).base_seed())
-            .collect();
-        diagnostics.extend(lint_point_seeds(&self.name, &seeds));
-        diagnostics
-    }
-}
-
-/// Checks a sweep's computed per-point base seeds for collisions: two
-/// design points sharing a seed would draw *identical* replication streams,
-/// silently correlating their estimates — a statistics-corrupting bug, so
-/// each collision is a [`codes::SEED_COLLISION`] (`SAN031`) error naming
-/// the colliding point indices.
-///
-/// The seed list is taken as input (rather than recomputed from a
-/// [`SweepScenario`]) so callers can lint any seeding scheme; `seeds[i]`
-/// must be point `i`'s base seed.
-pub fn lint_point_seeds(sweep: &str, seeds: &[u64]) -> Vec<Diagnostic> {
-    let mut first_index: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-    let mut diagnostics = Vec::new();
-    for (index, &seed) in seeds.iter().enumerate() {
-        match first_index.entry(seed) {
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(index);
-            }
-            std::collections::hash_map::Entry::Occupied(slot) => {
-                diagnostics.push(Diagnostic::new(
-                    codes::SEED_COLLISION,
-                    Severity::Error,
-                    format!("sweep `{sweep}`"),
-                    format!(
-                        "points {} and {index} share base seed {seed}; their replication \
-                         streams would be identical",
-                        slot.get()
-                    ),
-                ));
-            }
-        }
-    }
-    diagnostics
 }
 
 impl Scenario for SweepScenario {
@@ -694,73 +591,6 @@ mod tests {
         assert!(empty.evaluate(&quick_spec()).is_err());
         assert_eq!(empty.space().len(), 0);
         assert!(format!("{empty:?}").contains("empty"));
-    }
-
-    #[test]
-    fn degenerate_axes_are_linted_as_san030_warnings() {
-        // A healthy multi-value space lints clean.
-        assert!(toy_sweep(Objective::Maximize).space().lint().is_empty());
-
-        let space = DesignSpace::new()
-            .with_axis("fixed", [7.0])
-            .with_axis("dup", [1.0, 2.0, 1.0])
-            .with_axis("bad", [f64::INFINITY, 0.0]);
-        let diagnostics = space.lint();
-        assert_eq!(diagnostics.len(), 3, "{diagnostics:?}");
-        assert!(diagnostics.iter().all(|d| d.code() == codes::DEGENERATE_AXIS));
-        assert!(diagnostics.iter().all(|d| d.severity() == Severity::Warning));
-        assert!(diagnostics
-            .iter()
-            .any(|d| { d.element().contains("fixed") && d.message().contains("single value") }));
-        assert!(diagnostics
-            .iter()
-            .any(|d| d.element().contains("dup") && d.message().contains("repeats")));
-        assert!(diagnostics
-            .iter()
-            .any(|d| { d.element().contains("bad") && d.message().contains("non-finite") }));
-
-        // The hard-error shapes surface through the lint too.
-        assert!(!DesignSpace::new().lint().is_empty());
-        assert!(DesignSpace::new()
-            .with_axis("a", [])
-            .lint()
-            .iter()
-            .any(|d| d.message().contains("no values")));
-    }
-
-    #[test]
-    fn seed_collisions_are_linted_as_san031_errors() {
-        // The real stride never collides: every point gets its own stream.
-        let sweep = toy_sweep(Objective::Maximize);
-        assert!(sweep.lint(&quick_spec()).is_empty(), "{:?}", sweep.lint(&quick_spec()));
-
-        // A crafted collision (points 0 and 2 share a seed) is an error
-        // naming both indices.
-        let diagnostics = lint_point_seeds("crafted", &[10, 11, 10, 12]);
-        assert_eq!(diagnostics.len(), 1, "{diagnostics:?}");
-        let d = &diagnostics[0];
-        assert_eq!(d.code(), codes::SEED_COLLISION);
-        assert_eq!(d.severity(), Severity::Error);
-        assert!(d.element().contains("crafted"), "{d}");
-        assert!(d.message().contains("points 0 and 2"), "{d}");
-        assert!(d.message().contains("10"), "{d}");
-
-        // Every later duplicate is reported against the first occurrence.
-        let many = lint_point_seeds("crafted", &[5, 5, 5]);
-        assert_eq!(many.len(), 2);
-        assert!(many.iter().all(|d| d.message().contains("points 0 and")));
-    }
-
-    #[test]
-    fn sweep_lint_combines_space_and_seed_findings() {
-        let space = DesignSpace::new().with_axis("only", [3.0]);
-        let sweep =
-            SweepScenario::new("degenerate", space, "score", Objective::Maximize, |_, _| {
-                Ok(PointOutcome::new().with_metric("score", 0.0))
-            });
-        let diagnostics = sweep.lint(&quick_spec());
-        assert_eq!(diagnostics.len(), 1, "{diagnostics:?}");
-        assert_eq!(diagnostics[0].code(), codes::DEGENERATE_AXIS);
     }
 
     #[test]

@@ -49,8 +49,6 @@
 //! | `SAN021` | Warning | impulse reward attached to a dead activity |
 //! | `SAN022` | Error | reward function panicked while being probed |
 //! | `SAN023` | Warning | reward function produced a non-finite value |
-//! | `SAN030` | Warning | degenerate design-space axis (reported by `cfs-model`'s sweep lint) |
-//! | `SAN031` | Error | sweep seed-stream collision (reported by `cfs-model`'s sweep lint) |
 //! | `SAN040` | Warning/Info | state budget exhausted: the model may be unbounded (reported by [`reach`](crate::reach)) |
 //! | `SAN041` | Info/Warning | non-ergodic structure: absorbing/terminal classes plus transient markings |
 //! | `SAN042` | Info | non-exponential timing blocks analytic solving (offending activity named) |
@@ -151,10 +149,6 @@ pub mod codes {
     pub const REWARD_PANICKED: &str = "SAN022";
     /// Reward function produced a non-finite value.
     pub const NON_FINITE_REWARD: &str = "SAN023";
-    /// Degenerate design-space axis.
-    pub const DEGENERATE_AXIS: &str = "SAN030";
-    /// Sweep seed-stream collision.
-    pub const SEED_COLLISION: &str = "SAN031";
     /// Reachability budget exhausted; the model may be unbounded.
     pub const UNBOUNDED_SUSPECT: &str = "SAN040";
     /// Non-ergodic marking graph (terminal classes plus transient states).
@@ -177,9 +171,8 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// Creates a diagnostic (used by `sanet` itself and by the sweep lint
-    /// in `cfs-model`).
-    pub fn new(
+    /// Creates a diagnostic.
+    pub(crate) fn new(
         code: &'static str,
         severity: Severity,
         element: impl Into<String>,
@@ -198,8 +191,8 @@ impl Diagnostic {
         self.severity
     }
 
-    /// The model element the diagnostic is about (activity, place, reward,
-    /// or axis name).
+    /// The model element the diagnostic is about (activity, place, or
+    /// reward).
     pub fn element(&self) -> &str {
         &self.element
     }
