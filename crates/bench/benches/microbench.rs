@@ -29,7 +29,8 @@ use cfs_model::rewards::standard_rewards;
 use cfs_model::workloads::{BeowulfPerformabilitySweep, RedundancyScheme, ReplicationVsRaid};
 use cfs_model::{ClusterConfig, RunSpec, Scenario};
 use probdist::{Distribution, Exponential, SimRng, Weibull};
-use raidsim::{RaidGeometry, StorageConfig, StorageSimulator};
+use raidsim::scaling::{config_from_plan, plan_for_capacity};
+use raidsim::{DiskModel, RaidGeometry, StorageConfig, StorageSimulator};
 use sanet::beowulf::BeowulfConfig;
 use sanet::reward::RewardSpec;
 use sanet::{Experiment, Model, ModelBuilder, Simulator, StoppingRule};
@@ -211,20 +212,39 @@ fn bench_reach(ledger: &mut Vec<BenchRecord>) {
     );
 }
 
+/// One-year storage missions at ABE scale (480 disks) and at the 12 288 TB,
+/// 8+2, Weibull 0.6 / 100 000 h petascale point of the storage ablations
+/// (61 440 disks, about three in four of whose first lifetimes end after
+/// the mission), plus the disk replacements of a fixed-seed batch of
+/// petascale missions, which pins that sample path exactly.
 fn bench_storage_kernel(ledger: &mut Vec<BenchRecord>) {
-    let sim = StorageSimulator::new(StorageConfig::abe_scratch()).unwrap();
-    let mut rng = SimRng::seed_from_u64(3);
-    let [(per_sec, _)] = measure(5, 40, |_| {
-        black_box(sim.run_once(8760.0, &mut rng));
-        1
-    });
+    let abe = StorageSimulator::new(StorageConfig::abe_scratch()).unwrap();
+    let disk = DiskModel { weibull_shape: 0.6, mtbf_hours: 100_000.0, capacity_gb: 250.0 };
+    let geometry = RaidGeometry::raid6_8p2();
+    let template = StorageConfig { geometry, disk, ..StorageConfig::abe_scratch() };
+    let plan = plan_for_capacity(12_288.0, disk.capacity_gb, geometry).unwrap();
+    let petascale = StorageSimulator::new(config_from_plan(&plan, &template).unwrap()).unwrap();
+    for (name, sim, batch) in [
+        ("storage_monte_carlo_abe_one_year", &abe, 40),
+        ("storage_monte_carlo_petascale_one_year", &petascale, 10),
+    ] {
+        let mut rng = SimRng::seed_from_u64(3);
+        let [(per_sec, _)] = measure(5, batch, |_| {
+            black_box(sim.run_once(8760.0, &mut rng));
+            1
+        });
+        record(ledger, BenchRecord::new(name, "raidsim", Unit::NsPerIter, 1e9 / per_sec));
+    }
+    let mut rng = SimRng::seed_from_u64(DEFAULT_SEED);
+    let replacements: u64 =
+        (0..8).map(|_| petascale.run_once(8760.0, &mut rng).disk_replacements).sum();
     record(
         ledger,
         BenchRecord::new(
-            "storage_monte_carlo_abe_one_year",
+            "storage_monte_carlo_petascale_replacements",
             "raidsim",
-            Unit::NsPerIter,
-            1e9 / per_sec,
+            Unit::Count,
+            replacements as f64,
         ),
     );
 }
@@ -277,7 +297,7 @@ fn bench_design_space_sweeps(ledger: &mut Vec<BenchRecord>) {
 /// time per replication.
 fn bench_rare_event(ledger: &mut Vec<BenchRecord>) {
     use probdist::rare::naive_replications_for;
-    use raidsim::{DiskModel, ReplicationConfig};
+    use raidsim::ReplicationConfig;
     use sanet::rare::{failover_pair, BiasedExperiment, FailureBias};
 
     // Reference rare-event config #1: the fail-over pair hitting

@@ -149,6 +149,20 @@ fn payload_value(data: &CheckpointData) -> Value {
     Value::Object(vec![("entries".to_string(), Value::Array(entries))])
 }
 
+/// The envelope around a serialised payload: the format tag, the version
+/// and the checksum of the payload's exact bytes.
+fn envelope(payload: String) -> Value {
+    Value::Object(vec![
+        ("format".to_string(), Value::String(FORMAT.to_string())),
+        ("version".to_string(), Value::UInt(VERSION)),
+        (
+            "checksum".to_string(),
+            Value::String(format!("fnv1a64:{:016x}", fnv1a64(payload.as_bytes()))),
+        ),
+        ("payload".to_string(), Value::String(payload)),
+    ])
+}
+
 fn parse_payload(path: &Path, payload: &str) -> Result<CheckpointData, CfsError> {
     let value = json::parse(payload)
         .map_err(|e| checkpoint_error(path, format!("malformed payload: {e}")))?;
@@ -272,20 +286,10 @@ pub fn load(path: impl AsRef<Path>) -> Result<CheckpointData, CfsError> {
 /// written or the rename fails.
 pub fn store(path: impl AsRef<Path>, data: &CheckpointData) -> Result<(), CfsError> {
     let path = path.as_ref();
-    let payload = payload_value(data).to_json();
-    let envelope = Value::Object(vec![
-        ("format".to_string(), Value::String(FORMAT.to_string())),
-        ("version".to_string(), Value::UInt(VERSION)),
-        (
-            "checksum".to_string(),
-            Value::String(format!("fnv1a64:{:016x}", fnv1a64(payload.as_bytes()))),
-        ),
-        ("payload".to_string(), Value::String(payload)),
-    ]);
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
-    let document = envelope.to_json_pretty();
+    let document = envelope(payload_value(data).to_json()).to_json_pretty();
     telemetry::counter_inc(telemetry::MetricId::CheckpointWrites);
     telemetry::counter_add(telemetry::MetricId::CheckpointBytes, document.len() as u64);
     let write_span = telemetry::span(telemetry::MetricId::SpanCheckpointWrite);
@@ -320,6 +324,8 @@ pub fn update(path: impl AsRef<Path>, key: &str, runs: Vec<StoredRun>) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use probdist::SimRng;
+    use proptest::prelude::*;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let mut path = std::env::temp_dir();
@@ -425,5 +431,192 @@ mod tests {
         assert_eq!(entry_key("baseline", 255), "baseline#ff");
         assert_ne!(entry_key("baseline", 1), entry_key("baseline", 2));
         assert_ne!(entry_key("a", 1), entry_key("b", 1));
+    }
+
+    /// Characters of random keys and reward names: ones the JSON writer
+    /// must escape (quotes, backslashes, controls), and two-, three- and
+    /// four-byte UTF-8.
+    const NAME_CHARS: &[char] = &[
+        'a', 'Z', '7', '#', ' ', '"', '\\', '/', '\n', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é', '€',
+        '\u{2028}', '😀',
+    ];
+
+    /// Fragments, separated by white space, that steer random byte edits
+    /// into the envelope parser's branches.
+    const FRAGMENTS: &str = r#"{ } [ ] , : "format" "version" "checksum" "payload"
+        "cfs-study-checkpoint" "fnv1a64:0123456789abcdef" "entries" "key" "runs"
+        "rewards" "events" "end_time" 1 -1 0.5 1e999 18446744073709551616 null true
+        "\u12" "\"""#;
+
+    fn random_name(rng: &mut SimRng) -> String {
+        let len = rng.next_u64() % 8;
+        (0..len).map(|_| NAME_CHARS[(rng.next_u64() % NAME_CHARS.len() as u64) as usize]).collect()
+    }
+
+    /// A random bit pattern, made finite by clearing the top exponent bit
+    /// of an inf or NaN one.
+    fn finite(bits: u64) -> f64 {
+        let x = f64::from_bits(bits);
+        if x.is_finite() {
+            x
+        } else {
+            f64::from_bits(bits & !(1 << 62))
+        }
+    }
+
+    fn random_data(seed: u64) -> CheckpointData {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut data = CheckpointData::new();
+        for _ in 0..1 + rng.next_u64() % 3 {
+            let mut runs = Vec::new();
+            for _ in 0..rng.next_u64() % 4 {
+                let mut rewards = Vec::new();
+                for _ in 0..rng.next_u64() % 4 {
+                    rewards.push((random_name(&mut rng), finite(rng.next_u64())));
+                }
+                runs.push(StoredRun {
+                    rewards,
+                    events: rng.next_u64(),
+                    end_time: finite(rng.next_u64()),
+                });
+            }
+            data.set_entry(&random_name(&mut rng), runs);
+        }
+        data
+    }
+
+    /// One line per key, reward and run end, with every float as its bits,
+    /// so that comparing two lists compares the checkpoints bit for bit.
+    fn bits(data: &CheckpointData) -> Vec<String> {
+        let mut lines = Vec::new();
+        for (key, runs) in &data.entries {
+            lines.push(format!("key {key:?}"));
+            for run in runs {
+                for (name, x) in &run.rewards {
+                    lines.push(format!("reward {name:?} {:x}", x.to_bits()));
+                }
+                lines.push(format!("events {} end {:x}", run.events, run.end_time.to_bits()));
+            }
+        }
+        lines
+    }
+
+    /// Replaces one node of `value`, found by a random walk from the root
+    /// (which it may stop at), with a scalar or an empty array.
+    fn replace_random_node(value: &mut Value, rng: &mut SimRng) {
+        let pick = rng.next_u64();
+        let child = match value {
+            Value::Array(items) if !pick.is_multiple_of(8) && !items.is_empty() => {
+                let i = (pick >> 8) as usize % items.len();
+                Some(&mut items[i])
+            }
+            Value::Object(fields) if !pick.is_multiple_of(8) && !fields.is_empty() => {
+                let i = (pick >> 8) as usize % fields.len();
+                Some(&mut fields[i].1)
+            }
+            _ => None,
+        };
+        match child {
+            Some(child) => replace_random_node(child, rng),
+            None => {
+                *value = match (pick >> 8) % 5 {
+                    0 => Value::Null,
+                    1 => Value::Int(-1),
+                    2 => Value::Float(0.5),
+                    3 => Value::String("key".to_string()),
+                    _ => Value::Array(Vec::new()),
+                };
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn random_checkpoints_round_trip_bit_for_bit(seed in any::<u64>()) {
+            let path = temp_path("fuzz-round-trip");
+            let _ = fs::remove_file(&path);
+            let data = random_data(seed);
+            for (key, runs) in &data.entries {
+                update(&path, key, runs.clone()).unwrap();
+            }
+            prop_assert_eq!(bits(&load(&path).unwrap()), bits(&data));
+            fs::remove_file(&path).unwrap();
+        }
+
+        // A valid file with random byte edits: a byte deleted, a raw byte
+        // (not always UTF-8) or a fragment inserted, or the rest cut off.
+        #[test]
+        fn random_files_load_or_fail_typed(
+            seed in any::<u64>(),
+            edits in proptest::collection::vec(any::<u64>(), 1..8),
+        ) {
+            let path = temp_path("fuzz-random-bytes");
+            let fragments: Vec<&str> = FRAGMENTS.split_whitespace().collect();
+            let payload = payload_value(&random_data(seed)).to_json();
+            let mut bytes = envelope(payload).to_json_pretty().into_bytes();
+            for edit in edits {
+                let at = ((edit >> 8) % (bytes.len() as u64 + 1)) as usize;
+                let pick = (edit >> 40) as usize;
+                match edit % 4 {
+                    0 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    1 => bytes.insert(at, pick as u8),
+                    3 => bytes.truncate(at),
+                    _ => {
+                        bytes.splice(at..at, fragments[pick % fragments.len()].bytes());
+                    }
+                }
+            }
+            fs::write(&path, &bytes).unwrap();
+            let result = load(&path);
+            prop_assert!(matches!(result, Ok(_) | Err(CfsError::Checkpoint { .. })), "{result:?}");
+            fs::remove_file(&path).unwrap();
+        }
+
+        // Valid payloads with one random node replaced, sealed into an
+        // envelope with their correct checksum, so that the payload parser
+        // sees every edit.
+        #[test]
+        fn random_payloads_load_or_fail_typed(seed in any::<u64>()) {
+            let path = temp_path("fuzz-random-payloads");
+            let payload = payload_value(&random_data(seed));
+            let mut rng = SimRng::seed_from_u64(!seed);
+            for _ in 0..16 {
+                let mut edited = payload.clone();
+                replace_random_node(&mut edited, &mut rng);
+                fs::write(&path, envelope(edited.to_json()).to_json()).unwrap();
+                let result = load(&path);
+                prop_assert!(matches!(result, Ok(_) | Err(CfsError::Checkpoint { .. })), "{result:?}");
+            }
+            fs::remove_file(&path).unwrap();
+        }
+
+        // Flips one ASCII byte of the stored payload to another ASCII byte,
+        // so that the payload stays valid UTF-8 and the envelope stays
+        // valid JSON: only the checksum can catch it.
+        #[test]
+        fn flipping_a_payload_byte_fails_the_checksum(
+            seed in any::<u64>(),
+            position in any::<u64>(),
+            mask in 1..128u32,
+        ) {
+            let path = temp_path("fuzz-flip");
+            store(&path, &random_data(seed)).unwrap();
+            let Value::Object(mut fields) = json::parse(&fs::read_to_string(&path).unwrap()).unwrap()
+            else {
+                panic!("the envelope is an object");
+            };
+            let (_, payload) = fields.iter_mut().find(|(name, _)| name == "payload").unwrap();
+            let mut bytes = payload.as_str().unwrap().as_bytes().to_vec();
+            let ascii: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i].is_ascii()).collect();
+            bytes[ascii[(position % ascii.len() as u64) as usize]] ^= mask as u8;
+            *payload = Value::String(String::from_utf8(bytes).unwrap());
+            fs::write(&path, Value::Object(fields).to_json_pretty()).unwrap();
+            let err = load(&path).unwrap_err();
+            prop_assert!(matches!(err, CfsError::Checkpoint { .. }), "{err}");
+            prop_assert!(err.to_string().contains("checksum mismatch"), "{err}");
+            fs::remove_file(&path).unwrap();
+        }
     }
 }

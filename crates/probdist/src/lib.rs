@@ -81,7 +81,7 @@ pub use lognormal::LogNormal;
 pub use rates::{Afr, FailureRate, Mtbf, HOURS_PER_YEAR};
 pub use rng::SimRng;
 pub use uniform::Uniform;
-pub use weibull::Weibull;
+pub use weibull::{Weibull, WithinLimit};
 
 /// Numerical tolerance used throughout the crate for validating parameters
 /// and comparing floating point results in invariant checks.
@@ -96,6 +96,7 @@ mod crate_tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Exponential>();
         assert_send_sync::<Weibull>();
+        assert_send_sync::<WithinLimit>();
         assert_send_sync::<Deterministic>();
         assert_send_sync::<LogNormal>();
         assert_send_sync::<Gamma>();

@@ -3,6 +3,12 @@ use serde::{Deserialize, Serialize, Value};
 use crate::special::gamma_fn;
 use crate::{DistError, Distribution, SimRng};
 
+/// Relative widening of [`WithinLimit`]'s uniform cutoff over the computed
+/// `F(limit)`. It absorbs the rounding of `F(limit)` and of
+/// [`Weibull::from_uniform`], which stay within a few ulps (a relative
+/// 1e-15), so no uniform whose lifetime ends by the limit lies above it.
+const CUTOFF_GUARD: f64 = 1e-9;
+
 /// Weibull distribution with shape `β` and scale `η` (hours).
 ///
 /// The paper's disk-failure analysis (Table 4) fits ABE's scratch-partition
@@ -84,22 +90,71 @@ impl Weibull {
     pub fn has_infant_mortality(&self) -> bool {
         self.shape < 1.0
     }
-}
 
-impl Distribution for Weibull {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        // Inverse CDF: x = η (-ln(1-U))^(1/β); use open uniform for safety.
-        // β = 1 is exactly the exponential, so the `powf` (a no-op by IEEE
-        // 754 semantics for `powf(x, 1.0)`) is skipped outright; other
-        // shapes use the precomputed 1/β. Both paths are value-identical to
-        // the textbook formula — pinned by tests below.
-        let u = rng.uniform_open01();
+    /// The lifetime the inverse CDF maps the open uniform `u` to,
+    /// `η (−ln(1 − u))^(1/β)`: exactly the bits [`Distribution::sample`]
+    /// returns when its draw is `u`.
+    ///
+    /// `β = 1` is exactly the exponential, so the `powf` (a no-op by IEEE
+    /// 754 semantics for `powf(x, 1.0)`) is skipped outright; other shapes
+    /// use the precomputed `1/β`. Both paths are value-identical to the
+    /// textbook formula — pinned by tests below.
+    pub fn from_uniform(&self, u: f64) -> f64 {
         let neg_ln = -(1.0 - u).ln();
         if self.shape == 1.0 {
             self.scale * neg_ln
         } else {
             self.scale * neg_ln.powf(self.inv_shape)
         }
+    }
+
+    /// Draws of this lifetime that matter only when they end by `limit`,
+    /// such as first failures within a mission horizon (see
+    /// [`WithinLimit`]).
+    pub fn within(&self, limit: f64) -> WithinLimit {
+        // F(limit) = 1 − exp(−(limit/η)^β), with `exp_m1` so that a small
+        // probability keeps its relative precision.
+        let cdf = -(-(limit / self.scale).powf(self.shape)).exp_m1();
+        WithinLimit { lifetime: *self, limit, cutoff: cdf * (1.0 + CUTOFF_GUARD) }
+    }
+}
+
+/// A [`Weibull`] lifetime drawn against a fixed limit.
+///
+/// [`WithinLimit::sample`] consumes one uniform per draw, exactly as
+/// [`Distribution::sample`] does, and returns the lifetime only when it
+/// ends by the limit. A uniform above the cutoff `F(limit)`, widened by a
+/// relative 1e-9, provably maps past the limit, so it is consumed without
+/// evaluating its `ln` and `powf`. That is the common case when the limit
+/// is short against the scale: a one-year horizon against a 100 000-hour
+/// disk mean skips about three draws in four.
+#[derive(Debug, Clone, Copy)]
+pub struct WithinLimit {
+    lifetime: Weibull,
+    limit: f64,
+    /// Every uniform above it maps past `limit`.
+    cutoff: f64,
+}
+
+impl WithinLimit {
+    /// Draws one lifetime: `Some(x)` exactly when [`Distribution::sample`]
+    /// on the same generator would return `x <= limit`, with the same
+    /// bits, and `None` otherwise. Either way the generator advances as
+    /// it would under `sample`.
+    pub fn sample(&self, rng: &mut SimRng) -> Option<f64> {
+        let u = rng.uniform_open01();
+        if u > self.cutoff {
+            return None;
+        }
+        let x = self.lifetime.from_uniform(u);
+        (x <= self.limit).then_some(x)
+    }
+}
+
+impl Distribution for Weibull {
+    fn sample(&self, rng: &mut SimRng) -> f64 {
+        // Inverse CDF on the open uniform, so that 1 − U never reaches 0.
+        self.from_uniform(rng.uniform_open01())
     }
 
     fn mean(&self) -> f64 {
@@ -318,6 +373,52 @@ mod tests {
             let w = Weibull::new(shape, scale).unwrap();
             let x = w.quantile(p).unwrap();
             prop_assert!((w.cdf(x) - p).abs() < 1e-8);
+        }
+
+        #[test]
+        fn within_limit_returns_exactly_the_samples_that_end_by_the_limit(
+            shape in 0.3..4.0_f64,
+            exponential in any::<bool>(),
+            scale in 0.1..1e6_f64,
+            log10_ratio in -6.0..3.0_f64,
+            seed in any::<u64>(),
+        ) {
+            let w = Weibull::new(if exponential { 1.0 } else { shape }, scale).unwrap();
+            let limit = scale * 10f64.powf(log10_ratio);
+            let within = w.within(limit);
+            let mut cutoff_rng = SimRng::seed_from_u64(seed);
+            let mut sample_rng = SimRng::seed_from_u64(seed);
+            for _ in 0..256 {
+                let x = w.sample(&mut sample_rng);
+                let expected = (x <= limit).then_some(x.to_bits());
+                prop_assert_eq!(within.sample(&mut cutoff_rng).map(f64::to_bits), expected);
+            }
+            prop_assert_eq!(cutoff_rng.next_u64(), sample_rng.next_u64());
+        }
+
+        // Walks the uniforms `SimRng` can draw (multiples of 2^-53) a few
+        // steps either side of the unwidened `F(limit)`, where the last
+        // uniform that ends by the limit lies, and of the cutoff.
+        #[test]
+        fn no_uniform_that_ends_by_the_limit_lies_above_the_cutoff(
+            shape in 0.3..4.0_f64,
+            exponential in any::<bool>(),
+            scale in 0.1..1e6_f64,
+            log10_ratio in -6.0..3.0_f64,
+        ) {
+            let w = Weibull::new(if exponential { 1.0 } else { shape }, scale).unwrap();
+            let limit = scale * 10f64.powf(log10_ratio);
+            let within = w.within(limit);
+            let step = 1.0 / (1u64 << 53) as f64;
+            for centre in [within.cutoff / (1.0 + CUTOFF_GUARD), within.cutoff] {
+                let index = (centre / step).floor();
+                for offset in -8..=8 {
+                    let u = (index + f64::from(offset)) * step;
+                    if u > 0.0 && u < 1.0 && w.from_uniform(u) <= limit {
+                        prop_assert!(u <= within.cutoff, "u {u} > cutoff {}", within.cutoff);
+                    }
+                }
+            }
         }
     }
 }

@@ -23,6 +23,11 @@
 //!     (GFS/HDFS/MinIO style: background re-replication instead of RAID
 //!     reconstruction; see [`replication`]), so redundancy schemes
 //!     compare at equal usable capacity.
+//!
+//!   A mission's calendar holds only events due within its horizon. Every
+//!   disk's first lifetime is drawn, one uniform per disk in disk order,
+//!   but one that ends after the horizon is neither evaluated nor queued
+//!   ([`probdist::WithinLimit`]): at petascale that is most of them.
 //! * [`splitting`] — multilevel splitting for data-loss probabilities too
 //!   rare for plain missions, on either layout
 //!   ([`StorageSimulator::splitting_loss_probability`]).

@@ -29,7 +29,9 @@
 //! full Markov state of the event-driven kernel — including the
 //! already-drawn future event times in its calendar — so a continuation
 //! with a fresh RNG stream is an exact conditional sample of the remaining
-//! mission.
+//! mission. The calendar carries those times only for events due within
+//! the horizon: a later one can never fire, so it is not part of the state
+//! a continuation can observe, and a snapshot does not clone it.
 //!
 //! # Determinism
 //!

@@ -228,9 +228,11 @@ pub(crate) fn validate_run(horizon_hours: f64, confidence_level: f64) -> Result<
 
 /// The mission driver: validates the run parameters, fans replications out
 /// with one clone of `template` per worker as scratch (after its first
-/// replication, later missions re-prime the same event queue and per-disk
+/// replication, later missions re-prime the same calendar and per-disk
 /// state in place instead of allocating afresh), stops under `rule` on
-/// availability and replacements per week, and summarises.
+/// availability and replacements per week, and summarises. Every mission
+/// draws under [`Mission::reprime`]'s RNG contract: one uniform per disk in
+/// disk order, then the layout's initial events.
 ///
 /// Data-loss events are not tracked by the rule: a rare-event count has a
 /// near-zero mean, so its *relative* width is ill-defined and would force
@@ -360,10 +362,20 @@ pub(crate) trait LayoutRules: Clone + Debug + Send + Sync {
 /// The layout-independent state of a mission: the event calendar, the
 /// per-disk generation and failure flags, and the accumulators behind
 /// [`StorageRunStats`]. Layout rules read and update it.
+///
+/// The calendar holds only events due within the horizon, in two parts:
+/// the disks' first failures, drawn and sorted once when the mission is
+/// primed, and a heap of every event scheduled later. At petascale most
+/// first lifetimes end past a one-year horizon, so neither part ever holds
+/// them, and a splitting snapshot does not clone them.
 #[derive(Debug, Clone)]
 pub(crate) struct Core<K> {
     pub(crate) lifetime: Weibull,
     horizon_hours: f64,
+    /// First failures due within the horizon, latest first, so that the
+    /// next one pops from the end.
+    first_failures: Vec<Event<K>>,
+    /// Restores, renewals, recoveries and controller events.
     queue: BinaryHeap<Event<K>>,
     /// Per-disk generation; an event stamped with an older one is stale.
     pub(crate) generation: Vec<u32>,
@@ -381,9 +393,21 @@ pub(crate) struct Core<K> {
 }
 
 impl<K> Core<K> {
-    /// Schedules an event of kind `kind` at `time`.
+    /// Schedules an event of kind `kind` at `time`. An event due after the
+    /// horizon can never fire, so it is dropped here rather than queued.
     pub(crate) fn schedule(&mut self, time: f64, kind: K) {
-        self.queue.push(Event { time, kind });
+        if time <= self.horizon_hours {
+            self.queue.push(Event { time, kind });
+        }
+    }
+
+    /// Removes and returns the earliest pending event.
+    fn pop(&mut self) -> Option<Event<K>> {
+        match (self.first_failures.last(), self.queue.peek()) {
+            (Some(first), Some(queued)) if queued.time < first.time => self.queue.pop(),
+            (Some(_), _) => self.first_failures.pop(),
+            (None, _) => self.queue.pop(),
+        }
     }
 }
 
@@ -394,8 +418,9 @@ impl<K> Core<K> {
 /// snapshot it the moment an exposure level is first reached and restart
 /// many continuation trials from the same state, each with its own RNG
 /// stream: the cloned calendar carries the already-drawn future event
-/// times (part of the Markov state), while everything sampled after the
-/// snapshot comes from the continuation's stream.
+/// times due within the horizon (the part of the Markov state that can
+/// still fire), while everything sampled after the snapshot comes from the
+/// continuation's stream.
 #[derive(Debug, Clone)]
 pub(crate) struct Mission<L: LayoutRules> {
     layout: L,
@@ -411,6 +436,7 @@ impl<L: LayoutRules> Mission<L> {
             core: Core {
                 lifetime,
                 horizon_hours: 0.0,
+                first_failures: Vec::new(),
                 queue: BinaryHeap::new(),
                 generation: Vec::new(),
                 failed: Vec::new(),
@@ -434,16 +460,19 @@ impl<L: LayoutRules> Mission<L> {
         self.core.exposure_peak
     }
 
-    /// Starts the mission afresh over `horizon_hours`, reusing its event
-    /// queue and per-disk and per-group buffers. It draws one lifetime per
-    /// disk in disk order, then the layout's own initial events: that draw
-    /// order is the RNG contract every fresh and reused mission shares.
+    /// Starts the mission afresh over `horizon_hours`, reusing its calendar
+    /// and per-disk and per-group buffers. It draws one uniform per disk in
+    /// disk order for the disk's first lifetime, then the layout's own
+    /// initial events: that draw order is the RNG contract every fresh and
+    /// reused mission shares. A first lifetime that ends past the horizon
+    /// still consumes its uniform, but is neither evaluated nor queued
+    /// ([`Weibull::within`]).
     pub(crate) fn reprime(&mut self, horizon_hours: f64, rng: &mut SimRng) {
         let disks = self.layout.disk_count();
         let core = &mut self.core;
         core.horizon_hours = horizon_hours;
+        core.first_failures.clear();
         core.queue.clear();
-        core.queue.reserve(disks as usize + 8);
         core.generation.clear();
         core.generation.resize(disks as usize, 0);
         core.failed.clear();
@@ -454,9 +483,14 @@ impl<L: LayoutRules> Mission<L> {
         core.downtime = 0.0;
         core.data_loss_events = 0;
         core.replacements = 0;
+        let first_lifetime = core.lifetime.within(horizon_hours);
         for disk in 0..disks {
-            core.schedule(core.lifetime.sample(rng), L::disk_failure(disk, 0));
+            if let Some(time) = first_lifetime.sample(rng) {
+                core.first_failures.push(Event { time, kind: L::disk_failure(disk, 0) });
+            }
         }
+        // `Event` orders later times first, so this sorts latest first.
+        core.first_failures.sort_unstable();
         self.layout.prime(core, rng);
     }
 
@@ -470,12 +504,8 @@ impl<L: LayoutRules> Mission<L> {
         if reached(core.exposure_peak) {
             return true;
         }
-        while let Some(event) = core.queue.pop() {
+        while let Some(event) = core.pop() {
             let t = event.time;
-            if t > core.horizon_hours {
-                // Leave the popped event discarded: the mission is over.
-                break;
-            }
             // Accumulate downtime since the previous event.
             if core.down_conditions > 0 {
                 core.downtime += t - core.last_time;
@@ -913,7 +943,10 @@ mod tests {
     /// Pins the RAID layout's sample paths, controllers and losses
     /// included, against values recorded before the RAID and replication
     /// kernels shared one engine: the priming draw order (disk lifetimes,
-    /// then controller failures) and every event rule feed them.
+    /// then controller failures) and every event rule feed them. The second
+    /// input, recorded before the calendar dropped events due past the
+    /// horizon, is a 6240-disk system whose first lifetimes mostly end
+    /// after its one-year missions.
     #[test]
     fn raid_sample_paths_match_recorded_history() {
         let config = StorageConfig {
@@ -950,11 +983,46 @@ mod tests {
             [0.375, 0.11860786400417443, 64.0, 0.3333333333333333],
             &[1.0, 1.0, 0.375],
         );
+
+        let petascale = StorageConfig {
+            ddn_units: 26,
+            tiers: 624,
+            disk: DiskModel { weibull_shape: 0.6, mtbf_hours: 100_000.0, capacity_gb: 250.0 },
+            replacement_hours: 12.0,
+            rebuild_hours: 24.0,
+            controllers: Some(crate::ControllerModel::abe_default()),
+            ..StorageConfig::abe_scratch()
+        };
+        let sim = StorageSimulator::new(petascale).unwrap();
+        let summary = sim.run(8760.0, &fixed(4), 2008, 0.95, 1).unwrap();
+        assert_summary(
+            &summary,
+            4,
+            [
+                0.9973995634440884,
+                0.002704614104200106,
+                37.43561643835616,
+                2.1245967137789616,
+                0.25,
+                0.7897474067863239,
+                0.25,
+            ],
+        );
+        let split = sim.splitting_loss_probability(8760.0, &fixed(64), 2008, 0.95, 1).unwrap();
+        assert_splitting(
+            &split,
+            (192, 17, 64, 3),
+            [0.265625, 0.10820597881616877, 64.0, 0.3333333333333333],
+            &[1.0, 1.0, 0.265625],
+        );
     }
 
     /// Pins the replicated layout's sample paths, data-loss recoveries
     /// included, against values recorded before the RAID and replication
-    /// kernels shared one engine.
+    /// kernels shared one engine. The second input, recorded before the
+    /// calendar dropped events due past the horizon, is a 1200-disk store
+    /// of ABE disks, about nine in ten of whose first lifetimes end after
+    /// its one-year missions.
     #[test]
     fn replicated_sample_paths_match_recorded_history() {
         let config = ReplicationConfig {
@@ -986,6 +1054,37 @@ mod tests {
             (128, 55, 64, 2),
             [0.845947265625, 0.0878101473921666, 64.92604501607717, 0.5072347266881029],
             &[0.984375, 0.859375],
+        );
+
+        let abe_store = ReplicationConfig {
+            disks: 1200,
+            replicas: 3,
+            disk: DiskModel::abe_sata_250gb(),
+            re_replication_hours: 6.0,
+            replacement_hours: 4.0,
+            data_loss_recovery_hours: 24.0,
+        };
+        let sim = StorageSimulator::new(abe_store).unwrap();
+        let summary = sim.run(8760.0, &fixed(8), 2008, 0.95, 1).unwrap();
+        assert_summary(
+            &summary,
+            8,
+            [
+                0.9982876712328766,
+                0.0020977236057851205,
+                2.483561643835616,
+                0.424332349345519,
+                0.625,
+                0.7656691161115652,
+                0.375,
+            ],
+        );
+        let split = sim.splitting_loss_probability(8760.0, &fixed(64), 2008, 0.95, 1).unwrap();
+        assert_splitting(
+            &split,
+            (192, 38, 64, 3),
+            [0.59375, 0.12032513028418196, 64.0, 0.3333333333333333],
+            &[1.0, 1.0, 0.59375],
         );
     }
 }
