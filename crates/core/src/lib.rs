@@ -22,18 +22,18 @@
 //! * [`run`] — the [`RunSpec`] builder: horizon, replication policy (a
 //!   fixed count or an adaptive [`PrecisionTarget`]), base seed,
 //!   confidence level, and worker-thread count for any evaluation.
-//! * [`scenario`] — the [`Scenario`] trait implemented by every paper
-//!   artefact (Tables 1–5, Figures 2–4, the four ablations) and by raw
-//!   [`ClusterConfig`] evaluation.
+//! * [`scenario`] — the [`Scenario`] trait and every paper artefact
+//!   (Tables 1–5, Figures 2–4, the four ablations), each of which runs its
+//!   points and builds its tables and metrics in its own `evaluate`; raw
+//!   [`ClusterConfig`] evaluation is a scenario too.
 //! * [`study`] — the [`Study`] runner: schedules every
 //!   scenario×replication work unit of a scenario set onto one global
 //!   work-stealing pool, with bit-identical serial/parallel statistics.
-//! * [`experiments`] — the underlying experiment drivers the scenarios
-//!   wrap, one per table and figure of the evaluation.
-//! * [`sweep`] — the design-space sweep driver: cartesian parameter grids
-//!   ([`DesignSpace`]) evaluated as one scenario ([`SweepScenario`]) with
-//!   per-point adaptive stopping and winner selection.
-//! * [`workloads`] — non-paper workload families riding the sweep driver:
+//! * [`sweep`] — design-space sweeps: cartesian parameter grids
+//!   ([`DesignSpace`]) and the function [`sweep::evaluate`], which a
+//!   sweep workload's `evaluate` calls to run every point with per-point
+//!   adaptive stopping and select the winner.
+//! * [`workloads`] — non-paper workload families built on that function:
 //!   the replication-vs-RAID redundancy comparison, the Beowulf
 //!   performability sweep, and the ultra-reliable sweep that reaches
 //!   10⁻⁶..10⁻¹⁰ data-loss probabilities by multilevel splitting under a
@@ -79,7 +79,6 @@ pub mod analysis;
 pub mod checkpoint;
 pub mod config;
 mod error;
-pub mod experiments;
 pub mod lint;
 pub mod model;
 pub mod params;
@@ -103,7 +102,7 @@ pub use report::{Report, ReportFormat, ScenarioFailure, TextTable};
 pub use run::{CheckpointPolicy, FailurePolicy, PrecisionTarget, RareEventPolicy, RunSpec};
 pub use scenario::{Metric, Scenario, ScenarioOutput};
 pub use study::Study;
-pub use sweep::{DesignPoint, DesignSpace, Objective, PointOutcome, SweepScenario};
+pub use sweep::{DesignPoint, DesignSpace, Objective, PointOutcome};
 pub use workloads::{
     BeowulfPerformabilitySweep, RedundancyScheme, ReplicationVsRaid, UltraReliableSweep,
 };

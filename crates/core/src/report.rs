@@ -1,11 +1,10 @@
 //! The unified report sink: aligned text tables, CSV, and JSON rendering
-//! for every experiment result.
+//! for every scenario result.
 //!
-//! Every experiment in [`crate::experiments`] renders its results as a
-//! [`TextTable`]; a [`Report`] collects the [`ScenarioOutput`]s of a
-//! [`crate::study::Study`] run and renders them all in any
-//! [`ReportFormat`], replacing the per-driver rendering paths that used to
-//! live here and in [`csv`].
+//! Every [`crate::scenario::Scenario`] renders its results as
+//! [`TextTable`]s inside its [`ScenarioOutput`]; a [`Report`] collects the
+//! outputs of a [`crate::study::Study`] run and renders them all in any
+//! [`ReportFormat`].
 
 pub mod csv;
 
@@ -26,10 +25,10 @@ pub struct TextTable {
 
 impl TextTable {
     /// Creates a table with a title and column headers.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub fn new(title: impl Into<String>, headers: &[impl AsRef<str>]) -> Self {
         TextTable {
             title: title.into(),
-            headers: headers.iter().map(std::string::ToString::to_string).collect(),
+            headers: headers.iter().map(|h| h.as_ref().to_string()).collect(),
             rows: Vec::new(),
         }
     }

@@ -45,12 +45,12 @@ mod tests {
 
     #[test]
     fn quoted_series_labels_survive_a_table_round_trip() {
-        use crate::experiments::figure2_storage_availability_with;
         use crate::run::RunSpec;
+        use crate::scenario::{Figure2StorageAvailability, Scenario};
 
         let spec = RunSpec::new().with_horizon_hours(2000.0).with_replications(4).with_base_seed(1);
-        let result = figure2_storage_availability_with(&[96.0], &spec).unwrap();
-        let csv = result.to_table().to_csv();
+        let figure = Figure2StorageAvailability { capacities_tb: vec![96.0] };
+        let csv = figure.evaluate(&spec).unwrap().tables[0].to_csv();
         // The series labels contain commas and must therefore be quoted.
         assert!(csv.contains("\"(0.6,8.76,8+2,4)\""), "{csv}");
         assert_eq!(csv.lines().count(), 2, "header plus the single capacity row");

@@ -6,29 +6,52 @@
 //! presentation tables plus a flat list of named [`Metric`]s. That single
 //! shape is what lets a [`crate::study::Study`] execute any mix of
 //! workloads through one entry point and render them through one
-//! [`crate::report::Report`] sink, instead of the bespoke
-//! driver-per-artefact functions the crate started with.
+//! [`crate::report::Report`] sink. Each paper artefact runs its points and
+//! builds its table and metrics in its own `evaluate`:
+//!
+//! | Paper artefact | Scenario |
+//! |---|---|
+//! | Table 1 (outages / SAN availability) | [`Table1Outages`] |
+//! | Table 2 (mount failures per day) | [`Table2MountFailures`] |
+//! | Table 3 (job statistics) | [`Table3Jobs`] |
+//! | Table 4 (disk failures, Weibull fit) | [`Table4DiskWeibull`] |
+//! | Table 5 (model parameters) | [`Table5Parameters`] |
+//! | Figure 2 (storage availability vs scale) | [`Figure2StorageAvailability`] |
+//! | Figure 3 (disk replacements per week) | [`Figure3DiskReplacements`] |
+//! | Figure 4 (CFS availability and CU vs scale) | [`Figure4CfsAvailability`] |
+//! | Section 5 design choices at petascale | [`RaidParityAblation`], [`RepairTimeAblation`], [`SpareOssAblation`], [`CorrelationAblation`] |
+//!
+//! Monte-Carlo scenarios honour the spec's replication policy — a fixed
+//! count, or precision-targeted batches when
+//! [`RunSpec::with_precision_target`] is set — and record the largest
+//! replication count any of their points used.
+
+mod ablations;
+mod fig2;
+mod fig3;
+mod fig4;
+mod tables;
 
 use serde::{Deserialize, Serialize};
 
 use probdist::stats::ConfidenceInterval;
+use raidsim::{Layout, StorageSimulator, StorageSummary};
 
 use crate::analysis::evaluate;
 use crate::config::ClusterConfig;
-use crate::experiments::ablations::{
-    ablation_correlation_with, ablation_raid_parity_with, ablation_repair_time_with,
-    ablation_spare_oss_with, AblationResult,
-};
-use crate::experiments::fig2::figure2_storage_availability_with;
-use crate::experiments::fig3::figure3_disk_replacements_with;
-use crate::experiments::fig4::figure4_cfs_availability_with;
-use crate::experiments::tables::{
-    table1_outages, table2_mount_failures, table3_jobs, table4_disk_failures, table5_parameters,
-};
-use crate::params::ModelParameters;
 use crate::report::TextTable;
 use crate::run::RunSpec;
 use crate::CfsError;
+
+pub use ablations::{
+    CorrelationAblation, RaidParityAblation, RepairTimeAblation, SpareOssAblation,
+};
+pub use fig2::Figure2StorageAvailability;
+pub use fig3::Figure3DiskReplacements;
+pub use fig4::Figure4CfsAvailability;
+pub use tables::{
+    Table1Outages, Table2MountFailures, Table3Jobs, Table4DiskWeibull, Table5Parameters,
+};
 
 /// One named result value of a scenario, with an optional confidence
 /// half-width for Monte-Carlo estimates.
@@ -200,283 +223,26 @@ impl Scenario for ClusterConfig {
     }
 }
 
-/// Table 1: user-visible Lustre-FS outages and the SAN availability they
-/// imply.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Table1Outages;
-
-impl Scenario for Table1Outages {
-    fn name(&self) -> &str {
-        "table1_outages"
-    }
-
-    fn evaluate(&self, spec: &RunSpec) -> Result<ScenarioOutput, CfsError> {
-        spec.validate()?;
-        let result = table1_outages(spec.base_seed())?;
-        Ok(ScenarioOutput::new(self.name())
-            .with_table(result.to_table())
-            .with_metric("san_availability", result.availability)
-            .with_metric("outages", result.analysis.rows().len() as f64))
-    }
+/// Runs one storage Monte-Carlo point under the spec's stopping rule (a
+/// fixed count, or precision-targeted batches) at the given seed — the
+/// spec-to-run mapping every storage-side scenario shares.
+pub(crate) fn run_storage(
+    layout: impl Into<Layout>,
+    spec: &RunSpec,
+    seed: u64,
+) -> Result<StorageSummary, CfsError> {
+    let simulator = StorageSimulator::new(layout)?;
+    let rule = spec.stopping_rule()?;
+    Ok(simulator.run(spec.horizon_hours(), &rule, seed, spec.confidence_level(), spec.workers())?)
 }
 
-/// Table 2: Lustre mount failures reported by compute nodes, per day.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Table2MountFailures;
-
-impl Scenario for Table2MountFailures {
-    fn name(&self) -> &str {
-        "table2_mount_failures"
-    }
-
-    fn evaluate(&self, spec: &RunSpec) -> Result<ScenarioOutput, CfsError> {
-        spec.validate()?;
-        let result = table2_mount_failures(spec.base_seed())?;
-        Ok(ScenarioOutput::new(self.name())
-            .with_table(result.to_table())
-            .with_metric("storm_days", result.analysis.days().len() as f64)
-            .with_metric("peak_day_nodes", result.analysis.peak_day_nodes() as f64))
-    }
-}
-
-/// Table 3: job execution statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Table3Jobs;
-
-impl Scenario for Table3Jobs {
-    fn name(&self) -> &str {
-        "table3_jobs"
-    }
-
-    fn evaluate(&self, spec: &RunSpec) -> Result<ScenarioOutput, CfsError> {
-        spec.validate()?;
-        let result = table3_jobs(spec.base_seed())?;
-        Ok(ScenarioOutput::new(self.name())
-            .with_table(result.to_table())
-            .with_metric("total_jobs", result.analysis.total_jobs as f64)
-            .with_metric("transient_to_other_ratio", result.analysis.transient_to_other_ratio())
-            .with_metric("jobs_per_hour", result.analysis.jobs_per_hour()))
-    }
-}
-
-/// Table 4: disk failures and their Weibull survival analysis.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Table4DiskWeibull;
-
-impl Scenario for Table4DiskWeibull {
-    fn name(&self) -> &str {
-        "table4_disk_weibull"
-    }
-
-    fn evaluate(&self, spec: &RunSpec) -> Result<ScenarioOutput, CfsError> {
-        spec.validate()?;
-        let result = table4_disk_failures(spec.base_seed())?;
-        Ok(ScenarioOutput::new(self.name())
-            .with_table(result.to_table())
-            .with_metric("weibull_shape", result.weibull.shape)
-            .with_metric("weibull_shape_std_error", result.weibull.shape_std_error)
-            .with_metric("mean_replacements_per_week", result.mean_per_week))
-    }
-}
-
-/// Table 5: the simulation model parameters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Table5Parameters;
-
-impl Scenario for Table5Parameters {
-    fn name(&self) -> &str {
-        "table5_parameters"
-    }
-
-    fn evaluate(&self, spec: &RunSpec) -> Result<ScenarioOutput, CfsError> {
-        spec.validate()?;
-        let table = table5_parameters(&ModelParameters::abe());
-        let parameters = table.len() as f64;
-        Ok(ScenarioOutput::new(self.name()).with_table(table).with_metric("parameters", parameters))
-    }
-}
-
-/// Figure 2: storage availability versus scale for the paper's
-/// configuration tuples. An empty `capacities_tb` runs the paper's
-/// 96 TB → 12 PB sweep.
-#[derive(Debug, Clone, Default)]
-pub struct Figure2StorageAvailability {
-    /// Capacity sweep override, terabytes.
-    pub capacities_tb: Vec<f64>,
-}
-
-impl Scenario for Figure2StorageAvailability {
-    fn name(&self) -> &str {
-        "figure2_storage_availability"
-    }
-
-    fn evaluate(&self, spec: &RunSpec) -> Result<ScenarioOutput, CfsError> {
-        let result = figure2_storage_availability_with(&self.capacities_tb, spec)?;
-        let mut output = ScenarioOutput::new(self.name())
-            .with_table(result.to_table())
-            .with_replications_used(result.replications);
-        for series in &result.series {
-            // Both sweep endpoints: the small end is the ABE validation
-            // point, the large end is the petascale claim.
-            let endpoints = [series.points.first(), series.points.last()];
-            let mut seen_tb = None;
-            for point in endpoints.into_iter().flatten() {
-                if seen_tb == Some(point.capacity_tb) {
-                    continue;
-                }
-                seen_tb = Some(point.capacity_tb);
-                let at = format!("{} @{:.0}TB", series.label, point.capacity_tb);
-                output = output
-                    .with_metric_ci(format!("availability {at}"), &point.availability)
-                    .with_metric(format!("prob_any_data_loss {at}"), point.prob_any_data_loss);
-            }
-        }
-        Ok(output)
-    }
-}
-
-/// Figure 3: disk replacements per week versus scale. An empty
-/// `disk_counts` runs the paper's 480 → 4800 sweep.
-#[derive(Debug, Clone, Default)]
-pub struct Figure3DiskReplacements {
-    /// Disk-count sweep override.
-    pub disk_counts: Vec<u32>,
-}
-
-impl Scenario for Figure3DiskReplacements {
-    fn name(&self) -> &str {
-        "figure3_disk_replacements"
-    }
-
-    fn evaluate(&self, spec: &RunSpec) -> Result<ScenarioOutput, CfsError> {
-        let result = figure3_disk_replacements_with(&self.disk_counts, spec)?;
-        let mut output = ScenarioOutput::new(self.name())
-            .with_table(result.to_table())
-            .with_replications_used(result.replications);
-        for series in &result.series {
-            // Both sweep endpoints: the 480-disk end is the paper's ABE
-            // 0–2/week claim, the top end is the scaling cost argument.
-            let endpoints = [series.points.first(), series.points.last()];
-            let mut seen_disks = None;
-            for point in endpoints.into_iter().flatten() {
-                if seen_disks == Some(point.disks) {
-                    continue;
-                }
-                seen_disks = Some(point.disks);
-                let at = format!("{} @{} disks", series.label, point.disks);
-                output = output
-                    .with_metric_ci(
-                        format!("replacements_per_week {at}"),
-                        &point.simulated_per_week,
-                    )
-                    .with_metric(format!("analytic_per_week {at}"), point.analytic_per_week);
-            }
-        }
-        Ok(output)
-    }
-}
-
-/// Figure 4: CFS availability and cluster utility as the ABE design scales
-/// to a petaflop–petabyte system. An empty `capacities_tb` runs the default
-/// five-point sweep.
-#[derive(Debug, Clone, Default)]
-pub struct Figure4CfsAvailability {
-    /// Capacity sweep override, terabytes.
-    pub capacities_tb: Vec<f64>,
-}
-
-impl Scenario for Figure4CfsAvailability {
-    fn name(&self) -> &str {
-        "figure4_cfs_availability"
-    }
-
-    fn evaluate(&self, spec: &RunSpec) -> Result<ScenarioOutput, CfsError> {
-        let result = figure4_cfs_availability_with(&self.capacities_tb, spec)?;
-        let mut output = ScenarioOutput::new(self.name())
-            .with_table(result.to_table())
-            .with_replications_used(result.replications);
-        if let (Some(first), Some(last)) = (result.points.first(), result.points.last()) {
-            output = output
-                .with_metric_ci("cfs_availability_first", &first.cfs_availability)
-                .with_metric_ci("cfs_availability_last", &last.cfs_availability)
-                .with_metric_ci("cluster_utility_last", &last.cluster_utility)
-                .with_metric(
-                    "spare_oss_gain_last",
-                    last.cfs_availability_spare_oss.point - last.cfs_availability.point,
-                );
-        }
-        Ok(output)
-    }
-}
-
-/// Converts an [`AblationResult`] into the uniform scenario output shape.
-fn ablation_output(name: &str, result: &AblationResult) -> ScenarioOutput {
-    let mut output = ScenarioOutput::new(name)
-        .with_table(result.to_table())
-        .with_replications_used(result.replications);
-    for point in &result.points {
-        output =
-            output.with_metric_ci(format!("availability {}", point.label), &point.availability);
-        if let Some((label, value)) = &point.secondary {
-            output = output.with_metric(format!("{label} {}", point.label), *value);
-        }
-    }
-    output
-}
-
-/// Ablation: RAID parity width (8+1 / 8+2 / 8+3) at petascale.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RaidParityAblation;
-
-impl Scenario for RaidParityAblation {
-    fn name(&self) -> &str {
-        "ablation_raid_parity"
-    }
-
-    fn evaluate(&self, spec: &RunSpec) -> Result<ScenarioOutput, CfsError> {
-        Ok(ablation_output(self.name(), &ablation_raid_parity_with(spec)?))
-    }
-}
-
-/// Ablation: disk replacement time (1 h / 4 h / 12 h) at petascale.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RepairTimeAblation;
-
-impl Scenario for RepairTimeAblation {
-    fn name(&self) -> &str {
-        "ablation_repair_time"
-    }
-
-    fn evaluate(&self, spec: &RunSpec) -> Result<ScenarioOutput, CfsError> {
-        Ok(ablation_output(self.name(), &ablation_repair_time_with(spec)?))
-    }
-}
-
-/// Ablation: standby spare OSS on/off at petascale.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpareOssAblation;
-
-impl Scenario for SpareOssAblation {
-    fn name(&self) -> &str {
-        "ablation_spare_oss"
-    }
-
-    fn evaluate(&self, spec: &RunSpec) -> Result<ScenarioOutput, CfsError> {
-        Ok(ablation_output(self.name(), &ablation_spare_oss_with(spec)?))
-    }
-}
-
-/// Ablation: correlated-failure propagation probability at petascale.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CorrelationAblation;
-
-impl Scenario for CorrelationAblation {
-    fn name(&self) -> &str {
-        "ablation_correlation"
-    }
-
-    fn evaluate(&self, spec: &RunSpec) -> Result<ScenarioOutput, CfsError> {
-        Ok(ablation_output(self.name(), &ablation_correlation_with(spec)?))
+/// The indices of a sweep's two endpoints, each once: the first point, and
+/// the last unless it repeats the first one's value.
+fn sweep_endpoints<T: PartialEq>(values: &[T]) -> Vec<usize> {
+    match values {
+        [] => Vec::new(),
+        [first, .., last] if first != last => vec![0, values.len() - 1],
+        _ => vec![0],
     }
 }
 

@@ -1,5 +1,5 @@
-//! Design-space sweeps: cartesian parameter grids evaluated as a single
-//! [`Scenario`], with per-point adaptive stopping and winner selection.
+//! Design-space sweeps: cartesian parameter grids evaluated as one
+//! scenario, with per-point adaptive stopping and winner selection.
 //!
 //! The paper's whole argument is that dependability models exist to make
 //! *informed design choices* — which redundancy scheme, how many spares,
@@ -12,26 +12,25 @@
 //!   caller-side table, see [`crate::workloads::ReplicationVsRaid`]).
 //! * [`DesignPoint`] — one cell of the grid: an index (row-major, first
 //!   axis slowest) plus the `(axis, value)` coordinates.
-//! * [`SweepScenario`] — wraps a point evaluator into a [`Scenario`]:
-//!   every point is evaluated under the study's [`RunSpec`] with a
+//! * [`evaluate`] — the function a sweep workload's
+//!   [`Scenario::evaluate`](crate::scenario::Scenario::evaluate) calls: it
+//!   evaluates every point under the study's [`RunSpec`] with a
 //!   well-separated per-point seed ([`RunSpec::offset_seed`]), so the whole
 //!   sweep is a pure function of `(space, spec)` and inherits the engine's
 //!   worker-count-invariant determinism. When the spec carries a precision
 //!   target, each point runs its own adaptive stopping loop.
-//! * Winner selection — the scenario names one objective metric and a
-//!   direction ([`Objective`]); the report gets a per-point presentation
+//! * Winner selection — the sweep names one objective metric and a
+//!   direction ([`Objective`]); the output gets a per-point presentation
 //!   table plus `winner_*` headline metrics identifying the best design
 //!   (ties break to the lowest point index, keeping selection
 //!   deterministic).
 //!
-//! The concrete workload families riding this driver live in
+//! The concrete workload families built on this function live in
 //! [`crate::workloads`].
-
-use std::sync::Arc;
 
 use crate::report::TextTable;
 use crate::run::RunSpec;
-use crate::scenario::{Metric, Scenario, ScenarioOutput};
+use crate::scenario::{Metric, ScenarioOutput};
 use crate::CfsError;
 
 /// Multiplier spreading per-point seed offsets across the `u64` space
@@ -269,209 +268,162 @@ impl PointOutcome {
     }
 }
 
-/// The point evaluator of a sweep: evaluates one design under a (seed-
-/// offset) run spec.
-pub type PointEvaluator =
-    Arc<dyn Fn(&DesignPoint, &RunSpec) -> Result<PointOutcome, CfsError> + Send + Sync>;
-
-/// A [`DesignSpace`] plus a point evaluator and a winner-selection policy,
-/// packaged as a [`Scenario`] so sweeps run through the ordinary
-/// [`crate::study::Study`] / [`crate::report::Report`] machinery.
+/// Evaluates every point of `space` and selects the best design: the body
+/// of a sweep workload's
+/// [`Scenario::evaluate`](crate::scenario::Scenario::evaluate).
 ///
-/// Point `i` is evaluated under `spec.offset_seed(i · stride)` with a
-/// sweep-private stride, so every point draws from well-separated streams
-/// while the whole sweep remains a pure function of the study's base seed.
-/// Replication fan-outs inside a point use the study's ambient
-/// work-stealing pool, so the sweep statistics are bit-identical at any
-/// worker count.
-pub struct SweepScenario {
-    name: String,
-    space: DesignSpace,
-    objective_metric: String,
+/// Point `i` is evaluated by `evaluate_point` under
+/// `spec.offset_seed(i · stride)` with a sweep-private stride, so every
+/// point draws from well-separated streams while the whole sweep remains a
+/// pure function of the study's base seed. Replication fan-outs inside a
+/// point use the study's ambient work-stealing pool, so the sweep
+/// statistics are bit-identical at any worker count.
+///
+/// The output, named `name`, holds one presentation table (one row per
+/// point), each point's `objective_metric` as a headline metric, and the
+/// winner summary: `winner_index`, `winner_<objective_metric>` and
+/// `winner_<axis>` for every axis.
+///
+/// # Errors
+///
+/// Returns [`CfsError::InvalidConfig`] for an invalid spec or space, or a
+/// point that does not report a finite `objective_metric`, and propagates
+/// `evaluate_point`'s errors.
+pub fn evaluate(
+    name: &str,
+    space: &DesignSpace,
+    objective_metric: &str,
     objective: Objective,
-    evaluator: PointEvaluator,
-}
+    spec: &RunSpec,
+    evaluate_point: impl Fn(&DesignPoint, &RunSpec) -> Result<PointOutcome, CfsError>,
+) -> Result<ScenarioOutput, CfsError> {
+    spec.validate()?;
+    space.validate()?;
 
-impl std::fmt::Debug for SweepScenario {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SweepScenario")
-            .field("name", &self.name)
-            .field("space", &self.space)
-            .field("objective_metric", &self.objective_metric)
-            .field("objective", &self.objective)
-            .finish()
-    }
-}
-
-impl SweepScenario {
-    /// Creates a sweep scenario.
-    ///
-    /// `objective_metric` names the metric (as reported by `evaluator`)
-    /// that decides the winning design in the given `objective` direction.
-    pub fn new(
-        name: impl Into<String>,
-        space: DesignSpace,
-        objective_metric: impl Into<String>,
-        objective: Objective,
-        evaluator: impl Fn(&DesignPoint, &RunSpec) -> Result<PointOutcome, CfsError>
-            + Send
-            + Sync
-            + 'static,
-    ) -> Self {
-        SweepScenario {
-            name: name.into(),
-            space,
-            objective_metric: objective_metric.into(),
-            objective,
-            evaluator: Arc::new(evaluator),
+    let points = space.points();
+    let mut outcomes = Vec::with_capacity(points.len());
+    let mut max_replications: Option<usize> = None;
+    for point in &points {
+        let point_spec = spec.offset_seed((point.index() as u64).wrapping_mul(POINT_SEED_STRIDE));
+        let outcome = evaluate_point(point, &point_spec)?;
+        if let Some(used) = outcome.replications_used {
+            max_replications = Some(max_replications.map_or(used, |m| m.max(used)));
         }
+        outcomes.push(outcome);
     }
 
-    /// The design space being swept.
-    pub fn space(&self) -> &DesignSpace {
-        &self.space
-    }
-}
-
-impl Scenario for SweepScenario {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn evaluate(&self, spec: &RunSpec) -> Result<ScenarioOutput, CfsError> {
-        spec.validate()?;
-        self.space.validate()?;
-
-        let points = self.space.points();
-        let mut outcomes = Vec::with_capacity(points.len());
-        let mut max_replications: Option<usize> = None;
-        for point in &points {
-            let point_spec =
-                spec.offset_seed((point.index() as u64).wrapping_mul(POINT_SEED_STRIDE));
-            let outcome = (self.evaluator)(point, &point_spec)?;
-            if let Some(used) = outcome.replications_used {
-                max_replications = Some(max_replications.map_or(used, |m| m.max(used)));
-            }
-            outcomes.push(outcome);
-        }
-
-        // Winner selection over the objective metric; non-finite objective
-        // values are a modelling error, not a silent skip.
-        let mut winner: Option<(usize, f64)> = None;
-        for (outcome, point) in outcomes.iter().zip(&points) {
-            let value = outcome
+    // Winner selection over the objective metric; non-finite objective
+    // values are a modelling error, not a silent skip.
+    let mut winner: Option<(usize, f64)> = None;
+    for (outcome, point) in outcomes.iter().zip(&points) {
+        let value = outcome
                 .metrics
                 .iter()
-                .find(|m| m.name == self.objective_metric)
+                .find(|m| m.name == objective_metric)
                 .map(|m| m.value)
                 .ok_or_else(|| CfsError::InvalidConfig {
                     reason: format!(
-                        "sweep '{}': point {} ({}) did not report objective metric '{}'",
-                        self.name,
+                        "sweep '{name}': point {} ({}) did not report objective metric '{objective_metric}'",
                         point.index(),
                         point.label(),
-                        self.objective_metric
                     ),
                 })?;
-            if !value.is_finite() {
-                return Err(CfsError::InvalidConfig {
+        if !value.is_finite() {
+            return Err(CfsError::InvalidConfig {
                     reason: format!(
-                        "sweep '{}': objective '{}' is non-finite ({value}) at point {} ({})",
-                        self.name,
-                        self.objective_metric,
+                        "sweep '{name}': objective '{objective_metric}' is non-finite ({value}) at point {} ({})",
                         point.index(),
                         point.label()
                     ),
                 });
-            }
-            let better = match (winner, self.objective) {
-                (None, _) => true,
-                (Some((_, best)), Objective::Maximize) => value > best,
-                (Some((_, best)), Objective::Minimize) => value < best,
-            };
-            if better {
-                winner = Some((point.index(), value));
-            }
         }
-        let (winner_index, winner_value) =
-            winner.expect("validated non-empty space always yields a winner");
-
-        // Presentation table: axes (plus a design-label column when any
-        // point carries one) as the leading columns, then the union of
-        // every point's metrics in first-seen registration order — a
-        // point may legitimately omit a metric (e.g. a rare-event point
-        // whose relative error is unresolved), rendering an empty cell.
-        let labelled = outcomes.iter().any(|o| o.label.is_some());
-        let mut metric_names: Vec<&str> = Vec::new();
-        for outcome in &outcomes {
-            for metric in &outcome.metrics {
-                if !metric_names.contains(&metric.name.as_str()) {
-                    metric_names.push(metric.name.as_str());
-                }
-            }
+        let better = match (winner, objective) {
+            (None, _) => true,
+            (Some((_, best)), Objective::Maximize) => value > best,
+            (Some((_, best)), Objective::Minimize) => value < best,
+        };
+        if better {
+            winner = Some((point.index(), value));
         }
-        let mut headers: Vec<&str> = vec!["#"];
-        headers.extend(self.space.axes().iter().map(Axis::name));
-        if labelled {
-            headers.push("design");
-        }
-        headers.extend(metric_names.iter().copied());
-        headers.push("winner");
-        let mut table = TextTable::new(
-            format!(
-                "Design-space sweep: {} ({} design {}; objective: {} {})",
-                self.name,
-                points.len(),
-                if points.len() == 1 { "point" } else { "points" },
-                match self.objective {
-                    Objective::Maximize => "max",
-                    Objective::Minimize => "min",
-                },
-                self.objective_metric
-            ),
-            &headers,
-        );
-        for (outcome, point) in outcomes.iter().zip(&points) {
-            let mut row = vec![point.index().to_string()];
-            row.extend(point.coords().iter().map(|(_, v)| format!("{v}")));
-            if labelled {
-                row.push(outcome.label.clone().unwrap_or_default());
-            }
-            for name in &metric_names {
-                match outcome.metrics.iter().find(|m| m.name == *name) {
-                    Some(metric) => match metric.half_width {
-                        Some(hw) => row.push(format!("{:.6} ±{:.6}", metric.value, hw)),
-                        None => row.push(format!("{:.6}", metric.value)),
-                    },
-                    None => row.push(String::new()),
-                }
-            }
-            row.push(if point.index() == winner_index { "◄".to_string() } else { String::new() });
-            table.add_row(&row);
-        }
-
-        let winner_point = &points[winner_index];
-        let mut output = ScenarioOutput::new(self.name()).with_table(table);
-        if let Some(max) = max_replications {
-            output = output.with_replications_used(max);
-        }
-        // Headline metrics: each point's objective (so sweeps stay
-        // machine-comparable across runs) plus the winner summary.
-        for (outcome, point) in outcomes.iter().zip(&points) {
-            if let Some(metric) = outcome.metrics.iter().find(|m| m.name == self.objective_metric) {
-                let mut named = metric.clone();
-                named.name = format!("{} @{}", self.objective_metric, point.label());
-                output.metrics.push(named);
-            }
-        }
-        output = output
-            .with_metric("winner_index", winner_index as f64)
-            .with_metric(format!("winner_{}", self.objective_metric), winner_value);
-        for (axis, value) in winner_point.coords() {
-            output = output.with_metric(format!("winner_{axis}"), *value);
-        }
-        Ok(output)
     }
+    let (winner_index, winner_value) =
+        winner.expect("validated non-empty space always yields a winner");
+
+    // Presentation table: axes (plus a design-label column when any
+    // point carries one) as the leading columns, then the union of
+    // every point's metrics in first-seen registration order — a
+    // point may legitimately omit a metric (e.g. a rare-event point
+    // whose relative error is unresolved), rendering an empty cell.
+    let labelled = outcomes.iter().any(|o| o.label.is_some());
+    let mut metric_names: Vec<&str> = Vec::new();
+    for outcome in &outcomes {
+        for metric in &outcome.metrics {
+            if !metric_names.contains(&metric.name.as_str()) {
+                metric_names.push(metric.name.as_str());
+            }
+        }
+    }
+    let mut headers: Vec<&str> = vec!["#"];
+    headers.extend(space.axes().iter().map(Axis::name));
+    if labelled {
+        headers.push("design");
+    }
+    headers.extend(metric_names.iter().copied());
+    headers.push("winner");
+    let mut table = TextTable::new(
+        format!(
+            "Design-space sweep: {} ({} design {}; objective: {} {})",
+            name,
+            points.len(),
+            if points.len() == 1 { "point" } else { "points" },
+            match objective {
+                Objective::Maximize => "max",
+                Objective::Minimize => "min",
+            },
+            objective_metric
+        ),
+        &headers,
+    );
+    for (outcome, point) in outcomes.iter().zip(&points) {
+        let mut row = vec![point.index().to_string()];
+        row.extend(point.coords().iter().map(|(_, v)| format!("{v}")));
+        if labelled {
+            row.push(outcome.label.clone().unwrap_or_default());
+        }
+        for metric_name in &metric_names {
+            match outcome.metrics.iter().find(|m| m.name == *metric_name) {
+                Some(metric) => match metric.half_width {
+                    Some(hw) => row.push(format!("{:.6} ±{:.6}", metric.value, hw)),
+                    None => row.push(format!("{:.6}", metric.value)),
+                },
+                None => row.push(String::new()),
+            }
+        }
+        row.push(if point.index() == winner_index { "◄".to_string() } else { String::new() });
+        table.add_row(&row);
+    }
+
+    let winner_point = &points[winner_index];
+    let mut output = ScenarioOutput::new(name).with_table(table);
+    if let Some(max) = max_replications {
+        output = output.with_replications_used(max);
+    }
+    // Headline metrics: each point's objective (so sweeps stay
+    // machine-comparable across runs) plus the winner summary.
+    for (outcome, point) in outcomes.iter().zip(&points) {
+        if let Some(metric) = outcome.metrics.iter().find(|m| m.name == objective_metric) {
+            let mut named = metric.clone();
+            named.name = format!("{objective_metric} @{}", point.label());
+            output.metrics.push(named);
+        }
+    }
+    output = output
+        .with_metric("winner_index", winner_index as f64)
+        .with_metric(format!("winner_{objective_metric}"), winner_value);
+    for (axis, value) in winner_point.coords() {
+        output = output.with_metric(format!("winner_{axis}"), *value);
+    }
+    Ok(output)
 }
 
 #[cfg(test)]
@@ -482,9 +434,9 @@ mod tests {
         RunSpec::new().with_horizon_hours(100.0).with_replications(4).with_base_seed(1)
     }
 
-    fn toy_sweep(objective: Objective) -> SweepScenario {
+    fn toy_sweep(objective: Objective, spec: &RunSpec) -> Result<ScenarioOutput, CfsError> {
         let space = DesignSpace::new().with_axis("x", [1.0, 2.0, 3.0]).with_axis("y", [10.0, 20.0]);
-        SweepScenario::new("toy", space, "score", objective, |point, spec| {
+        evaluate("toy", &space, "score", objective, spec, |point, spec| {
             // A deterministic objective with a unique optimum at (2, 20);
             // the seed offset is surfaced as a metric for the tests.
             let x = point.value("x").unwrap();
@@ -528,7 +480,7 @@ mod tests {
 
     #[test]
     fn sweep_selects_the_maximising_and_minimising_designs() {
-        let max = toy_sweep(Objective::Maximize).evaluate(&quick_spec()).unwrap();
+        let max = toy_sweep(Objective::Maximize, &quick_spec()).unwrap();
         // Optimum of y - |x-2| over the grid: x=2, y=20 (index 3).
         assert_eq!(max.metric("winner_index"), Some(3.0));
         assert_eq!(max.metric("winner_x"), Some(2.0));
@@ -539,7 +491,7 @@ mod tests {
         assert_eq!(max.tables.len(), 1);
         assert_eq!(max.tables[0].len(), 6);
 
-        let min = toy_sweep(Objective::Minimize).evaluate(&quick_spec()).unwrap();
+        let min = toy_sweep(Objective::Minimize, &quick_spec()).unwrap();
         // Minimum: y=10 with |x-2| maximal → x∈{1,3}; ties break to the
         // lowest index (x=1, y=10 → index 0).
         assert_eq!(min.metric("winner_index"), Some(0.0));
@@ -548,7 +500,7 @@ mod tests {
 
     #[test]
     fn points_get_distinct_well_separated_seeds() {
-        let output = toy_sweep(Objective::Maximize).evaluate(&quick_spec()).unwrap();
+        let output = toy_sweep(Objective::Maximize, &quick_spec()).unwrap();
         let seeds: Vec<f64> = output.tables[0]
             .rows()
             .iter()
@@ -563,47 +515,43 @@ mod tests {
     #[test]
     fn missing_or_non_finite_objectives_are_errors() {
         let space = DesignSpace::new().with_axis("x", [1.0]);
-        let missing =
-            SweepScenario::new("m", space.clone(), "absent", Objective::Maximize, |_, _| {
-                Ok(PointOutcome::new().with_metric("present", 1.0))
-            });
-        let err = missing.evaluate(&quick_spec()).unwrap_err();
+        let err = evaluate("m", &space, "absent", Objective::Maximize, &quick_spec(), |_, _| {
+            Ok(PointOutcome::new().with_metric("present", 1.0))
+        })
+        .unwrap_err();
         assert!(err.to_string().contains("absent"), "{err}");
 
-        let non_finite = SweepScenario::new("n", space, "score", Objective::Maximize, |_, _| {
+        let err = evaluate("n", &space, "score", Objective::Maximize, &quick_spec(), |_, _| {
             Ok(PointOutcome::new().with_metric("score", f64::NAN))
-        });
-        let err = non_finite.evaluate(&quick_spec()).unwrap_err();
+        })
+        .unwrap_err();
         assert!(err.to_string().contains("non-finite"), "{err}");
     }
 
     #[test]
     fn sweep_rejects_invalid_specs_and_spaces() {
-        let sweep = toy_sweep(Objective::Maximize);
-        assert!(sweep.evaluate(&RunSpec::new().with_replications(1)).is_err());
-        let empty = SweepScenario::new(
-            "empty",
-            DesignSpace::new(),
-            "score",
-            Objective::Maximize,
-            |_, _| Ok(PointOutcome::new()),
-        );
-        assert!(empty.evaluate(&quick_spec()).is_err());
-        assert_eq!(empty.space().len(), 0);
-        assert!(format!("{empty:?}").contains("empty"));
+        assert!(toy_sweep(Objective::Maximize, &RunSpec::new().with_replications(1)).is_err());
+        let empty = DesignSpace::new();
+        assert_eq!(empty.len(), 0);
+        let output =
+            evaluate("empty", &empty, "score", Objective::Maximize, &quick_spec(), |_, _| {
+                Ok(PointOutcome::new())
+            });
+        assert!(output.is_err());
     }
 
     #[test]
     fn evaluator_errors_propagate() {
         let space = DesignSpace::new().with_axis("x", [1.0, 2.0]);
-        let sweep = SweepScenario::new("fail", space, "score", Objective::Maximize, |point, _| {
-            if point.index() == 1 {
-                Err(CfsError::InvalidConfig { reason: "boom at point 1".into() })
-            } else {
-                Ok(PointOutcome::new().with_metric("score", 0.0))
-            }
-        });
-        let err = sweep.evaluate(&quick_spec()).unwrap_err();
+        let err =
+            evaluate("fail", &space, "score", Objective::Maximize, &quick_spec(), |point, _| {
+                if point.index() == 1 {
+                    Err(CfsError::InvalidConfig { reason: "boom at point 1".into() })
+                } else {
+                    Ok(PointOutcome::new().with_metric("score", 0.0))
+                }
+            })
+            .unwrap_err();
         assert!(err.to_string().contains("boom"), "{err}");
     }
 }

@@ -1,4 +1,4 @@
-//! Non-paper workload families riding the [`crate::sweep`] driver: the
+//! Non-paper workload families built on [`crate::sweep::evaluate`]: the
 //! cross-system design questions the ROADMAP calls the `Scenario` trait's
 //! extension point.
 //!
@@ -19,10 +19,10 @@
 //!   (`raidsim::splitting`) under the spec's
 //!   [`RareEventPolicy`].
 //!
-//! Each is a thin [`SweepScenario`] configuration: a [`DesignSpace`] over
-//! the interesting axes plus a point evaluator that builds the matching
-//! simulator, runs it under the spec's stopping rule (fixed count or
-//! precision-targeted adaptive stopping, per point), and reports named
+//! Each one's [`Scenario::evaluate`] builds a [`DesignSpace`] over the
+//! interesting axes and sweeps it with a point evaluator that builds the
+//! matching simulator, runs it under the spec's stopping rule (fixed count
+//! or precision-targeted adaptive stopping, per point), and reports named
 //! metrics for the winner selection.
 
 use probdist::rare::naive_replications_for;
@@ -37,8 +37,8 @@ use sanet::beowulf::{
 use sanet::Experiment;
 
 use crate::run::{RareEventPolicy, RunSpec};
-use crate::scenario::{Scenario, ScenarioOutput};
-use crate::sweep::{DesignPoint, DesignSpace, Objective, PointOutcome, SweepScenario};
+use crate::scenario::{run_storage, Scenario, ScenarioOutput};
+use crate::sweep::{self, DesignPoint, DesignSpace, Objective, PointOutcome};
 use crate::CfsError;
 
 /// One redundancy scheme of the [`ReplicationVsRaid`] comparison.
@@ -96,6 +96,36 @@ impl RedundancyScheme {
             ),
         }
     }
+}
+
+/// Sweeps `schemes × axis` at `usable_capacity_tb`, minimising
+/// `objective_metric`, and names the winning scheme's storage overhead: the
+/// frame both redundancy-scheme sweeps share.
+fn sweep_schemes(
+    name: &str,
+    schemes: &[RedundancyScheme],
+    usable_capacity_tb: f64,
+    (axis, values): (&str, &[f64]),
+    objective_metric: &str,
+    spec: &RunSpec,
+    evaluate_point: impl Fn(&DesignPoint, &RunSpec) -> Result<PointOutcome, CfsError>,
+) -> Result<ScenarioOutput, CfsError> {
+    if !(usable_capacity_tb.is_finite() && usable_capacity_tb > 0.0) {
+        return Err(CfsError::InvalidConfig {
+            reason: format!(
+                "sweep '{name}': usable capacity must be positive, got {usable_capacity_tb} TB"
+            ),
+        });
+    }
+    let scheme_axis: Vec<f64> = (0..schemes.len()).map(|i| i as f64).collect();
+    let space = DesignSpace::new().with_axis("scheme", scheme_axis).with_axis(axis, values);
+    let mut output =
+        sweep::evaluate(name, &space, objective_metric, Objective::Minimize, spec, evaluate_point)?;
+    if let Some(index) = output.metric("winner_scheme") {
+        output = output
+            .with_metric("winner_storage_overhead", schemes[index as usize].storage_overhead());
+    }
+    Ok(output)
 }
 
 /// Replication-vs-RAID design-space sweep: every redundancy scheme is
@@ -158,12 +188,9 @@ impl ReplicationVsRaid {
         let afr = point.value("afr_percent").expect("afr axis always present");
         let disk = DiskModel::with_afr(afr, DiskModel::abe_sata_250gb().weibull_shape)?;
 
-        let rule = spec.stopping_rule()?;
-        let (horizon, seed) = (spec.horizon_hours(), spec.base_seed());
-        let (level, workers) = (spec.confidence_level(), spec.workers());
         let layout = scheme.layout(self.usable_capacity_tb, disk);
         let raw_disks = layout.total_disks();
-        let summary = StorageSimulator::new(layout)?.run(horizon, &rule, seed, level, workers)?;
+        let summary = run_storage(layout, spec, spec.base_seed())?;
 
         Ok(PointOutcome::new()
             .with_label(format!("{} @{afr}% AFR", scheme.label()))
@@ -175,34 +202,6 @@ impl ReplicationVsRaid {
             .with_metric("storage_overhead", scheme.storage_overhead())
             .with_replications_used(summary.replications))
     }
-
-    fn sweep(&self) -> Result<SweepScenario, CfsError> {
-        if self.schemes.is_empty() {
-            return Err(CfsError::InvalidConfig {
-                reason: "replication-vs-RAID sweep has no redundancy schemes".into(),
-            });
-        }
-        if !(self.usable_capacity_tb.is_finite() && self.usable_capacity_tb > 0.0) {
-            return Err(CfsError::InvalidConfig {
-                reason: format!(
-                    "replication-vs-RAID usable capacity must be positive, got {} TB",
-                    self.usable_capacity_tb
-                ),
-            });
-        }
-        let scheme_axis: Vec<f64> = (0..self.schemes.len()).map(|i| i as f64).collect();
-        let space = DesignSpace::new()
-            .with_axis("scheme", scheme_axis)
-            .with_axis("afr_percent", self.afr_percents.clone());
-        let this = self.clone();
-        Ok(SweepScenario::new(
-            "replication_vs_raid",
-            space,
-            "prob_any_data_loss",
-            Objective::Minimize,
-            move |point, spec| this.evaluate_point(point, spec),
-        ))
-    }
 }
 
 impl Scenario for ReplicationVsRaid {
@@ -211,13 +210,15 @@ impl Scenario for ReplicationVsRaid {
     }
 
     fn evaluate(&self, spec: &RunSpec) -> Result<ScenarioOutput, CfsError> {
-        let mut output = self.sweep()?.evaluate(spec)?;
-        // Re-label the winning scheme index with its human-readable name.
-        if let Some(index) = output.metric("winner_scheme") {
-            let scheme = self.schemes[index as usize];
-            output = output.with_metric("winner_storage_overhead", scheme.storage_overhead());
-        }
-        Ok(output)
+        sweep_schemes(
+            self.name(),
+            &self.schemes,
+            self.usable_capacity_tb,
+            ("afr_percent", &self.afr_percents),
+            "prob_any_data_loss",
+            spec,
+            |point, spec| self.evaluate_point(point, spec),
+        )
     }
 }
 
@@ -289,28 +290,6 @@ impl BeowulfPerformabilitySweep {
         }
         Ok(outcome.with_replications_used(summary.replications))
     }
-
-    fn sweep(&self) -> Result<SweepScenario, CfsError> {
-        if self.worker_counts.is_empty() || self.repair_crews.is_empty() {
-            return Err(CfsError::InvalidConfig {
-                reason: "Beowulf sweep needs at least one worker count and one crew count".into(),
-            });
-        }
-        let space = DesignSpace::new()
-            .with_axis("workers", self.worker_counts.iter().map(|&n| n as f64).collect::<Vec<_>>())
-            .with_axis(
-                "repair_crews",
-                self.repair_crews.iter().map(|&n| n as f64).collect::<Vec<_>>(),
-            );
-        let this = self.clone();
-        Ok(SweepScenario::new(
-            "beowulf_performability",
-            space,
-            PERFORMABILITY,
-            Objective::Maximize,
-            move |point, spec| this.evaluate_point(point, spec),
-        ))
-    }
 }
 
 impl Scenario for BeowulfPerformabilitySweep {
@@ -319,7 +298,18 @@ impl Scenario for BeowulfPerformabilitySweep {
     }
 
     fn evaluate(&self, spec: &RunSpec) -> Result<ScenarioOutput, CfsError> {
-        self.sweep()?.evaluate(spec)
+        let axis = |counts: &[u32]| counts.iter().map(|&n| n as f64).collect::<Vec<_>>();
+        let space = DesignSpace::new()
+            .with_axis("workers", axis(&self.worker_counts))
+            .with_axis("repair_crews", axis(&self.repair_crews));
+        sweep::evaluate(
+            self.name(),
+            &space,
+            PERFORMABILITY,
+            Objective::Maximize,
+            spec,
+            |point, spec| self.evaluate_point(point, spec),
+        )
     }
 }
 
@@ -460,34 +450,6 @@ impl UltraReliableSweep {
         }
         Ok(outcome)
     }
-
-    fn sweep(&self) -> Result<SweepScenario, CfsError> {
-        if self.schemes.is_empty() {
-            return Err(CfsError::InvalidConfig {
-                reason: "ultra-reliable sweep has no redundancy schemes".into(),
-            });
-        }
-        if !(self.usable_capacity_tb.is_finite() && self.usable_capacity_tb > 0.0) {
-            return Err(CfsError::InvalidConfig {
-                reason: format!(
-                    "ultra-reliable sweep usable capacity must be positive, got {} TB",
-                    self.usable_capacity_tb
-                ),
-            });
-        }
-        let scheme_axis: Vec<f64> = (0..self.schemes.len()).map(|i| i as f64).collect();
-        let space = DesignSpace::new()
-            .with_axis("scheme", scheme_axis)
-            .with_axis("mtbf_khours", self.mtbf_khours.clone());
-        let this = self.clone();
-        Ok(SweepScenario::new(
-            "ultra_reliable_sweep",
-            space,
-            "loss_probability_upper",
-            Objective::Minimize,
-            move |point, spec| this.evaluate_point(point, spec),
-        ))
-    }
 }
 
 impl Scenario for UltraReliableSweep {
@@ -496,12 +458,15 @@ impl Scenario for UltraReliableSweep {
     }
 
     fn evaluate(&self, spec: &RunSpec) -> Result<ScenarioOutput, CfsError> {
-        let mut output = self.sweep()?.evaluate(spec)?;
-        if let Some(index) = output.metric("winner_scheme") {
-            let scheme = self.schemes[index as usize];
-            output = output.with_metric("winner_storage_overhead", scheme.storage_overhead());
-        }
-        Ok(output)
+        sweep_schemes(
+            self.name(),
+            &self.schemes,
+            self.usable_capacity_tb,
+            ("mtbf_khours", &self.mtbf_khours),
+            "loss_probability_upper",
+            spec,
+            |point, spec| self.evaluate_point(point, spec),
+        )
     }
 }
 

@@ -147,6 +147,11 @@ impl LogEvent {
     }
 }
 
+/// The longest observation window a log may declare, hours (about 114
+/// years): far beyond any real log, and short enough that the weekly
+/// buckets of the disk-replacement analysis stay few.
+const MAX_WINDOW_HOURS: f64 = 1.0e6;
+
 /// A complete failure log: an observation window plus a time-ordered list of
 /// events.
 ///
@@ -165,12 +170,14 @@ impl FailureLog {
     ///
     /// # Errors
     ///
-    /// Returns [`LogError::InvalidConfig`] if the window is not finite and
-    /// strictly positive.
+    /// Returns [`LogError::InvalidConfig`] unless the window is strictly
+    /// positive and at most 10⁶ hours.
     pub fn new(origin: SimDate, window_hours: f64) -> Result<Self, LogError> {
-        if !(window_hours.is_finite() && window_hours > 0.0) {
+        if !(window_hours > 0.0 && window_hours <= MAX_WINDOW_HOURS) {
             return Err(LogError::InvalidConfig {
-                reason: format!("observation window must be positive, got {window_hours} h"),
+                reason: format!(
+                    "observation window must be positive and at most {MAX_WINDOW_HOURS} h, got {window_hours} h"
+                ),
             });
         }
         Ok(FailureLog { origin, window_hours, events: Vec::new() })

@@ -2,7 +2,8 @@
 //! published statistics.
 //!
 //! The real NCSA logs are not available; this generator substitutes them
-//! with statistically equivalent synthetic logs (see DESIGN.md §1). Every
+//! with statistically equivalent synthetic logs (the crate documentation
+//! names the two log sets they stand in for). Every
 //! published summary statistic of Tables 1–4 maps onto a generator
 //! parameter:
 //!

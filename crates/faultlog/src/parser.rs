@@ -157,10 +157,13 @@ fn next_field<'a>(
     parts.next().ok_or_else(|| LogError::Parse { line, reason: format!("missing field `{what}`") })
 }
 
+/// Parses an event time, which must be finite: `str::parse` also accepts
+/// `NaN` and `inf`, which no analysis can order or bucket.
 fn parse_f64(token: &str, line: usize) -> Result<f64, LogError> {
-    token
-        .parse::<f64>()
-        .map_err(|_| LogError::Parse { line, reason: format!("`{token}` is not a number") })
+    token.parse::<f64>().ok().filter(|t| t.is_finite()).ok_or_else(|| LogError::Parse {
+        line,
+        reason: format!("`{token}` is not a finite number"),
+    })
 }
 
 fn parse_u32(token: &str, line: usize) -> Result<u32, LogError> {
@@ -270,6 +273,23 @@ JOB 5.0 exploded
 OUTAGE io_hardware 10.0
 ";
         assert!(matches!(from_text(text).unwrap_err(), LogError::Parse { line: 2, .. }));
+    }
+
+    #[test]
+    fn rejects_non_finite_event_times() {
+        for time in ["NaN", "inf", "-inf", "infinity"] {
+            let text = format!(
+                "# faultlog v1 origin=2007-07-01T00:00 window_hours=100\nJOB {time} completed\nJOB 1.0 completed\n"
+            );
+            let err = from_text(&text).unwrap_err();
+            assert!(matches!(err, LogError::Parse { line: 2, .. }), "{time}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn rejects_a_window_too_long_to_bucket_by_week() {
+        let text = "# faultlog v1 origin=2007-07-01T00:00 window_hours=1e300\nDISK 1.0 3\n";
+        assert!(matches!(from_text(text).unwrap_err(), LogError::InvalidConfig { .. }));
     }
 
     #[test]

@@ -7,9 +7,9 @@ use crate::{DistError, Distribution, SimRng};
 /// deviation `σ` of the underlying normal.
 ///
 /// Repair-time data from large installations is frequently heavy-tailed;
-/// the log-normal is provided as an alternative repair-time model for the
-/// ablation study comparing deterministic, exponential, and heavy-tailed
-/// repairs (DESIGN.md §6).
+/// the log-normal is provided as a heavy-tailed alternative to
+/// deterministic and exponential repair-time models (the paper's Table 5
+/// gives only mean repair times).
 ///
 /// # Example
 ///

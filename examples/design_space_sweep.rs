@@ -1,5 +1,5 @@
 //! Cross-workload design-space sweeps: the two non-paper workload families
-//! that ride the generic `DesignSpace`/`SweepScenario` driver.
+//! built on the generic `DesignSpace` sweep.
 //!
 //! * **Replication vs RAID** — at equal usable capacity and identical disk
 //!   hardware, compare `n+k` RAID reconstruction against `r`-way object

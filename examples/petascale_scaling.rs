@@ -5,25 +5,26 @@
 //!
 //! Run with `cargo run --release --example petascale_scaling`.
 
-use petascale_cfs::cfs_model::experiments::figure4_cfs_availability_with;
+use petascale_cfs::cfs_model::scenario::Figure4CfsAvailability;
 use petascale_cfs::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = RunSpec::new().with_horizon_hours(8760.0).with_replications(24).with_base_seed(7);
 
     // The Figure 4 sweep: ABE (96 TB) up to the 12 PB petascale target.
-    let fig4 = figure4_cfs_availability_with(&[96.0, 768.0, 3072.0, 12_288.0], &spec)?;
-    println!("{}", fig4.to_table().render());
+    let fig4 = Figure4CfsAvailability { capacities_tb: vec![96.0, 768.0, 3072.0, 12_288.0] }
+        .evaluate(&spec)?;
+    println!("{}", fig4.tables[0].render());
 
-    let abe = fig4.points.first().expect("sweep has points");
-    let peta = fig4.points.last().expect("sweep has points");
+    let metric = |name| fig4.metric(name).expect("figure 4 reports its sweep endpoints");
     println!(
         "CFS availability declines from {:.3} to {:.3} (paper: 0.972 -> 0.909)",
-        abe.cfs_availability.point, peta.cfs_availability.point
+        metric("cfs_availability_first"),
+        metric("cfs_availability_last")
     );
     println!(
         "A standby spare OSS recovers {:+.3} at petascale (paper: ~+3%)",
-        peta.cfs_availability_spare_oss.point - peta.cfs_availability.point
+        metric("spare_oss_gain_last")
     );
 
     // The second mitigation discussed in Section 5.2: multiple network paths

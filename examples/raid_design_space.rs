@@ -5,9 +5,7 @@
 //!
 //! Run with `cargo run --release --example raid_design_space`.
 
-use petascale_cfs::cfs_model::experiments::{
-    figure2_storage_availability_with, figure3_disk_replacements_with,
-};
+use petascale_cfs::cfs_model::scenario::{Figure2StorageAvailability, Figure3DiskReplacements};
 use petascale_cfs::prelude::*;
 use petascale_cfs::raidsim::analytic::tier_mttdl;
 
@@ -16,15 +14,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Figure 2: storage availability from ABE scale to petascale for the
     // paper's configuration tuples (reduced capacity sweep for a quick run).
-    let fig2 = figure2_storage_availability_with(
-        &[96.0, 768.0, 3072.0, 12_288.0],
-        &spec.clone().with_base_seed(3),
-    )?;
-    println!("{}", fig2.to_table().render());
+    let fig2 = Figure2StorageAvailability { capacities_tb: vec![96.0, 768.0, 3072.0, 12_288.0] };
+    println!("{}", fig2.evaluate(&spec.clone().with_base_seed(3))?.tables[0].render());
 
     // Figure 3: the operational cost side — disks replaced per week.
-    let fig3 = figure3_disk_replacements_with(&[480, 1440, 2880, 4800], &spec.with_base_seed(5))?;
-    println!("{}", fig3.to_table().render());
+    let fig3 = Figure3DiskReplacements { disk_counts: vec![480, 1440, 2880, 4800] };
+    println!("{}", fig3.evaluate(&spec.with_base_seed(5))?.tables[0].render());
 
     // Analytic cross-check: mean time to data loss per tier for the two
     // geometries the paper compares, with ABE's disks.

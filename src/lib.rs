@@ -68,9 +68,8 @@ pub use sanet;
 pub mod prelude {
     pub use cfs_model::analysis::evaluate;
     pub use cfs_model::config::ClusterConfig;
-    pub use cfs_model::experiments;
     pub use cfs_model::scenario::{Metric, Scenario, ScenarioOutput};
-    pub use cfs_model::sweep::{DesignPoint, DesignSpace, Objective, PointOutcome, SweepScenario};
+    pub use cfs_model::sweep::{DesignPoint, DesignSpace, Objective, PointOutcome};
     pub use cfs_model::workloads::{
         BeowulfPerformabilitySweep, RedundancyScheme, ReplicationVsRaid, UltraReliableSweep,
     };

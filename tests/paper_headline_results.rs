@@ -5,9 +5,7 @@
 //! factor), not exact number matches — the substrate is a reimplemented
 //! simulator, not the authors' Möbius models or the NCSA testbed.
 
-use petascale_cfs::cfs_model::experiments::{
-    figure2_storage_availability_with, figure4_cfs_availability_with,
-};
+use petascale_cfs::cfs_model::scenario::{Figure2StorageAvailability, Figure4CfsAvailability};
 use petascale_cfs::prelude::*;
 
 const YEAR_HOURS: f64 = 8760.0;
@@ -28,23 +26,23 @@ fn spec(replications: usize, seed: u64) -> RunSpec {
 /// configuration near-perfect even at petascale.
 #[test]
 fn figure2_shape_raid6_masks_disk_failures() {
-    let result = figure2_storage_availability_with(&[96.0, 12_288.0], &spec(10, 11))
+    let output = Figure2StorageAvailability { capacities_tb: vec![96.0, 12_288.0] }
+        .evaluate(&spec(10, 11))
         .expect("figure 2 sweep runs");
-    for series in &result.series {
-        assert!(
-            series.points[0].availability.point > 0.999,
-            "ABE-scale availability must be ~1 for {}",
-            series.label
-        );
+    let abe_scale: Vec<&Metric> = output
+        .metrics
+        .iter()
+        .filter(|m| m.name.starts_with("availability ") && m.name.ends_with(" @96TB"))
+        .collect();
+    assert_eq!(abe_scale.len(), 5, "one ABE-scale point per series");
+    for metric in abe_scale {
+        assert!(metric.value > 0.999, "ABE-scale availability must be ~1 for {}", metric.name);
     }
     // The ABE configuration (0.7, 2.92 %) stays above the pessimistic
     // (0.6, 8.76 %) configuration at petascale.
-    let abe = result.series.iter().find(|s| s.label.contains("2.92")).unwrap();
-    let pessimistic = result.series.iter().find(|s| s.label == "(0.6,8.76,8+2,4)").unwrap();
-    assert!(
-        abe.points[1].availability.point >= pessimistic.points[1].availability.point,
-        "better disks must not be worse at petascale"
-    );
+    let abe = output.metric("availability (0.7,2.92,8+2,4) @12288TB").unwrap();
+    let pessimistic = output.metric("availability (0.6,8.76,8+2,4) @12288TB").unwrap();
+    assert!(abe >= pessimistic, "better disks must not be worse at petascale");
 }
 
 /// Section 5.1: the (8+3) Blue Waters geometry loses no more data than
@@ -72,18 +70,26 @@ fn eight_plus_three_is_at_least_as_good_as_eight_plus_two() {
 /// loss.
 #[test]
 fn figure4_shape_cfs_availability_declines_with_scale() {
-    let result = figure4_cfs_availability_with(&[96.0, 12_288.0], &spec(12, 19))
+    let output = Figure4CfsAvailability { capacities_tb: vec![96.0, 12_288.0] }
+        .evaluate(&spec(12, 19))
         .expect("figure 4 sweep runs");
-    let abe = &result.points[0];
-    let peta = &result.points[1];
+    let abe = output.metric("cfs_availability_first").unwrap();
+    let peta = output.metric("cfs_availability_last").unwrap();
+    // Storage availability and the ABE-scale CU have no metric; read the
+    // table's 4-decimal `point ±half-width` cells.
+    let table = &output.tables[0];
+    let cell = |row: usize, column: &str| -> f64 {
+        let column = table.headers().iter().position(|h| h == column).unwrap();
+        table.rows()[row][column].split(' ').next().unwrap().parse().unwrap()
+    };
 
-    assert!(abe.cfs_availability.point > 0.95 && abe.cfs_availability.point < 0.995);
-    assert!(peta.cfs_availability.point < abe.cfs_availability.point - 0.03);
-    assert!(peta.cfs_availability.point > 0.85);
-    assert!(abe.storage_availability.point > 0.999 && peta.storage_availability.point > 0.999);
-    assert!(abe.cluster_utility.point <= abe.cfs_availability.point);
-    assert!(peta.cluster_utility.point < peta.cfs_availability.point);
-    assert!(peta.cfs_availability_spare_oss.point > peta.cfs_availability.point + 0.005);
+    assert!(abe > 0.95 && abe < 0.995);
+    assert!(peta < abe - 0.03);
+    assert!(peta > 0.85);
+    assert!(cell(0, "Storage-availability") > 0.999 && cell(1, "Storage-availability") > 0.999);
+    assert!(cell(0, "CU") <= cell(0, "CFS-Availability"));
+    assert!(output.metric("cluster_utility_last").unwrap() < peta);
+    assert!(output.metric("spare_oss_gain_last").unwrap() > 0.005);
 }
 
 /// Table 1 + Section 5.2: the simulated ABE CFS availability matches the
