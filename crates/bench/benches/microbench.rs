@@ -3,10 +3,10 @@
 //! retained naive reference kernel, on a 2-activity unit and on the full
 //! composed ABE / petascale cluster models), the reachability explorer, the
 //! storage Monte-Carlo kernel, and the design-space sweeps — plus the
-//! rare-event estimators (replications to ±10 % and variance-reduction
-//! factors of importance sampling and multilevel splitting on their
-//! reference configs), the worker pool (a million replications at workers
-//! 1 and 2), and the telemetry overhead on the kernel hot path.
+//! rare-event estimator (trials to ±10 % and the variance-reduction factor
+//! of multilevel splitting on its reference config), the worker pool (a
+//! million replications at workers 1 and 2), and the telemetry overhead on
+//! the kernel hot path.
 //!
 //! The harness is self-contained (no external benchmarking crate is
 //! available offline): each kernel is warmed up, then timed in five
@@ -290,43 +290,14 @@ fn bench_design_space_sweeps(ledger: &mut Vec<BenchRecord>) {
     }
 }
 
-/// The rare-event estimators on their reference configs, each run on one
-/// worker to a ±10 % relative half-width: the replications that took (a
-/// `count`, fixed by the seed), the measured variance-reduction factor
-/// against naive Monte Carlo (a `ratio`, also fixed by the seed), and the
-/// time per replication.
+/// The rare-event estimator on its reference config, run on one worker to
+/// a ±10 % relative half-width: the trials that took (a `count`, fixed by
+/// the seed), the measured variance-reduction factor against naive Monte
+/// Carlo (a `ratio`, also fixed by the seed), and the time per trial.
 fn bench_rare_event(ledger: &mut Vec<BenchRecord>) {
-    use probdist::rare::naive_replications_for;
     use raidsim::ReplicationConfig;
-    use sanet::rare::{failover_pair, BiasedExperiment, FailureBias};
 
-    // Reference rare-event config #1: the fail-over pair hitting
-    // probability (~2e-5 within a 10-hour window), importance-sampled with
-    // a 60x failure tilt.
-    let (lambda, mu, horizon) = (1e-3, 1.0, 10.0);
-    let pair = failover_pair(lambda, mu).unwrap();
-    let bias = FailureBias::new(60.0, ["fail"]).unwrap();
-    let mut experiment = BiasedExperiment::new(&pair.model, bias, horizon).unwrap();
-    experiment.add_reward(pair.hit_reward()).set_workers(1);
-    let rule = StoppingRule::new(0.10, 1_000, 100_000).unwrap();
-    let start = Instant::now();
-    let summary = experiment.run(&rule, DEFAULT_SEED).unwrap();
-    let secs = start.elapsed().as_secs_f64();
-    let estimate = summary.reward("hit").unwrap();
-    let p = estimate.interval.point;
-    let rhw = estimate.interval.relative_half_width().max(1e-6);
-    let naive = naive_replications_for(p.clamp(1e-12, 0.5), rhw, 0.95).unwrap();
-    let replications = summary.replications as f64;
-    let rows = [
-        ("rare_event_is_replications_to_10pct", Unit::Count, replications),
-        ("rare_event_is_variance_reduction", Unit::Ratio, naive / replications),
-        ("rare_event_is_replication", Unit::NsPerIter, secs * 1e9 / replications),
-    ];
-    for (name, unit, value) in rows {
-        record(ledger, BenchRecord::new(name, "sanet::rare", unit, value));
-    }
-
-    // Reference rare-event config #2: a 3-way replicated store's data-loss
+    // The reference config: a 3-way replicated store's data-loss
     // probability by multilevel splitting.
     let disk = DiskModel { weibull_shape: 1.0, mtbf_hours: 20_000.0, capacity_gb: 250.0 };
     let config = ReplicationConfig {

@@ -7,7 +7,8 @@
 //!   Replication counts default to values that finish in
 //!   seconds-to-minutes on a laptop and can be overridden with the
 //!   `CFS_BENCH_REPLICATIONS`, `CFS_BENCH_HORIZON_HOURS`, and
-//!   `CFS_BENCH_WORKERS` environment variables for higher-precision runs.
+//!   `CFS_BENCH_WORKERS` environment variables for higher-precision runs;
+//!   a set value that does not parse stops the run.
 //! * The microbench (`cargo bench -p cfs-bench --bench microbench`) times
 //!   the simulation substrates into the `BENCH.json` ledger, one
 //!   [`BenchRecord`] per number, and `bench_guard` checks a fresh ledger
@@ -17,6 +18,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::ffi::OsString;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -150,37 +152,47 @@ pub const DEFAULT_HORIZON_HOURS: f64 = 8760.0;
 /// Default seed used by the harness, so published numbers are reproducible.
 pub const DEFAULT_SEED: u64 = 20080625;
 
-/// Replication count, overridable via `CFS_BENCH_REPLICATIONS`.
-fn replications() -> usize {
-    std::env::var("CFS_BENCH_REPLICATIONS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 2)
-        .unwrap_or(DEFAULT_REPLICATIONS)
-}
-
-/// Simulation horizon in hours, overridable via `CFS_BENCH_HORIZON_HOURS`.
-fn horizon_hours() -> f64 {
-    std::env::var("CFS_BENCH_HORIZON_HOURS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&h: &f64| h > 0.0)
-        .unwrap_or(DEFAULT_HORIZON_HOURS)
-}
-
-/// Worker-thread count, overridable via `CFS_BENCH_WORKERS` (`0` = auto).
-fn workers() -> usize {
-    std::env::var("CFS_BENCH_WORKERS").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
-}
-
-/// The harness's run spec: the environment-variable overrides above applied
-/// on top of the reproducible defaults.
+/// The harness's run spec: the `CFS_BENCH_REPLICATIONS`,
+/// `CFS_BENCH_HORIZON_HOURS` and `CFS_BENCH_WORKERS` (`0` = auto)
+/// overrides applied on top of the reproducible defaults. An unset
+/// variable keeps its default. A set one is passed on as parsed, so an
+/// out-of-range value reaches [`RunSpec::validate`], which names it when
+/// the run starts.
+///
+/// # Panics
+///
+/// If a set variable does not parse; the message names the variable and
+/// its value.
 pub fn study_spec() -> RunSpec {
-    RunSpec::new()
-        .with_horizon_hours(horizon_hours())
-        .with_replications(replications())
+    spec_from(|name| std::env::var_os(name)).unwrap_or_else(|message| panic!("{message}"))
+}
+
+/// [`study_spec`] over any variable lookup, so the parsing can be tested
+/// without touching the process environment.
+fn spec_from(lookup: impl Fn(&str) -> Option<OsString>) -> Result<RunSpec, String> {
+    let horizon = env_override(&lookup, "CFS_BENCH_HORIZON_HOURS", DEFAULT_HORIZON_HOURS)?;
+    let replications = env_override(&lookup, "CFS_BENCH_REPLICATIONS", DEFAULT_REPLICATIONS)?;
+    let workers = env_override(&lookup, "CFS_BENCH_WORKERS", 0)?;
+    Ok(RunSpec::new()
+        .with_horizon_hours(horizon)
+        .with_replications(replications)
         .with_base_seed(DEFAULT_SEED)
-        .with_workers(workers())
+        .with_workers(workers))
+}
+
+/// The value of variable `name`: `default` when it is unset, its parsed
+/// value when it is set, and an error naming the variable and its value
+/// when a set value does not parse.
+fn env_override<T: std::str::FromStr>(
+    lookup: &impl Fn(&str) -> Option<OsString>,
+    name: &str,
+    default: T,
+) -> Result<T, String> {
+    let Some(value) = lookup(name) else { return Ok(default) };
+    value
+        .to_str()
+        .and_then(|text| text.parse().ok())
+        .ok_or_else(|| format!("{name}={value:?} does not parse as {}", std::any::type_name::<T>()))
 }
 
 /// Runs a closure, printing a banner, its result table, and the elapsed
@@ -301,13 +313,61 @@ pub fn paper_lines(report: &Report) -> String {
 mod tests {
     use super::*;
 
+    /// A lookup over a fixed variable list instead of the environment.
+    fn lookup(vars: &[(&'static str, &'static str)]) -> impl Fn(&str) -> Option<OsString> {
+        let vars = vars.to_vec();
+        move |name| vars.iter().find(|(var, _)| *var == name).map(|(_, value)| (*value).into())
+    }
+
     #[test]
     fn defaults_are_sane() {
-        assert!(replications() >= 2);
-        assert!(horizon_hours() > 0.0);
-        let spec = study_spec();
+        let spec = spec_from(lookup(&[])).unwrap();
+        assert_eq!(spec.replications(), DEFAULT_REPLICATIONS);
+        assert_eq!(spec.horizon_hours(), DEFAULT_HORIZON_HOURS);
+        assert_eq!(spec.workers(), 0);
         assert!(spec.validate().is_ok());
         assert_eq!(spec.base_seed(), DEFAULT_SEED);
+    }
+
+    #[test]
+    fn set_overrides_apply_as_parsed() {
+        let spec = spec_from(lookup(&[
+            ("CFS_BENCH_REPLICATIONS", "4"),
+            ("CFS_BENCH_HORIZON_HOURS", "2000"),
+            ("CFS_BENCH_WORKERS", "2"),
+        ]))
+        .unwrap();
+        assert_eq!((spec.replications(), spec.horizon_hours(), spec.workers()), (4, 2000.0, 2));
+    }
+
+    #[test]
+    fn unparsable_overrides_name_the_variable_and_its_value() {
+        for (var, value) in [
+            ("CFS_BENCH_REPLICATIONS", "4x"),
+            ("CFS_BENCH_REPLICATIONS", "1.5"),
+            ("CFS_BENCH_HORIZON_HOURS", "a year"),
+            ("CFS_BENCH_WORKERS", "two"),
+            ("CFS_BENCH_WORKERS", "-1"),
+        ] {
+            let err = spec_from(lookup(&[(var, value)])).unwrap_err();
+            assert!(err.contains(var) && err.contains(value), "{err}");
+        }
+    }
+
+    /// Out-of-range values are not replaced by defaults: they reach
+    /// `RunSpec::validate`, which names them.
+    #[test]
+    fn out_of_range_overrides_fail_validation() {
+        for (var, value, expected) in [
+            ("CFS_BENCH_REPLICATIONS", "1", "at least two replications"),
+            ("CFS_BENCH_REPLICATIONS", "20080625", "swapped replications/seed"),
+            ("CFS_BENCH_HORIZON_HOURS", "-5", "horizon must be positive"),
+            ("CFS_BENCH_HORIZON_HOURS", "inf", "horizon must be positive and finite"),
+        ] {
+            let spec = spec_from(lookup(&[(var, value)])).unwrap();
+            let err = spec.validate().unwrap_err().to_string();
+            assert!(err.contains(expected), "{var}={value}: {err}");
+        }
     }
 
     #[test]

@@ -119,7 +119,7 @@ pub fn build_built_in(name: &str) -> Result<BuiltIn, CfsError> {
         }
         "failover-pair" => {
             // The rare-event benchmark pair: λ = 1e-4/h failures, 0.1/h
-            // repairs — the regime the importance-sampling examples use.
+            // repairs, so both members are rarely down at once.
             let pair = rare::failover_pair(1e-4, 0.1)?;
             let rewards = vec![pair.hit_reward()];
             Ok(BuiltIn { model: pair.model, rewards })

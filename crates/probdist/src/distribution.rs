@@ -1,8 +1,6 @@
 use serde::{Deserialize, Serialize};
 
-use crate::{
-    Deterministic, DistError, Empirical, Exponential, Gamma, LogNormal, SimRng, Uniform, Weibull,
-};
+use crate::{Deterministic, DistError, Empirical, Exponential, SimRng, Uniform, Weibull};
 
 /// Common interface of all continuous, non-negative lifetime distributions
 /// used by the dependability models.
@@ -113,10 +111,6 @@ pub enum Dist {
     Weibull(Weibull),
     /// Deterministic (fixed delay) distribution.
     Deterministic(Deterministic),
-    /// Log-normal distribution.
-    LogNormal(LogNormal),
-    /// Gamma distribution.
-    Gamma(Gamma),
     /// Continuous uniform distribution.
     Uniform(Uniform),
     /// Empirical distribution resampling observed data.
@@ -129,8 +123,6 @@ macro_rules! delegate {
             Dist::Exponential($inner) => $body,
             Dist::Weibull($inner) => $body,
             Dist::Deterministic($inner) => $body,
-            Dist::LogNormal($inner) => $body,
-            Dist::Gamma($inner) => $body,
             Dist::Uniform($inner) => $body,
             Dist::Empirical($inner) => $body,
         }
@@ -170,8 +162,6 @@ impl Dist {
             Dist::Exponential(_) => "exponential",
             Dist::Weibull(_) => "weibull",
             Dist::Deterministic(_) => "deterministic",
-            Dist::LogNormal(_) => "lognormal",
-            Dist::Gamma(_) => "gamma",
             Dist::Uniform(_) => "uniform",
             Dist::Empirical(_) => "empirical",
         }
@@ -193,18 +183,6 @@ impl From<Weibull> for Dist {
 impl From<Deterministic> for Dist {
     fn from(d: Deterministic) -> Self {
         Dist::Deterministic(d)
-    }
-}
-
-impl From<LogNormal> for Dist {
-    fn from(d: LogNormal) -> Self {
-        Dist::LogNormal(d)
-    }
-}
-
-impl From<Gamma> for Dist {
-    fn from(d: Gamma) -> Self {
-        Dist::Gamma(d)
     }
 }
 
@@ -251,24 +229,11 @@ mod tests {
             Exponential::from_mean(1.0).unwrap().into(),
             Weibull::new(1.0, 1.0).unwrap().into(),
             Deterministic::new(1.0).unwrap().into(),
-            LogNormal::new(0.0, 1.0).unwrap().into(),
-            Gamma::new(2.0, 1.0).unwrap().into(),
             Uniform::new(0.0, 1.0).unwrap().into(),
             Empirical::new(vec![1.0, 2.0]).unwrap().into(),
         ];
         let names: Vec<&str> = variants.iter().map(super::Dist::family).collect();
-        assert_eq!(
-            names,
-            vec![
-                "exponential",
-                "weibull",
-                "deterministic",
-                "lognormal",
-                "gamma",
-                "uniform",
-                "empirical"
-            ]
-        );
+        assert_eq!(names, vec!["exponential", "weibull", "deterministic", "uniform", "empirical"]);
     }
 
     #[test]

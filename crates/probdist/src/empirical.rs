@@ -3,8 +3,9 @@ use serde::{Deserialize, Serialize};
 use crate::{DistError, Distribution, SimRng};
 
 /// Empirical distribution that resamples from an observed data set
-/// (bootstrap resampling with linear interpolation between order
-/// statistics for the CDF and quantile function).
+/// (bootstrap resampling). The CDF is the step function of the
+/// observations; only the quantile function interpolates linearly between
+/// order statistics.
 ///
 /// This is how measured repair durations from the failure-log analysis can
 /// be plugged straight into the simulation model without committing to a

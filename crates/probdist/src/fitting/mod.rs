@@ -1,4 +1,4 @@
-//! Survival analysis and lifetime-distribution fitting.
+//! Lifetime-distribution fitting.
 //!
 //! The paper estimates its disk-failure model from the ABE replacement log
 //! (Table 4): "Survival analysis of the disk failures (n = 480) using
@@ -12,7 +12,6 @@
 //!
 //! * [`Lifetime`] — an observation that is either an observed failure or a
 //!   censored survival time (disks still alive at the end of the log).
-//! * [`KaplanMeier`] — non-parametric survival curve estimation.
 //! * [`fit_weibull`] — maximum-likelihood Weibull fit with right-censoring
 //!   (profile likelihood in the scale, Newton/bisection in the shape) and
 //!   asymptotic standard errors.
@@ -20,11 +19,9 @@
 //!   test estimator).
 
 mod exponential_fit;
-mod kaplan_meier;
 mod weibull_mle;
 
 pub use exponential_fit::{fit_exponential, ExponentialFit};
-pub use kaplan_meier::{KaplanMeier, SurvivalPoint};
 pub use weibull_mle::{fit_weibull, WeibullFit};
 
 use serde::{Deserialize, Serialize};

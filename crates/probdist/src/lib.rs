@@ -1,32 +1,28 @@
-//! Probability distributions, statistics, and survival analysis for
+//! Probability distributions, statistics, and lifetime fitting for
 //! dependability simulation.
 //!
 //! This crate is the numerical foundation of the petascale cluster file
 //! system dependability study. It provides:
 //!
 //! * **Lifetime distributions** used to model failure and repair processes:
-//!   [`Exponential`], [`Weibull`], [`Deterministic`], [`LogNormal`],
-//!   [`Gamma`], [`Uniform`], and [`Empirical`], all implementing the
-//!   [`Distribution`] trait (sampling, CDF, PDF, hazard rate, quantiles,
-//!   moments).
+//!   [`Exponential`], [`Weibull`], [`Deterministic`], [`Uniform`], and
+//!   [`Empirical`], all implementing the [`Distribution`] trait (sampling,
+//!   CDF, PDF, hazard rate, quantiles, moments).
 //! * **Failure-rate arithmetic** ([`rates`]): conversions between MTBF,
 //!   annualized failure rate (AFR), and per-hour rates, as the paper mixes
 //!   all three conventions (Table 5).
 //! * **Statistics** ([`stats`]): streaming mean/variance accumulators,
 //!   Student-t and normal confidence intervals used to report simulation
 //!   results at the 95 % level, and batch-means estimation.
-//! * **Survival analysis** ([`fitting`]): Kaplan–Meier estimation and
-//!   maximum-likelihood Weibull/exponential fitting with right-censoring,
-//!   reproducing the Table 4 analysis (`β ≈ 0.7`, MTBF ≈ 300 000 h).
+//! * **Lifetime fitting** ([`fitting`]): maximum-likelihood
+//!   Weibull/exponential fitting with right-censoring, reproducing the
+//!   Table 4 analysis (`β ≈ 0.7`, MTBF ≈ 300 000 h).
 //! * **Rare-event estimation** ([`rare`]): the estimator arithmetic of
-//!   importance sampling (likelihood-ratio-weighted observations through
-//!   [`stats::WeightedRunning`], effective sample size, variance-reduction
-//!   factors) and multilevel splitting (per-level passage probabilities
-//!   combined with the independent-stages variance approximation), plus
-//!   the naive-Monte-Carlo sample-size projection both are measured
-//!   against.
+//!   multilevel splitting (per-level passage probabilities combined with
+//!   the independent-stages variance approximation), plus the
+//!   naive-Monte-Carlo sample-size projection it is measured against.
 //! * **Telemetry** ([`telemetry`]): a lock-free metrics and span-timing
-//!   layer — statically registered counters/gauges/histograms in
+//!   layer — statically registered counters and histograms in
 //!   per-thread sharded atomics, drop-timed pipeline-phase spans, a live
 //!   stderr progress line, and text/CSV/JSON/Prometheus exposition.
 //!   Off by default; never perturbs simulation statistics.
@@ -59,8 +55,6 @@ mod empirical;
 mod error;
 mod exponential;
 pub mod fitting;
-mod gamma;
-mod lognormal;
 pub mod parallel;
 pub mod rare;
 pub mod rates;
@@ -76,8 +70,6 @@ pub use distribution::{Dist, Distribution};
 pub use empirical::Empirical;
 pub use error::DistError;
 pub use exponential::Exponential;
-pub use gamma::Gamma;
-pub use lognormal::LogNormal;
 pub use rates::{Afr, FailureRate, Mtbf, HOURS_PER_YEAR};
 pub use rng::SimRng;
 pub use uniform::Uniform;
@@ -98,8 +90,6 @@ mod crate_tests {
         assert_send_sync::<Weibull>();
         assert_send_sync::<WithinLimit>();
         assert_send_sync::<Deterministic>();
-        assert_send_sync::<LogNormal>();
-        assert_send_sync::<Gamma>();
         assert_send_sync::<Uniform>();
         assert_send_sync::<Empirical>();
         assert_send_sync::<Dist>();

@@ -1,59 +1,45 @@
-//! Rare-event estimation: the crate-neutral statistics of importance
-//! sampling and multilevel splitting.
+//! Rare-event estimation: the crate-neutral statistics of multilevel
+//! splitting.
 //!
 //! The paper's headline measures — data-loss probability and
 //! unavailability of a petascale file system over a year — are *rare
 //! events*: at realistic failure and repair rates a plain Monte-Carlo study
 //! burns millions of replications before it sees a single loss, so its
-//! relative confidence-interval half-width never converges. Two classical
-//! variance-reduction families fix that, and this module provides the
-//! estimator arithmetic both share:
-//!
-//! * **Importance sampling with failure biasing** — the simulation runs
-//!   under a *tilted* law in which failures are common, and every
-//!   replication carries the likelihood ratio `w = dP/dP'` of its sample
-//!   path as a weight. The weighted observations stream into a
-//!   [`WeightedRunning`] accumulator; [`weighted_probability`] turns it
-//!   into a [`RareEventEstimate`] with a Student-t interval on the
-//!   (self-normalised) weighted mean, the effective sample size, and the
-//!   measured variance-reduction factor against naive Monte Carlo. The
-//!   model-side mechanics — exponential rate tilting of failure activities
-//!   in the SAN calendar kernel, with the log-likelihood ratio accumulated
-//!   event by event — live in `sanet::rare`.
-//! * **Multilevel splitting (RESTART-style, fixed effort)** — the rare
-//!   event is factored through a chain of intermediate levels
-//!   (`exposure depth 1, 2, …, loss`), each stage restarting trials from
-//!   the states that reached the previous level, so the overall probability
-//!   is the product of per-level conditional passage probabilities that are
-//!   each *not* rare. [`splitting_probability`] combines the per-level
-//!   [`LevelPassage`] counts into a [`RareEventEstimate`] using the
-//!   standard independent-stages relative-variance approximation. The
-//!   simulator-side driver lives in `raidsim::splitting`.
+//! relative confidence-interval half-width never converges. Multilevel
+//! splitting (RESTART-style, fixed effort) fixes that: the rare event is
+//! factored through a chain of intermediate levels (`exposure depth 1, 2,
+//! …, loss`), each stage restarting trials from the states that reached
+//! the previous level, so the overall probability is the product of
+//! per-level conditional passage probabilities that are each *not* rare.
+//! [`splitting_probability`] combines the per-level [`LevelPassage`]
+//! counts into a [`RareEventEstimate`] using the standard
+//! independent-stages relative-variance approximation. The simulator side
+//! lives in `raidsim::splitting`.
 //!
 //! [`naive_replications_for`] closes the loop: it projects how many plain
 //! Monte-Carlo replications a probability would need to reach a relative
-//! half-width target, which is the baseline both estimators' reported
+//! half-width target, which is the baseline the reported
 //! [`RareEventEstimate::variance_reduction_factor`] is measured against.
 
 use crate::special::std_normal_quantile;
-use crate::stats::{ConfidenceInterval, WeightedRunning};
+use crate::stats::ConfidenceInterval;
 use crate::DistError;
 
-/// The uniform result shape of every rare-event estimator: the probability
-/// estimate with its confidence interval, how much statistical information
-/// it rests on, and how it compares against naive Monte Carlo.
+/// The result of a rare-event estimate: the probability with its
+/// confidence interval, how much statistical information it rests on, and
+/// how it compares against naive Monte Carlo.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RareEventEstimate {
     /// Confidence interval on the estimated probability.
     pub interval: ConfidenceInterval,
-    /// Effective sample size behind the estimate: Kish ESS for an
-    /// importance-sampled run, the naive-equivalent sample count for a
-    /// splitting run.
+    /// Effective sample size behind the estimate: the naive-equivalent
+    /// sample count, i.e. how many plain Bernoulli samples would give the
+    /// same relative variance.
     pub effective_sample_size: f64,
-    /// Replications (or splitting trials) actually spent.
+    /// Splitting trials actually spent, summed over every level (and, for
+    /// an adaptive run, every round).
     pub replications: usize,
-    /// Observations with a non-zero contribution (importance sampling) or
-    /// final-level hits (splitting).
+    /// Trials that reached the final level.
     pub hits: u64,
     /// Measured variance-reduction factor: how many times more replications
     /// naive Monte Carlo would need to reach the same precision. `0.0` when
@@ -72,7 +58,7 @@ impl RareEventEstimate {
 /// Projects the number of naive Monte-Carlo replications needed to estimate
 /// a probability to the given relative half-width at the given confidence
 /// level: `z² (1 − p) / (p · rhw²)` — the Bernoulli-variance sample-size
-/// formula. This is the baseline rare-event estimators are measured
+/// formula. This is the baseline rare-event estimates are measured
 /// against: at `p = 10⁻⁸` and ±10 % it is ~3.8 × 10¹⁰ replications.
 ///
 /// # Errors
@@ -95,43 +81,6 @@ pub fn naive_replications_for(
     DistError::check_positive("relative_half_width", relative_half_width)?;
     let z = std_normal_quantile(0.5 + level / 2.0);
     Ok(z * z * (1.0 - probability) / (probability * relative_half_width * relative_half_width))
-}
-
-/// Turns an importance-sampled accumulator — each replication's indicator
-/// (or probability-like measure) pushed with its likelihood-ratio weight —
-/// into a [`RareEventEstimate`]: the Student-t interval on the unbiased
-/// weighted mean ([`WeightedRunning::mean_product`]), the Kish effective
-/// sample size, and the variance-reduction factor
-/// `p(1 − p) / var(w·x)` — the ratio of the naive per-sample Bernoulli
-/// variance to the weighted estimator's realised per-sample variance,
-/// i.e. how many times more replications naive Monte Carlo would need for
-/// the same standard error.
-///
-/// # Errors
-///
-/// Returns [`DistError::EmptyData`] with fewer than two observations and
-/// [`DistError::InvalidProbability`] for a level outside `(0, 1)`.
-pub fn weighted_probability(
-    acc: &WeightedRunning,
-    level: f64,
-) -> Result<RareEventEstimate, DistError> {
-    let interval = acc.confidence_interval(level)?;
-    let p = interval.point;
-    let per_sample_variance = acc.product_variance();
-    let variance_reduction_factor = if p > 0.0 && p < 1.0 && per_sample_variance > 0.0 {
-        p * (1.0 - p) / per_sample_variance
-    } else {
-        0.0
-    };
-    let effective_sample_size = acc.effective_sample_size();
-    crate::telemetry::gauge_set(crate::telemetry::MetricId::RareWeightEss, effective_sample_size);
-    Ok(RareEventEstimate {
-        interval,
-        effective_sample_size,
-        replications: acc.count() as usize,
-        hits: acc.nonzero_count(),
-        variance_reduction_factor,
-    })
 }
 
 /// One stage of a multilevel-splitting run: how many of the stage's trials
@@ -274,50 +223,6 @@ mod tests {
         assert!(naive_replications_for(f64::NAN, 0.1, 0.95).is_err());
         assert!(naive_replications_for(1e-4, 0.0, 0.95).is_err());
         assert!(naive_replications_for(1e-4, 0.1, 1.0).is_err());
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)] // heavy sampling loop
-    fn weighted_probability_reduces_to_bernoulli_for_unit_weights() {
-        // 1000 unit-weight Bernoulli observations with 100 hits: the
-        // estimate is 0.1 and the VRF of "importance sampling that did not
-        // bias anything" must be ~1.
-        let mut acc = WeightedRunning::new();
-        for i in 0..1000 {
-            acc.push(if i % 10 == 0 { 1.0 } else { 0.0 }, 1.0);
-        }
-        let estimate = weighted_probability(&acc, 0.95).unwrap();
-        assert!((estimate.interval.point - 0.1).abs() < 1e-12);
-        assert_eq!(estimate.replications, 1000);
-        assert_eq!(estimate.hits, 100);
-        assert_eq!(estimate.effective_sample_size, 1000.0);
-        assert!(
-            (estimate.variance_reduction_factor - 1.0).abs() < 0.01,
-            "unit weights give VRF ~1, got {}",
-            estimate.variance_reduction_factor
-        );
-        assert!(estimate.relative_error() > 0.0);
-    }
-
-    #[test]
-    fn weighted_probability_rewards_good_biasing() {
-        // A well-tilted estimator sees the event every run with small
-        // weights: same point estimate as Bernoulli(1e-3), far less
-        // variance per replication.
-        let mut acc = WeightedRunning::new();
-        for i in 0..200 {
-            // Weights jitter around 1e-3 so the weighted mean is ~1e-3.
-            let w = 1e-3 * (1.0 + 0.1 * ((i % 7) as f64 - 3.0) / 3.0);
-            acc.push(1.0, w);
-        }
-        let estimate = weighted_probability(&acc, 0.95).unwrap();
-        assert!((estimate.interval.point - 1e-3).abs() < 1e-4);
-        assert!(estimate.relative_error() < 0.01);
-        assert!(
-            estimate.variance_reduction_factor > 100.0,
-            "VRF {} must beat naive by orders of magnitude",
-            estimate.variance_reduction_factor
-        );
     }
 
     #[test]

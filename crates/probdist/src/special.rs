@@ -1,10 +1,9 @@
-//! Special mathematical functions needed by the distributions and fitting
-//! routines: log-gamma, the gamma function, the regularized incomplete gamma
-//! function, and the error function.
+//! Special mathematical functions needed by the distributions, fitting
+//! routines and confidence intervals: log-gamma, the gamma function, the
+//! error function, and the standard normal CDF and quantile.
 //!
-//! These are standard numerical recipes implementations, accurate to roughly
-//! 1e-10 relative error over the ranges used by the simulator (all arguments
-//! here are moderate: shapes in `[0.1, 50]`, normalized times in `[0, 1e3]`).
+//! The gamma functions are accurate to roughly 1e-10 relative error over
+//! the ranges used by the simulator (Weibull shapes in `[0.1, 50]`).
 
 /// Natural logarithm of the gamma function, `ln Γ(x)`, for `x > 0`.
 ///
@@ -41,73 +40,6 @@ pub fn ln_gamma(x: f64) -> f64 {
 /// The gamma function `Γ(x)` for `x > 0`.
 pub fn gamma_fn(x: f64) -> f64 {
     ln_gamma(x).exp()
-}
-
-/// Regularized lower incomplete gamma function `P(a, x) = γ(a, x) / Γ(a)`.
-///
-/// `a > 0`, `x >= 0`. Uses the series expansion for `x < a + 1` and the
-/// continued fraction otherwise (Numerical Recipes `gammp`).
-pub fn reg_lower_gamma(a: f64, x: f64) -> f64 {
-    assert!(a > 0.0, "reg_lower_gamma requires a > 0, got {a}");
-    assert!(x >= 0.0, "reg_lower_gamma requires x >= 0, got {x}");
-    if x == 0.0 {
-        return 0.0;
-    }
-    if x < a + 1.0 {
-        gamma_series(a, x)
-    } else {
-        1.0 - gamma_cont_fraction(a, x)
-    }
-}
-
-/// Series representation of `P(a, x)`.
-fn gamma_series(a: f64, x: f64) -> f64 {
-    const MAX_ITER: usize = 500;
-    const EPS: f64 = 1e-14;
-    let gln = ln_gamma(a);
-    let mut ap = a;
-    let mut sum = 1.0 / a;
-    let mut del = sum;
-    for _ in 0..MAX_ITER {
-        ap += 1.0;
-        del *= x / ap;
-        sum += del;
-        if del.abs() < sum.abs() * EPS {
-            break;
-        }
-    }
-    (sum * (-x + a * x.ln() - gln).exp()).clamp(0.0, 1.0)
-}
-
-/// Continued-fraction representation of `Q(a, x) = 1 - P(a, x)`.
-fn gamma_cont_fraction(a: f64, x: f64) -> f64 {
-    const MAX_ITER: usize = 500;
-    const EPS: f64 = 1e-14;
-    const FPMIN: f64 = 1e-300;
-    let gln = ln_gamma(a);
-    let mut b = x + 1.0 - a;
-    let mut c = 1.0 / FPMIN;
-    let mut d = 1.0 / b;
-    let mut h = d;
-    for i in 1..=MAX_ITER {
-        let an = -(i as f64) * (i as f64 - a);
-        b += 2.0;
-        d = an * d + b;
-        if d.abs() < FPMIN {
-            d = FPMIN;
-        }
-        c = b + an / c;
-        if c.abs() < FPMIN {
-            c = FPMIN;
-        }
-        d = 1.0 / d;
-        let del = d * c;
-        h *= del;
-        if (del - 1.0).abs() < EPS {
-            break;
-        }
-    }
-    ((-x + a * x.ln() - gln).exp() * h).clamp(0.0, 1.0)
 }
 
 /// Error function `erf(x)`, accurate to about 1.2e-7 (Abramowitz & Stegun
@@ -218,29 +150,6 @@ mod tests {
         assert!((g - std::f64::consts::PI.sqrt()).abs() < 1e-10);
         // Γ(3/2) = sqrt(π)/2
         assert!((gamma_fn(1.5) - std::f64::consts::PI.sqrt() / 2.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn reg_lower_gamma_known_values() {
-        // P(1, x) = 1 - exp(-x)
-        for x in [0.1, 0.5, 1.0, 2.0, 5.0_f64] {
-            let expected = 1.0 - (-x).exp();
-            assert!((reg_lower_gamma(1.0, x) - expected).abs() < 1e-10, "P(1,{x})");
-        }
-        // P(a, 0) = 0; P(a, large) -> 1
-        assert_eq!(reg_lower_gamma(3.0, 0.0), 0.0);
-        assert!((reg_lower_gamma(3.0, 100.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reg_lower_gamma_monotone_in_x() {
-        let mut last = 0.0;
-        for i in 0..200 {
-            let x = i as f64 * 0.1;
-            let v = reg_lower_gamma(2.5, x);
-            assert!(v >= last - 1e-12);
-            last = v;
-        }
     }
 
     #[test]

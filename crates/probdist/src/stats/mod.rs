@@ -12,21 +12,14 @@
 //!   run batches until every tracked CI is narrower than a relative
 //!   half-width target, or exactly `n` replications
 //!   ([`StoppingRule::fixed`]).
-//! * [`WeightedRunning`] — streaming accumulator for *weighted*
-//!   observations (importance-sampling likelihood ratios): weighted
-//!   mean/variance and effective sample size, feeding the same
-//!   confidence/stopping machinery through
-//!   [`WeightedRunning::confidence_interval`].
 
 mod confidence;
 mod running;
 mod stopping;
-mod weighted;
 
 pub use confidence::{confidence_interval, student_t_quantile, ConfidenceInterval};
 pub use running::RunningStats;
-pub use stopping::{run_to_precision, StoppingRule, DEFAULT_MIN_NONZERO_OBSERVATIONS};
-pub use weighted::WeightedRunning;
+pub use stopping::{run_to_precision, StoppingRule, MIN_NONZERO_OBSERVATIONS};
 
 /// Convenience function: sample mean of a slice.
 ///

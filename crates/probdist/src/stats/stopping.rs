@@ -30,24 +30,18 @@ pub struct StoppingRule {
     relative_half_width: f64,
     min_replications: usize,
     max_replications: usize,
-    min_nonzero_observations: usize,
 }
 
-/// Default minimum number of non-zero observations a rare-event measure
-/// must produce before [`StoppingRule::met_by_support`] can declare its
+/// Minimum number of non-zero observations a rare-event measure must
+/// produce before [`StoppingRule::met_by_support`] can declare its
 /// relative target met: with fewer hits than this the relative half-width
 /// is an artefact of a handful of lucky draws, not an estimate.
-pub const DEFAULT_MIN_NONZERO_OBSERVATIONS: usize = 5;
+pub const MIN_NONZERO_OBSERVATIONS: u64 = 5;
 
 impl Default for StoppingRule {
     /// ±1 % relative half-width, between 20 and 1000 replications.
     fn default() -> Self {
-        StoppingRule {
-            relative_half_width: 0.01,
-            min_replications: 20,
-            max_replications: 1000,
-            min_nonzero_observations: DEFAULT_MIN_NONZERO_OBSERVATIONS,
-        }
+        StoppingRule { relative_half_width: 0.01, min_replications: 20, max_replications: 1000 }
     }
 }
 
@@ -84,12 +78,7 @@ impl StoppingRule {
                 ),
             });
         }
-        Ok(StoppingRule {
-            relative_half_width,
-            min_replications,
-            max_replications,
-            min_nonzero_observations: DEFAULT_MIN_NONZERO_OBSERVATIONS,
-        })
+        Ok(StoppingRule { relative_half_width, min_replications, max_replications })
     }
 
     /// A fixed-count rule: exactly `replications` replications in one batch
@@ -113,23 +102,7 @@ impl StoppingRule {
             relative_half_width: f64::INFINITY,
             min_replications: replications,
             max_replications: replications,
-            min_nonzero_observations: DEFAULT_MIN_NONZERO_OBSERVATIONS,
         })
-    }
-
-    /// Sets the minimum number of non-zero observations
-    /// [`StoppingRule::met_by_support`] requires (default
-    /// [`DEFAULT_MIN_NONZERO_OBSERVATIONS`]). Rare-event estimators raise
-    /// this to demand more hits; `0` disables the support check.
-    pub fn with_min_nonzero(mut self, observations: usize) -> Self {
-        self.min_nonzero_observations = observations;
-        self
-    }
-
-    /// The minimum non-zero-observation count required by
-    /// [`StoppingRule::met_by_support`].
-    pub fn min_nonzero_observations(&self) -> usize {
-        self.min_nonzero_observations
     }
 
     /// The target relative half-width (e.g. `0.01` for ±1 %); infinite for
@@ -178,12 +151,11 @@ impl StoppingRule {
     }
 
     /// Like [`StoppingRule::met_by`], but additionally requires at least
-    /// [`StoppingRule::min_nonzero_observations`] observations with a
-    /// non-zero contribution — the criterion rare-event estimators use, so
-    /// a relative target cannot be declared met off a handful of hits (or
-    /// an importance-sampling run whose effective sample size collapsed).
+    /// [`MIN_NONZERO_OBSERVATIONS`] observations with a non-zero
+    /// contribution — the criterion rare-event estimators use, so a
+    /// relative target cannot be declared met off a handful of hits.
     pub fn met_by_support(&self, interval: &ConfidenceInterval, nonzero_observations: u64) -> bool {
-        nonzero_observations >= self.min_nonzero_observations as u64 && self.met_by(interval)
+        nonzero_observations >= MIN_NONZERO_OBSERVATIONS && self.met_by(interval)
     }
 }
 
@@ -334,21 +306,10 @@ mod tests {
     #[test]
     fn met_by_support_requires_minimum_nonzero_observations() {
         let rule = StoppingRule::new(0.05, 2, 10).unwrap();
-        assert_eq!(rule.min_nonzero_observations(), DEFAULT_MIN_NONZERO_OBSERVATIONS);
         let tight = ConfidenceInterval { point: 1e-8, half_width: 1e-10, level: 0.95, samples: 64 };
         assert!(rule.met_by(&tight), "precision alone is met");
-        assert!(!rule.met_by_support(&tight, 4), "4 hits < default minimum of 5");
+        assert!(!rule.met_by_support(&tight, 4), "4 hits < minimum of 5");
         assert!(rule.met_by_support(&tight, 5));
-
-        let strict = rule.with_min_nonzero(100);
-        assert_eq!(strict.min_nonzero_observations(), 100);
-        assert!(!strict.met_by_support(&tight, 99));
-        assert!(strict.met_by_support(&tight, 100));
-
-        // Disabling the support check reduces to plain met_by.
-        let lax = rule.with_min_nonzero(0);
-        assert!(lax.met_by_support(&tight, 0));
-        assert!(!lax.met_by_support(&ConfidenceInterval::exact(0.0), 0));
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Lock-free telemetry: sharded metrics, phase spans, and live progress.
 //!
 //! Long campaigns — million-replication studies, thousand-point design
-//! sweeps, rare-event runs at 1e-10 — need to show *where the compute
+//! sweeps, rare-event splitting runs — need to show *where the compute
 //! went* without perturbing it. This module provides that layer for the
 //! whole workspace:
 //!
 //! * **Statically registered metrics** ([`METRICS`], addressed by
-//!   [`MetricId`]): counters, gauges, and histograms with a fixed
+//!   [`MetricId`]): counters and histograms with a fixed
 //!   compile-time schema, each tagged with its unit and its
 //!   [`Determinism`] class.
 //! * **Per-thread sharded accumulators**: every recording thread owns a
@@ -67,18 +67,15 @@ use serde::Serialize;
 pub enum MetricKind {
     /// Monotone sum of recorded increments.
     Counter,
-    /// Last recorded value (an `f64`).
-    Gauge,
     /// Count / sum / min / max of recorded observations.
     Histogram,
 }
 
 impl MetricKind {
-    /// Lower-case schema name (`"counter"`, `"gauge"`, `"histogram"`).
+    /// Lower-case schema name (`"counter"`, `"histogram"`).
     pub fn name(self) -> &'static str {
         match self {
             MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
             MetricKind::Histogram => "histogram",
         }
     }
@@ -116,7 +113,7 @@ pub struct MetricDef {
     pub id: MetricId,
     /// Stable exported name (also the Prometheus exposition name).
     pub name: &'static str,
-    /// Counter, gauge, or histogram.
+    /// Counter or histogram.
     pub kind: MetricKind,
     /// Unit of the recorded values (`"count"`, `"bytes"`, `"ns"`, …).
     pub unit: &'static str,
@@ -218,11 +215,6 @@ metrics! {
         "count", Deterministic,
         "Chaos non-finite rewards injected at the reward site";
 
-    // Rare-event estimators.
-    RareWeightEss = "rare_weight_ess", Gauge,
-        "samples", Deterministic,
-        "Kish effective sample size of the last importance-sampled estimate";
-
     // Pool timing histograms.
     PoolBatchSize = "pool_batch_size", Histogram,
         "count", Scheduling,
@@ -303,12 +295,6 @@ impl Shard {
 /// the cells alive for snapshotting.
 static SHARDS: LazyLock<Mutex<Vec<Arc<Shard>>>> = LazyLock::new(|| Mutex::new(Vec::new()));
 
-/// Gauges live in one global block (last write wins — per-thread shards
-/// cannot express "last"). Gauge writes are rare (once per estimate), so
-/// the shared cell costs nothing.
-static GAUGES: LazyLock<Box<[AtomicU64]>> =
-    LazyLock::new(|| (0..METRICS.len()).map(|_| AtomicU64::new(0)).collect());
-
 thread_local! {
     /// This thread's shard, registered globally on first use.
     static LOCAL: Arc<Shard> = {
@@ -368,15 +354,6 @@ pub fn counter_add(id: MetricId, n: u64) {
 #[inline]
 pub fn counter_inc(id: MetricId) {
     counter_add(id, 1);
-}
-
-/// Sets a gauge to `value` (last write wins). No-op when disabled.
-#[inline]
-pub fn gauge_set(id: MetricId, value: f64) {
-    if !enabled() {
-        return;
-    }
-    GAUGES[id as usize].store(value.to_bits(), Ordering::Relaxed);
 }
 
 /// Records one histogram observation. No-op when disabled.
@@ -441,14 +418,14 @@ pub fn span(id: MetricId) -> Span {
 pub struct MetricSample {
     /// Stable metric name from the registry.
     pub name: String,
-    /// `"counter"`, `"gauge"`, or `"histogram"`.
+    /// `"counter"` or `"histogram"`.
     pub kind: String,
     /// Unit of `value` (and of `min`/`max` for histograms).
     pub unit: String,
     /// Reproducibility tag: `"deterministic"`, `"scheduling"`, or
     /// `"wall_clock"`.
     pub determinism: String,
-    /// Counter total, gauge value, or histogram sum.
+    /// Counter total or histogram sum.
     pub value: f64,
     /// Observation count — histograms only.
     pub count: Option<u64>,
@@ -483,10 +460,6 @@ pub fn snapshot() -> TelemetrySnapshot {
                     let total: u64 =
                         shards.iter().map(|s| s.cells[b].load(Ordering::Relaxed)).sum();
                     sample_of(def, total as f64, None, None, None)
-                }
-                MetricKind::Gauge => {
-                    let bits = GAUGES[def.id as usize].load(Ordering::Relaxed);
-                    sample_of(def, f64::from_bits(bits), None, None, None)
                 }
                 MetricKind::Histogram => {
                     let mut count = 0u64;
@@ -539,10 +512,9 @@ impl TelemetrySnapshot {
 
     /// The difference of this snapshot against an earlier `baseline`:
     /// counter values and histogram count/sum are subtracted, so the
-    /// result covers exactly the work between the two snapshots. Gauges
-    /// keep their current value (they are absolute), and histogram
-    /// min/max keep the current (process-lifetime) extremes — both are
-    /// noted in the schema rather than fudged.
+    /// result covers exactly the work between the two snapshots. Histogram
+    /// min/max keep the current (process-lifetime) extremes — noted in the
+    /// schema rather than fudged.
     pub fn delta_since(&self, baseline: &TelemetrySnapshot) -> TelemetrySnapshot {
         let samples = self
             .samples
@@ -550,9 +522,7 @@ impl TelemetrySnapshot {
             .map(|s| {
                 let mut out = s.clone();
                 if let Some(b) = baseline.get(&s.name) {
-                    if s.kind != "gauge" {
-                        out.value = (s.value - b.value).max(0.0);
-                    }
+                    out.value = (s.value - b.value).max(0.0);
                     if let (Some(c), Some(bc)) = (s.count, b.count) {
                         out.count = Some(c.saturating_sub(bc));
                         if out.count == Some(0) {
@@ -567,8 +537,7 @@ impl TelemetrySnapshot {
         TelemetrySnapshot { samples }
     }
 
-    /// Samples that recorded anything (non-zero counters/histograms, and
-    /// every gauge that was ever set).
+    /// Samples that recorded anything (non-zero counters and histograms).
     pub fn active(&self) -> impl Iterator<Item = &MetricSample> {
         self.samples.iter().filter(|s| s.value != 0.0 || s.count.unwrap_or(0) != 0)
     }
@@ -631,8 +600,8 @@ impl TelemetrySnapshot {
     }
 
     /// Prometheus-style text exposition, suitable for writing to a file a
-    /// scraper watches. Counters and gauges expose one line; histograms
-    /// expose `_count` / `_sum` / `_min` / `_max` gauges. Every line
+    /// scraper watches. Counters expose one line; histograms expose
+    /// `_count` / `_sum` / `_min` / `_max` series. Every line
     /// carries a `determinism` label.
     pub fn to_prometheus(&self) -> String {
         use std::fmt::Write as _;
@@ -643,16 +612,6 @@ impl TelemetrySnapshot {
             match s.kind.as_str() {
                 "counter" => {
                     let _ = writeln!(out, "# TYPE {} counter", s.name);
-                    let _ = writeln!(
-                        out,
-                        "{}{{determinism=\"{}\"}} {}",
-                        s.name,
-                        s.determinism,
-                        format_value(s.value)
-                    );
-                }
-                "gauge" => {
-                    let _ = writeln!(out, "# TYPE {} gauge", s.name);
                     let _ = writeln!(
                         out,
                         "{}{{determinism=\"{}\"}} {}",
@@ -937,7 +896,6 @@ mod tests {
         let before = counter_value(MetricId::SanEventsFired);
         counter_add(MetricId::SanEventsFired, 1000);
         observe(MetricId::PoolBatchSize, 7);
-        gauge_set(MetricId::RareWeightEss, 42.0);
         assert_eq!(counter_value(MetricId::SanEventsFired), before);
         let span = span(MetricId::SpanLint);
         assert!(span.elapsed_ns().is_none(), "disabled spans never read the clock");
@@ -982,16 +940,6 @@ mod tests {
     }
 
     #[test]
-    fn gauges_keep_the_last_value() {
-        let _guard = locked();
-        let _on = enable_scoped();
-        gauge_set(MetricId::RareWeightEss, 12.5);
-        gauge_set(MetricId::RareWeightEss, 99.25);
-        let snap = snapshot();
-        assert_eq!(snap.get("rare_weight_ess").unwrap().value, 99.25);
-    }
-
-    #[test]
     fn spans_record_into_their_histogram() {
         let _guard = locked();
         let _on = enable_scoped();
@@ -1026,7 +974,6 @@ mod tests {
         assert!(prom.contains("# TYPE san_events_fired_total counter"), "{prom}");
         assert!(prom.contains("# HELP san_events_fired_total"), "{prom}");
         assert!(prom.contains("pool_batch_size_count{determinism=\"scheduling\"}"), "{prom}");
-        assert!(prom.contains("# TYPE rare_weight_ess gauge"), "{prom}");
 
         let json = serde::to_json(&snap);
         assert!(json.contains("\"samples\""), "{json}");

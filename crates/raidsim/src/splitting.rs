@@ -168,7 +168,7 @@ fn estimate_loss_probability<L: LayoutRules>(
 
 /// The stopping loop over fixed-effort rounds: reruns the estimate with a
 /// doubling per-level trial count until the relative half-width target
-/// (and the rule's minimum non-zero final-level support,
+/// (and the minimum non-zero final-level support of
 /// [`StoppingRule::met_by_support`]) is met or the per-level cap is
 /// reached — a fixed rule (minimum = cap) runs exactly one round. Each
 /// round is deterministic, so the whole loop is a pure function of

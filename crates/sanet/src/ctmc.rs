@@ -696,8 +696,8 @@ mod tests {
     #[test]
     fn transient_handles_absorbing_states_as_hitting_probabilities() {
         // Fail-over pair with the both-down state absorbing: π₂(t) is the
-        // probability of having *hit* total failure by t — the analytic
-        // oracle the importance-sampling cross-validation uses.
+        // probability of having *hit* total failure by t — the chain
+        // behind `rare::failover_pair_hitting_oracle`.
         let lambda = 1e-3;
         let mu = 1.0;
         let mut c = SparseCtmc::new(3).unwrap();

@@ -27,11 +27,8 @@
 //!   replications on the shared worker pool under a [`StoppingRule`] — a
 //!   fixed count ([`StoppingRule::fixed`]) or a relative-precision target
 //!   — and reports each reward with a Student-t confidence interval.
-//! * [`rare`] — importance sampling with failure biasing: exponential rate
-//!   tilting of failure activities, the per-replication likelihood ratio
-//!   accumulated event by event through the compiled reward table (so both
-//!   kernels support it identically), and weighted estimation that reaches
-//!   probabilities naive replication cannot resolve.
+//! * [`rare`] — the fail-over pair, the rare-event benchmark model, with
+//!   its exact hitting-probability oracle.
 //! * [`lint`] — static analysis of compiled models ([`Model::lint`]):
 //!   declaration-soundness probing of gate and timing closures against a
 //!   recording marking, structural checks (dead activities, disconnected

@@ -329,8 +329,7 @@ pub struct Model {
     activity_index: HashMap<String, ActivityId>,
     incidence: Incidence,
     /// Memoised outcome of the debug-build pre-simulation lint; shared by
-    /// plain clones (same structure, same verdict) and reset by
-    /// [`Model::clone_with_timings`].
+    /// clones (same structure, same verdict).
     lint_gate: Arc<OnceLock<Option<SanError>>>,
 }
 
@@ -461,32 +460,6 @@ impl Model {
             self.lint_with(&config, &[]).deny(crate::lint::Severity::Error).err()
         });
         verdict.clone().map_or(Ok(()), Err)
-    }
-
-    /// Clones the model with some activities' firing timings replaced —
-    /// the substrate of [`crate::rare`]'s exponential rate tilting. The
-    /// structure (places, arcs, gates, declared reads, restart policies)
-    /// is untouched; the incidence index is rebuilt against the new
-    /// activity table for safety, which reproduces the original bit for
-    /// bit because none of its inputs changed.
-    pub(crate) fn clone_with_timings(
-        &self,
-        replace: impl Iterator<Item = (ActivityId, Timing)>,
-    ) -> Model {
-        let mut activities = self.activities.clone();
-        for (id, timing) in replace {
-            activities[id.0].timing = timing;
-        }
-        let incidence = Incidence::build(self.places.len(), &activities);
-        Model {
-            name: self.name.clone(),
-            places: self.places.clone(),
-            activities,
-            place_index: self.place_index.clone(),
-            activity_index: self.activity_index.clone(),
-            incidence,
-            lint_gate: Arc::new(OnceLock::new()),
-        }
     }
 }
 

@@ -5,8 +5,8 @@
 //! downstream users (and the bundled examples and integration tests) need a
 //! single dependency:
 //!
-//! * [`probdist`] — lifetime distributions, statistics, and survival
-//!   analysis.
+//! * [`probdist`] — lifetime distributions, statistics, and lifetime
+//!   fitting.
 //! * [`sanet`] — the stochastic activity network formalism and
 //!   discrete-event simulation engine (a Möbius work-alike).
 //! * [`faultlog`] — synthetic failure-log generation, parsing, filtering,
@@ -83,13 +83,12 @@ pub mod prelude {
     };
     pub use faultlog::generator::{LogGenConfig, LogGenerator};
     pub use probdist::rare::{naive_replications_for, RareEventEstimate};
-    pub use probdist::stats::{StoppingRule, WeightedRunning};
+    pub use probdist::stats::StoppingRule;
     pub use probdist::{Distribution, Exponential, SimRng, Weibull};
     pub use raidsim::{
         DiskModel, Layout, RaidGeometry, ReplicationConfig, StorageConfig, StorageSimulator,
     };
     pub use sanet::beowulf::BeowulfConfig;
-    pub use sanet::rare::{BiasedExperiment, FailureBias};
     pub use sanet::{Experiment, ModelBuilder};
 }
 

@@ -1,12 +1,9 @@
-//! Integration tests for the rare-event estimation subsystem: importance
-//! sampling (`sanet::rare`) and multilevel splitting
-//! (`raidsim::splitting`) running as ordinary study scenarios must produce
-//! bit-identical statistics at workers 1, 2, and 8, surface the rare-event
-//! columns in every report format, and cross-validate against the analytic
-//! CTMC solution.
+//! Integration tests for rare-event estimation: multilevel splitting
+//! (`raidsim::splitting`) running as an ordinary study scenario must
+//! produce bit-identical statistics at workers 1, 2, and 8 and surface the
+//! rare-event columns in every report format.
 
 use petascale_cfs::prelude::*;
-use sanet::rare::{failover_pair, failover_pair_hitting_oracle};
 
 /// A small but real rare-event sweep study: two redundancy schemes whose
 /// loss probabilities only splitting can resolve at this effort.
@@ -96,50 +93,4 @@ fn reports_surface_rare_event_statistics() {
     let json = report.render(ReportFormat::Json);
     assert!(json.contains("\"ultra_reliable_sweep\""), "{json}");
     assert!(json.contains("loss_probability"), "{json}");
-}
-
-/// End-to-end cross-validation of the importance-sampling path at the
-/// workspace level: the biased fail-over-pair estimate agrees with the
-/// exact CTMC transient hitting probability within its reported interval,
-/// and is worker-invariant.
-#[test]
-fn importance_sampling_cross_validates_against_the_ctmc() {
-    let (lambda, mu, horizon) = (1e-3, 1.0, 10.0);
-
-    // The shared fixture: the fail-over-pair SAN with its latch, and the
-    // matching absorbing CTMC solved by uniformization.
-    let pair = failover_pair(lambda, mu).unwrap();
-    let exact = failover_pair_hitting_oracle(lambda, mu, horizon).unwrap();
-
-    let run = |workers: usize| {
-        let bias = FailureBias::new(60.0, ["fail"]).unwrap();
-        let mut experiment = BiasedExperiment::new(&pair.model, bias, horizon).unwrap();
-        experiment.add_reward(pair.hit_reward());
-        experiment.set_workers(workers);
-        experiment.run(&StoppingRule::fixed(4000).unwrap(), 2024).unwrap()
-    };
-    let serial = run(1);
-    let estimate = serial.reward("hit").unwrap();
-    assert!(
-        estimate.interval.contains(exact),
-        "interval {} must contain the CTMC value {exact}",
-        estimate.interval
-    );
-
-    let parallel = run(8);
-    assert_eq!(
-        estimate.stats,
-        parallel.reward("hit").unwrap().stats,
-        "weighted statistics must be bit-identical at any worker count"
-    );
-
-    // And naive Monte Carlo at the same effort would project to orders of
-    // magnitude more replications for the precision actually achieved.
-    let naive =
-        naive_replications_for(exact, estimate.interval.relative_half_width(), 0.95).unwrap();
-    assert!(
-        naive / serial.replications as f64 > 10.0,
-        "IS spent {} replications where naive projects {naive:.0}",
-        serial.replications
-    );
 }
