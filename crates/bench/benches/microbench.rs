@@ -138,9 +138,9 @@ fn bench_san_engine(ledger: &mut Vec<BenchRecord>) {
     let [(run, _), (reference, _)] = measure(5, 40, |arm| {
         let rng = &mut rngs[arm];
         let result = if arm == 0 {
-            sim.run(&rewards, 8760.0, 0.0, rng)
+            sim.run(&rewards, 8760.0, rng)
         } else {
-            sim.run_reference(&rewards, 8760.0, 0.0, rng)
+            sim.run_reference(&rewards, 8760.0, rng)
         };
         result.unwrap().events
     });
@@ -173,9 +173,9 @@ fn bench_san_composed_models(ledger: &mut Vec<BenchRecord>) {
         let [(calendar, events), (reference, reference_events)] = measure(3, batch, |arm| {
             let rng = &mut rngs[arm];
             let result = if arm == 0 {
-                sim.run(&rewards, horizon, 0.0, rng)
+                sim.run(&rewards, horizon, rng)
             } else {
-                sim.run_reference(&rewards, horizon, 0.0, rng)
+                sim.run_reference(&rewards, horizon, rng)
             };
             result.unwrap().events
         });
@@ -384,7 +384,7 @@ fn bench_telemetry_overhead(ledger: &mut Vec<BenchRecord>) {
     let mut rngs = [SimRng::seed_from_u64(13), SimRng::seed_from_u64(13)];
     let [(disabled, _), (enabled, _)] = measure(1, 42, |arm| {
         let _telemetry = (arm == 1).then(probdist::telemetry::enable_scoped);
-        sim.run(&rewards, 8760.0, 0.0, &mut rngs[arm]).unwrap().events
+        sim.run(&rewards, 8760.0, &mut rngs[arm]).unwrap().events
     });
     let overhead_pct = (1.0 - enabled / disabled) * 100.0;
     record(

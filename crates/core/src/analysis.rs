@@ -120,6 +120,10 @@ struct CheckpointSession {
 impl CheckpointSession {
     /// Opens the spec's checkpoint (if it carries one), loading any
     /// previously persisted prefix for this `(config, base seed)` pair.
+    ///
+    /// Every replication ends at its horizon, so a stored run whose end
+    /// time differs was simulated under another horizon: serving it would
+    /// pass its rewards off as this run's. Such a prefix is refused.
     fn open(config: &ClusterConfig, spec: &RunSpec) -> Result<Option<CheckpointSession>, CfsError> {
         let Some(policy) = spec.checkpoint() else {
             return Ok(None);
@@ -127,6 +131,17 @@ impl CheckpointSession {
         let key = checkpoint::entry_key(&config.name, spec.base_seed());
         let data = checkpoint::load(&policy.path)?;
         let stored = data.entry(&key).map(<[StoredRun]>::to_vec).unwrap_or_default();
+        if let Some(run) = stored.iter().find(|run| run.end_time != spec.horizon_hours()) {
+            return Err(CfsError::Checkpoint {
+                path: policy.path.clone(),
+                reason: format!(
+                    "entry `{key}` holds replications of a {} h horizon, but this run's \
+                     horizon is {} h",
+                    run.end_time,
+                    spec.horizon_hours()
+                ),
+            });
+        }
         Ok(Some(CheckpointSession {
             path: policy.path.clone(),
             every_n: policy.every_n,
@@ -381,6 +396,27 @@ mod tests {
         assert_eq!(first, second);
         let data = crate::checkpoint::load(&path).unwrap();
         assert_eq!(data.entry(&crate::checkpoint::entry_key("ABE", 21)).unwrap().len(), 6);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_of_another_horizon_is_refused() {
+        let abe = ClusterConfig::abe();
+        let mut path = std::env::temp_dir();
+        path.push(format!("cfs-analysis-horizon-{}.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let at =
+            |hours| spec(4, 9).with_horizon_hours(hours).with_checkpoint(path.to_str().unwrap(), 2);
+
+        evaluate(&abe, &at(500.0)).unwrap();
+        match evaluate(&abe, &at(4000.0)) {
+            Err(CfsError::Checkpoint { reason, .. }) => {
+                assert!(reason.contains("500 h") && reason.contains("4000 h"), "{reason}");
+            }
+            other => panic!("expected a checkpoint error, got {other:?}"),
+        }
+        // The matching horizon still resumes from the same file.
+        assert_eq!(evaluate(&abe, &at(500.0)).unwrap().replications, 4);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -262,14 +262,17 @@ impl RunSpec {
         self
     }
 
-    /// Sets a soft wall-clock deadline for the whole run. When it expires,
-    /// in-flight replications finish, no new ones start, and every
-    /// evaluation returns valid statistics over the contiguous prefix of
+    /// Sets a soft wall-clock deadline for the whole run. Only cluster-model
+    /// evaluations ([`crate::analysis::evaluate`]) observe it: when it
+    /// expires, their in-flight replications finish, no new ones start, and
+    /// each returns valid statistics over the contiguous prefix of
     /// replications that completed — reports flag the affected scenarios as
-    /// truncated and record the replication count actually used. A scenario
-    /// that completes fewer than two replications fails with
+    /// truncated and record the replication count actually used. A cluster
+    /// evaluation that completes fewer than two replications fails with
     /// [`CfsError::DeadlineExpired`] instead (recorded as a failure, never
-    /// aborting the study).
+    /// aborting the study). Storage Monte-Carlo runs, multilevel splitting
+    /// and the Beowulf sweep are handed no token and always run to
+    /// completion.
     pub fn with_deadline(mut self, deadline: std::time::Duration) -> Self {
         self.deadline_seconds = Some(deadline.as_secs_f64());
         self

@@ -15,7 +15,9 @@ use crate::CfsError;
 
 /// An ablation's output as its configurations are evaluated: per
 /// configuration, one table row plus an availability metric and a
-/// secondary metric, and the largest replication count any used.
+/// secondary metric, and the largest replication count any used. The
+/// cluster-side ablations mark `output` truncated when any of their
+/// evaluations was.
 struct Ablation {
     output: ScenarioOutput,
     table: TextTable,
@@ -145,6 +147,7 @@ impl Scenario for SpareOssAblation {
         let base = ClusterConfig::petascale();
         for config in [base.clone(), base.with_spare_oss()] {
             let result = evaluate(&config, spec)?;
+            ablation.output.truncated |= result.truncated;
             ablation = ablation.with_point(
                 &config.name,
                 &result.cfs_availability,
@@ -175,6 +178,7 @@ impl Scenario for CorrelationAblation {
             config.params.correlation_probability = p;
             config.name = format!("p = {p}");
             let result = evaluate(&config, spec)?;
+            ablation.output.truncated |= result.truncated;
             ablation = ablation.with_point(
                 &config.name,
                 &result.cfs_availability,

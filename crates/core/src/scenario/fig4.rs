@@ -52,12 +52,14 @@ impl Scenario for Figure4CfsAvailability {
         // (without, with) a standby spare OSS at every scale point.
         let mut points = Vec::new();
         let mut replications = 0;
+        let mut truncated = false;
         for (idx, &capacity_tb) in capacities.iter().enumerate() {
             let config = ClusterConfig::scaled_to_capacity(capacity_tb)?;
             let base = evaluate(&config, &spec.offset_seed(idx as u64))?;
             let spared =
                 evaluate(&config.clone().with_spare_oss(), &spec.offset_seed(1000 + idx as u64))?;
             replications = replications.max(base.replications).max(spared.replications);
+            truncated |= base.truncated || spared.truncated;
             table.add_row(&[
                 format!("{capacity_tb:.0}"),
                 config.compute_nodes.to_string(),
@@ -71,8 +73,10 @@ impl Scenario for Figure4CfsAvailability {
             points.push((base, spared));
         }
 
-        let mut output =
-            ScenarioOutput::new(self.name()).with_table(table).with_replications_used(replications);
+        let mut output = ScenarioOutput::new(self.name())
+            .with_table(table)
+            .with_replications_used(replications)
+            .with_truncated(truncated);
         if let (Some((first, _)), Some((last, last_spared))) = (points.first(), points.last()) {
             output = output
                 .with_metric_ci("cfs_availability_first", &first.cfs_availability)

@@ -3,8 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use probdist::fitting::{fit_exponential, fit_weibull, ExponentialFit, Lifetime, WeibullFit};
-use probdist::{Afr, Mtbf};
+use probdist::fitting::{fit_weibull, Lifetime, WeibullFit};
 
 use crate::event::{FailureLog, JobOutcome, OutageCause, OutageRecord};
 use crate::filter::{coalesce_mount_failures, coalesce_outages, is_cfs_outage, MountStorm};
@@ -352,34 +351,6 @@ impl DiskReplacementAnalysis {
     pub fn weibull_fit(&self, log: &FailureLog) -> Result<WeibullFit, LogError> {
         Ok(fit_weibull(&self.to_lifetimes(log))?)
     }
-
-    /// Constant-rate (exponential) fit of the disk lifetimes, giving the
-    /// MTBF / AFR estimate used to parameterise the simulation model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates estimation errors.
-    pub fn exponential_fit(&self, log: &FailureLog) -> Result<ExponentialFit, LogError> {
-        Ok(fit_exponential(&self.to_lifetimes(log))?)
-    }
-
-    /// The MTBF estimate from the exponential fit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates estimation errors.
-    pub fn estimated_mtbf(&self, log: &FailureLog) -> Result<Mtbf, LogError> {
-        Ok(self.exponential_fit(log)?.mtbf())
-    }
-
-    /// The AFR estimate from the exponential fit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates estimation errors.
-    pub fn estimated_afr(&self, log: &FailureLog) -> Result<Afr, LogError> {
-        Ok(self.estimated_mtbf(log)?.to_afr())
-    }
 }
 
 #[cfg(test)]
@@ -546,14 +517,5 @@ mod tests {
         let a = DiskReplacementAnalysis::from_log(&log, 20_000).unwrap();
         let fit = a.weibull_fit(&log).unwrap();
         assert!((fit.shape - 0.7).abs() < 0.12, "shape {}", fit.shape);
-        // With infant mortality and a short observation window of brand-new
-        // disks, the window-local exponential estimate overstates the
-        // long-run failure rate — exactly why the paper calls its scale
-        // estimate "insignificant" and calibrates the MTBF by simulation
-        // instead. The estimate should still be the right order of magnitude.
-        let afr = a.estimated_afr(&log).unwrap();
-        assert!(afr.percent() > 1.0 && afr.percent() < 30.0, "afr {}", afr.percent());
-        let mtbf = a.estimated_mtbf(&log).unwrap();
-        assert!(mtbf.hours() > 25_000.0, "mtbf {}", mtbf.hours());
     }
 }

@@ -15,13 +15,9 @@
 //! * [`fit_weibull`] — maximum-likelihood Weibull fit with right-censoring
 //!   (profile likelihood in the scale, Newton/bisection in the shape) and
 //!   asymptotic standard errors.
-//! * [`fit_exponential`] — MLE of a constant failure rate (total time on
-//!   test estimator).
 
-mod exponential_fit;
 mod weibull_mle;
 
-pub use exponential_fit::{fit_exponential, ExponentialFit};
 pub use weibull_mle::{fit_weibull, WeibullFit};
 
 use serde::{Deserialize, Serialize};

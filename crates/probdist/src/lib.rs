@@ -8,15 +8,15 @@
 //!   [`Exponential`], [`Weibull`], [`Deterministic`], [`Uniform`], and
 //!   [`Empirical`], all implementing the [`Distribution`] trait (sampling,
 //!   CDF, PDF, hazard rate, quantiles, moments).
-//! * **Failure-rate arithmetic** ([`rates`]): conversions between MTBF,
-//!   annualized failure rate (AFR), and per-hour rates, as the paper mixes
-//!   all three conventions (Table 5).
+//! * **Failure-rate arithmetic** ([`rates`]): conversions between MTBF and
+//!   annualized failure rate (AFR), as the paper mixes both conventions
+//!   (Table 5).
 //! * **Statistics** ([`stats`]): streaming mean/variance accumulators,
 //!   Student-t and normal confidence intervals used to report simulation
 //!   results at the 95 % level, and batch-means estimation.
-//! * **Lifetime fitting** ([`fitting`]): maximum-likelihood
-//!   Weibull/exponential fitting with right-censoring, reproducing the
-//!   Table 4 analysis (`β ≈ 0.7`, MTBF ≈ 300 000 h).
+//! * **Lifetime fitting** ([`fitting`]): maximum-likelihood Weibull
+//!   fitting with right-censoring, reproducing the Table 4 analysis
+//!   (`β ≈ 0.7`, MTBF ≈ 300 000 h).
 //! * **Rare-event estimation** ([`rare`]): the estimator arithmetic of
 //!   multilevel splitting (per-level passage probabilities combined with
 //!   the independent-stages variance approximation), plus the
@@ -70,7 +70,7 @@ pub use distribution::{Dist, Distribution};
 pub use empirical::Empirical;
 pub use error::DistError;
 pub use exponential::Exponential;
-pub use rates::{Afr, FailureRate, Mtbf, HOURS_PER_YEAR};
+pub use rates::{Afr, Mtbf, HOURS_PER_YEAR};
 pub use rng::SimRng;
 pub use uniform::Uniform;
 pub use weibull::{Weibull, WithinLimit};

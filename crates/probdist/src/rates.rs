@@ -1,10 +1,10 @@
-//! Failure-rate arithmetic: conversions between MTBF (hours), annualized
-//! failure rate (AFR, percent per year), and per-hour rates.
+//! Failure-rate arithmetic: conversions between MTBF (hours) and
+//! annualized failure rate (AFR, percent per year).
 //!
 //! The paper's Table 5 parameterises disk reliability both as "Disk MTBF
 //! 100 000–3 000 000 hours" and as "Annualized Failure Rate 0.40 %–8.6 %",
-//! and the figure labels use AFR while the simulation uses hourly rates.
-//! These newtypes keep the three conventions from being mixed up
+//! and the figure labels use AFR while the simulation uses MTBF hours.
+//! These newtypes keep the two conventions from being mixed up
 //! (C-NEWTYPE).
 
 use serde::{Deserialize, Serialize};
@@ -46,11 +46,6 @@ impl Mtbf {
     /// MTBF in hours.
     pub fn hours(&self) -> f64 {
         self.0
-    }
-
-    /// The corresponding constant failure rate (failures per hour).
-    pub fn to_rate(&self) -> FailureRate {
-        FailureRate(1.0 / self.0)
     }
 
     /// The corresponding annualized failure rate, using the vendor (and
@@ -98,66 +93,6 @@ impl Afr {
     pub fn to_mtbf(&self) -> Mtbf {
         Mtbf(HOURS_PER_YEAR / self.fraction())
     }
-
-    /// The corresponding constant failure rate (failures per hour).
-    pub fn to_rate(&self) -> FailureRate {
-        self.to_mtbf().to_rate()
-    }
-}
-
-/// A constant failure (or repair) rate in events per hour.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-pub struct FailureRate(f64);
-
-impl FailureRate {
-    /// Creates a rate from events per hour.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless the rate is finite and strictly positive.
-    pub fn new(per_hour: f64) -> Result<Self, DistError> {
-        Ok(FailureRate(DistError::check_positive("rate_per_hour", per_hour)?))
-    }
-
-    /// Creates a rate expressed as `events` occurrences per `hours` hours —
-    /// the form used in Table 5 ("1–2 per 720 hours").
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless both arguments are finite and strictly
-    /// positive.
-    pub fn per_hours(events: f64, hours: f64) -> Result<Self, DistError> {
-        let events = DistError::check_positive("events", events)?;
-        let hours = DistError::check_positive("hours", hours)?;
-        FailureRate::new(events / hours)
-    }
-
-    /// The rate in events per hour.
-    pub fn per_hour(&self) -> f64 {
-        self.0
-    }
-
-    /// The mean time between events, in hours.
-    pub fn mtbf(&self) -> Mtbf {
-        Mtbf(1.0 / self.0)
-    }
-
-    /// Expected number of events over `hours` hours.
-    pub fn expected_events(&self, hours: f64) -> f64 {
-        self.0 * hours
-    }
-}
-
-impl From<Mtbf> for FailureRate {
-    fn from(m: Mtbf) -> Self {
-        m.to_rate()
-    }
-}
-
-impl From<Afr> for FailureRate {
-    fn from(a: Afr) -> Self {
-        a.to_rate()
-    }
 }
 
 #[cfg(test)]
@@ -204,29 +139,10 @@ mod tests {
     }
 
     #[test]
-    fn failure_rate_per_hours_matches_table5_hardware_rate() {
-        // "Hardware failure rate 1-2 per 720 hours"
-        let r = FailureRate::per_hours(1.5, 720.0).unwrap();
-        assert!((r.per_hour() - 1.5 / 720.0).abs() < 1e-15);
-        assert!((r.mtbf().hours() - 480.0).abs() < 1e-9);
-        assert!((r.expected_events(720.0) - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn constructors_reject_bad_input() {
         assert!(Mtbf::new(0.0).is_err());
         assert!(Afr::new(0.0).is_err());
         assert!(Afr::new(100.0).is_err());
         assert!(Afr::new(150.0).is_err());
-        assert!(FailureRate::new(-1.0).is_err());
-        assert!(FailureRate::per_hours(1.0, 0.0).is_err());
-    }
-
-    #[test]
-    fn conversions_via_from_impls() {
-        let r1: FailureRate = Mtbf::new(1000.0).unwrap().into();
-        assert!((r1.per_hour() - 1e-3).abs() < 1e-15);
-        let r2: FailureRate = Afr::new(50.0).unwrap().into();
-        assert!(r2.per_hour() > 0.0);
     }
 }

@@ -7,11 +7,11 @@
 //!   their sampled firing time across marking changes) live in an indexed
 //!   binary min-heap keyed by `(firing time, activity index)`; the index
 //!   tie-break reproduces the reference kernel's linear-scan ordering for
-//!   simultaneous firings exactly. Volatile activities (restart policy /
-//!   marking-dependent timing) redraw their delay after *every* event by
-//!   definition, so they bypass the heap: their fresh minimum falls out of
-//!   the per-event refresh walk for free, and the next event is the smaller
-//!   of the two minima.
+//!   simultaneous firings exactly. Volatile activities (marking-dependent
+//!   timing without declared timing reads) redraw their delay after
+//!   *every* event by definition, so they bypass the heap: their fresh
+//!   minimum falls out of the per-event refresh walk for free, and the next
+//!   event is the smaller of the two minima.
 //! * **Enabling updates** — after each firing, the marking's dirty-place
 //!   change log is joined with the model's precomputed place→activity
 //!   incidence index ([`crate::model::Incidence`]) to find the activities
@@ -32,7 +32,7 @@ use crate::engine::{
     accumulate_rate_rewards, credit_impulses, finalise, fire_activity, prepare_marking,
     sample_delay, RunResult, RunScratch, TraceEvent, MAX_INSTANT_FIRINGS,
 };
-use crate::model::{Incidence, META_RESAMPLE, META_SCAN_RESIDENT, RESAMPLE_BIT};
+use crate::model::{Incidence, META_SCAN_RESIDENT, RESAMPLE_BIT};
 use crate::reward::RewardTable;
 use crate::{ActivityId, Marking, Model, SanError, Timing};
 
@@ -55,7 +55,6 @@ pub(crate) fn run(
     model: &Model,
     table: &RewardTable,
     horizon: f64,
-    warmup: f64,
     rng: &mut SimRng,
     mut trace: Option<&mut Vec<TraceEvent>>,
     scratch: &mut RunScratch,
@@ -73,16 +72,15 @@ pub(crate) fn run(
     let mut reexamined = 0u64;
     let mut heap_ops = 0u64;
     let mut restarts = 0u64;
-    let observed = horizon - warmup;
     let acc = &mut scratch.acc;
     acc.clear();
     acc.resize(table.len(), 0.0);
 
     // Future-event list. Activities whose sample survives marking changes
-    // (fixed timing, or `resample_on_change` with declared timing reads) are
-    // heap members; conservative resamplers ("scan residents") redraw after
-    // every event anyway, so they only occupy `time_of`, with their minimum
-    // recomputed during each refresh walk.
+    // (fixed timing, or marking-dependent timing with declared timing reads)
+    // are heap members; conservative resamplers ("scan residents") redraw
+    // after every event anyway, so they only occupy `time_of`, with their
+    // minimum recomputed during each refresh walk.
     let CalendarScratch {
         time_of,
         heap,
@@ -115,18 +113,7 @@ pub(crate) fn run(
     }
 
     // Fire any instantaneous activities enabled in the initial marking.
-    cascade(
-        model,
-        marking,
-        rng,
-        &mut instant_enabled,
-        table,
-        acc,
-        &mut events,
-        now,
-        warmup,
-        &mut trace,
-    )?;
+    cascade(model, marking, rng, &mut instant_enabled, table, acc, &mut events, now, &mut trace)?;
     marking.clear_log();
 
     // Initial schedule: every enabled timed activity samples a delay in
@@ -163,13 +150,13 @@ pub(crate) fn run(
         if !(fire_time <= horizon) {
             // No more events before the horizon: accumulate rewards for the
             // remaining interval and stop.
-            accumulate_rate_rewards(table, marking, now, horizon, warmup, acc);
+            accumulate_rate_rewards(table, marking, now, horizon, acc);
             now = horizon;
             break;
         }
 
         // Integrate rate rewards over [now, fire_time], then fire.
-        accumulate_rate_rewards(table, marking, now, fire_time, warmup, acc);
+        accumulate_rate_rewards(table, marking, now, fire_time, acc);
         now = fire_time;
         let i = idx as usize;
         let id = ActivityId(i);
@@ -180,9 +167,7 @@ pub(crate) fn run(
         let case = fire_activity(model, id, marking, rng);
         time_of[i] = f64::INFINITY;
         events += 1;
-        if now >= warmup {
-            credit_impulses(table, i, acc);
-        }
+        credit_impulses(table, i, acc);
         if let Some(trace) = trace.as_deref_mut() {
             trace.push(TraceEvent { time: now, activity: id, case });
         }
@@ -199,7 +184,6 @@ pub(crate) fn run(
                 acc,
                 &mut events,
                 now,
-                warmup,
                 &mut trace,
             )?;
         }
@@ -281,7 +265,10 @@ pub(crate) fn run(
                 }
                 continue;
             }
-            if time_of[ia].is_infinite() || scan_resident || (due && flags & META_RESAMPLE != 0) {
+            // Draw a delay when newly enabled, always for a scan resident,
+            // and when the event wrote a declared timing read (`due`; only
+            // marking-dependent activities register one).
+            if time_of[ia].is_infinite() || scan_resident || due {
                 // A finite slot being redrawn is a restart: the previous
                 // sample was invalidated by a marking change.
                 if time_of[ia].is_finite() {
@@ -307,7 +294,7 @@ pub(crate) fn run(
         counter_add(MetricId::SanHeapOps, heap_ops);
         counter_add(MetricId::SanRestarts, restarts);
     }
-    Ok(finalise(table, acc, marking, observed, events, now))
+    Ok(finalise(table, acc, marking, events, now))
 }
 
 /// Re-checks the enabling of one instantaneous activity and updates the
@@ -340,7 +327,6 @@ fn cascade(
     acc: &mut [f64],
     events: &mut u64,
     now: f64,
-    warmup: f64,
     trace: &mut Option<&mut Vec<TraceEvent>>,
 ) -> Result<(), SanError> {
     let inc = model.incidence();
@@ -370,15 +356,13 @@ fn cascade(
         let id = ActivityId(idx as usize);
         let case = fire_activity(model, id, marking, rng);
         *events += 1;
-        if now >= warmup {
-            credit_impulses(table, idx as usize, acc);
-        }
+        credit_impulses(table, idx as usize, acc);
         if let Some(trace) = trace.as_deref_mut() {
             trace.push(TraceEvent { time: now, activity: id, case });
         }
         // The fired activity's own writes are in the log, but a firing that
-        // writes nothing (pure no-op gates) must still be re-checked — the
-        // reference kernel rescans it either way.
+        // writes nothing (no arcs, no-op output gates) must still be
+        // re-checked — the reference kernel rescans it either way.
         update_instant(enabled, inc, acts, marking, idx);
         firings += 1;
         if firings > MAX_INSTANT_FIRINGS {

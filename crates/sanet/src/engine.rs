@@ -17,9 +17,9 @@
 //!   [`enabling_reads`](crate::ActivityBuilder::enabling_reads)
 //!   declarations.
 //!
-//! Both kernels share this module's primitives — activity firing, the
-//! compiled [`RewardTable`] accumulators, and result finalisation — so they
-//! cannot drift apart in reward arithmetic.
+//! Both kernels share this module's primitives — activity firing (through
+//! [`Activity::complete`]), the compiled [`RewardTable`] accumulators, and
+//! result finalisation — so they cannot drift apart in reward arithmetic.
 
 use std::sync::Arc;
 
@@ -37,17 +37,18 @@ pub(crate) const MAX_INSTANT_FIRINGS: usize = 100_000;
 /// Models with fewer activities than this run on the naive full-rescan
 /// kernel even through [`Simulator::run`]: below the crossover the
 /// calendar's constant per-event bookkeeping (heap maintenance, the dirty
-/// place change log) costs more than the rescan it avoids. Measured on the
-/// 2-activity repairable unit (BENCH.json,
-/// `san_engine_one_year_repairable_unit[_ref]`): the naive kernel does
-/// ~24.6M events/s against the calendar's ~16.2M — about 1.5x — and on
-/// the 4-activity Beowulf model it is still ~1.35x ahead (traced vs
-/// traced, 2.5M events over 50×100k-hour runs), while on the 34-activity
-/// ABE composition the calendar is already 1.7x ahead; the crossover thus
-/// sits just above 4, matching the ROADMAP's "naive scan ~1.5x faster
-/// below ~5 activities". The two
-/// kernels are pinned bit-identical by the differential suites
-/// (`calendar_differential.rs`, `engine_differential.rs`), so the
+/// place change log) costs more than the rescan it avoids. The crossover
+/// was measured when `run` still took the calendar for every model: on
+/// the 2-activity repairable unit the naive kernel did ~24.6M events/s
+/// against the calendar's ~16.2M, on the 4-activity Beowulf model it was
+/// still ~1.35x ahead (traced vs traced, 2.5M events over 50×100k-hour
+/// runs), and on the 34-activity ABE composition the calendar was already
+/// 1.7x ahead. Since this fallback, both BENCH.json repairable-unit rows
+/// (`san_engine_one_year_repairable_unit[_ref]`) run the naive kernel and
+/// read alike (11.5M and 11.3M events/s), so the ledger no longer shows
+/// the crossover. The two kernels are pinned bit-identical by the
+/// differential suites (`calendar_differential.rs`,
+/// `engine_differential.rs`) and `tests/san_sample_paths.rs`, so the
 /// selection is observably pure.
 pub(crate) const NAIVE_KERNEL_MAX_ACTIVITIES: usize = 5;
 
@@ -171,11 +172,10 @@ pub(crate) fn prepare_marking<'s>(slot: &'s mut Option<Marking>, model: &Model) 
 /// * A timed activity samples its firing delay when it becomes enabled
 ///   (activation). If it becomes disabled before firing, the sample is
 ///   discarded. If the marking changes while it stays enabled, the sample is
-///   kept unless the activity requests resampling (restart policy) or has a
-///   marking-dependent distribution.
-/// * Rate rewards are integrated between events; impulse rewards accumulate
-///   on activity completion. An optional warm-up period excludes the initial
-///   transient from both.
+///   kept unless the activity has a marking-dependent distribution (see
+///   [`ActivityBuilder::timing_reads`](crate::ActivityBuilder::timing_reads)).
+/// * Rate rewards are integrated between events over the whole window
+///   `[0, horizon]`; impulse rewards accumulate on activity completion.
 ///
 /// [`Simulator::run`] executes on the event-calendar kernel;
 /// [`Simulator::run_reference`] executes the same semantics on the retained
@@ -217,29 +217,9 @@ impl<'m> Simulator<'m> {
         &self,
         rewards: &[RewardSpec],
         horizon: f64,
-        warmup: f64,
         rng: &mut SimRng,
     ) -> Result<RunResult, SanError> {
-        validate_window(horizon, warmup)?;
-        self.model.debug_lint()?;
-        let table = RewardTable::compile(self.model, rewards)?;
-        self.run_compiled(&table, horizon, warmup, rng, &mut RunScratch::new())
-    }
-
-    /// Dispatches a compiled run to the faster kernel for the model size.
-    fn run_compiled(
-        &self,
-        table: &RewardTable,
-        horizon: f64,
-        warmup: f64,
-        rng: &mut SimRng,
-        scratch: &mut RunScratch,
-    ) -> Result<RunResult, SanError> {
-        if self.model.num_activities() < NAIVE_KERNEL_MAX_ACTIVITIES {
-            crate::reference::run(self.model, table, horizon, warmup, rng, None, scratch)
-        } else {
-            crate::calendar::run(self.model, table, horizon, warmup, rng, None, scratch)
-        }
+        self.run_on(Kernel::BySize, rewards, horizon, rng, None)
     }
 
     /// Like [`Simulator::run`], but also records every activity completion.
@@ -253,26 +233,15 @@ impl<'m> Simulator<'m> {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Simulator::run`].
+    /// Same conditions as [`Simulator::run`], bar the debug-build lint.
     pub fn run_traced(
         &self,
         rewards: &[RewardSpec],
         horizon: f64,
-        warmup: f64,
         rng: &mut SimRng,
     ) -> Result<(RunResult, Vec<TraceEvent>), SanError> {
-        validate_window(horizon, warmup)?;
-        let table = RewardTable::compile(self.model, rewards)?;
         let mut trace = Vec::new();
-        let result = crate::calendar::run(
-            self.model,
-            &table,
-            horizon,
-            warmup,
-            rng,
-            Some(&mut trace),
-            &mut RunScratch::new(),
-        )?;
+        let result = self.run_on(Kernel::Calendar, rewards, horizon, rng, Some(&mut trace))?;
         Ok((result, trace))
     }
 
@@ -289,25 +258,14 @@ impl<'m> Simulator<'m> {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Simulator::run`].
+    /// Same conditions as [`Simulator::run`], bar the debug-build lint.
     pub fn run_reference(
         &self,
         rewards: &[RewardSpec],
         horizon: f64,
-        warmup: f64,
         rng: &mut SimRng,
     ) -> Result<RunResult, SanError> {
-        validate_window(horizon, warmup)?;
-        let table = RewardTable::compile(self.model, rewards)?;
-        crate::reference::run(
-            self.model,
-            &table,
-            horizon,
-            warmup,
-            rng,
-            None,
-            &mut RunScratch::new(),
-        )
+        self.run_on(Kernel::Reference, rewards, horizon, rng, None)
     }
 
     /// Like [`Simulator::run_reference`], but also records every activity
@@ -315,27 +273,35 @@ impl<'m> Simulator<'m> {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Simulator::run`].
+    /// Same conditions as [`Simulator::run`], bar the debug-build lint.
     pub fn run_reference_traced(
         &self,
         rewards: &[RewardSpec],
         horizon: f64,
-        warmup: f64,
         rng: &mut SimRng,
     ) -> Result<(RunResult, Vec<TraceEvent>), SanError> {
-        validate_window(horizon, warmup)?;
-        let table = RewardTable::compile(self.model, rewards)?;
         let mut trace = Vec::new();
-        let result = crate::reference::run(
-            self.model,
-            &table,
-            horizon,
-            warmup,
-            rng,
-            Some(&mut trace),
-            &mut RunScratch::new(),
-        )?;
+        let result = self.run_on(Kernel::Reference, rewards, horizon, rng, Some(&mut trace))?;
         Ok((result, trace))
+    }
+
+    /// The four public run methods: validates the horizon, lints the model
+    /// on the production path (debug builds only), compiles the rewards and
+    /// runs one replication on `kernel` with a fresh scratch.
+    fn run_on(
+        &self,
+        kernel: Kernel,
+        rewards: &[RewardSpec],
+        horizon: f64,
+        rng: &mut SimRng,
+        trace: Option<&mut Vec<TraceEvent>>,
+    ) -> Result<RunResult, SanError> {
+        validate_horizon(horizon)?;
+        if kernel == Kernel::BySize {
+            self.model.debug_lint()?;
+        }
+        let table = RewardTable::compile(self.model, rewards)?;
+        kernel.run(self.model, &table, horizon, rng, trace, &mut RunScratch::new())
     }
 
     /// Runs one replication against an already-compiled reward table,
@@ -346,45 +312,72 @@ impl<'m> Simulator<'m> {
         &self,
         table: &RewardTable,
         horizon: f64,
-        warmup: f64,
         rng: &mut SimRng,
         scratch: &mut RunScratch,
     ) -> Result<RunResult, SanError> {
-        validate_window(horizon, warmup)?;
-        self.run_compiled(table, horizon, warmup, rng, scratch)
+        validate_horizon(horizon)?;
+        Kernel::BySize.run(self.model, table, horizon, rng, None, scratch)
     }
 }
 
-/// Validates the `(horizon, warmup)` observation window.
-pub(crate) fn validate_window(horizon: f64, warmup: f64) -> Result<(), SanError> {
-    if !(horizon.is_finite() && horizon > 0.0) {
-        return Err(SanError::InvalidExperiment {
+/// The kernel a replication executes on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// The faster kernel for the model's size (see
+    /// [`NAIVE_KERNEL_MAX_ACTIVITIES`]).
+    BySize,
+    /// Always the event calendar.
+    Calendar,
+    /// Always the naive full-rescan kernel.
+    Reference,
+}
+
+impl Kernel {
+    fn run(
+        self,
+        model: &Model,
+        table: &RewardTable,
+        horizon: f64,
+        rng: &mut SimRng,
+        trace: Option<&mut Vec<TraceEvent>>,
+        scratch: &mut RunScratch,
+    ) -> Result<RunResult, SanError> {
+        let naive = match self {
+            Kernel::BySize => model.num_activities() < NAIVE_KERNEL_MAX_ACTIVITIES,
+            Kernel::Calendar => false,
+            Kernel::Reference => true,
+        };
+        if naive {
+            crate::reference::run(model, table, horizon, rng, trace, scratch)
+        } else {
+            crate::calendar::run(model, table, horizon, rng, trace, scratch)
+        }
+    }
+}
+
+/// Validates the observation window `[0, horizon]`.
+fn validate_horizon(horizon: f64) -> Result<(), SanError> {
+    if horizon.is_finite() && horizon > 0.0 {
+        Ok(())
+    } else {
+        Err(SanError::InvalidExperiment {
             reason: format!("simulation horizon must be positive and finite, got {horizon}"),
-        });
+        })
     }
-    if !(0.0..horizon).contains(&warmup) {
-        return Err(SanError::InvalidExperiment {
-            reason: format!("warm-up ({warmup}) must lie in [0, horizon)"),
-        });
-    }
-    Ok(())
 }
 
-/// Integrates every time-integrated rate reward over `[from, to]`, clipped
-/// to the post-warm-up window.
+/// Integrates every time-averaged rate reward over `[from, to]`.
 pub(crate) fn accumulate_rate_rewards(
     table: &RewardTable,
     marking: &Marking,
     from: f64,
     to: f64,
-    warmup: f64,
     acc: &mut [f64],
 ) {
-    let start = from.max(warmup);
-    if to <= start {
+    if to <= from {
         return;
     }
-    let dt = to - start;
+    let dt = to - from;
     for (slot, function) in &table.integrated {
         acc[*slot as usize] += function(marking) * dt;
     }
@@ -398,7 +391,8 @@ pub(crate) fn credit_impulses(table: &RewardTable, completed: usize, acc: &mut [
     }
 }
 
-/// Turns the per-slot accumulators into the reported reward values.
+/// Turns the per-slot accumulators into the reported reward values at the
+/// end of the window, `end_time` (the horizon).
 ///
 /// Reads the (scratch-owned, reusable) accumulator slice and builds the
 /// result's value vector fresh — the one allocation a replication keeps,
@@ -407,7 +401,6 @@ pub(crate) fn finalise(
     table: &RewardTable,
     acc: &[f64],
     marking: &Marking,
-    observed: f64,
     events: u64,
     end_time: f64,
 ) -> RunResult {
@@ -416,16 +409,16 @@ pub(crate) fn finalise(
         .iter()
         .enumerate()
         .map(|(slot, rule)| match rule {
-            Finalise::RateTimeAveraged | Finalise::ImpulsePerHour => acc[slot] / observed,
-            Finalise::RateAccumulated | Finalise::ImpulseTotal => acc[slot],
-            Finalise::RateInstant(function) => function(marking),
+            Finalise::TimeAveraged => acc[slot] / end_time,
+            Finalise::Total => acc[slot],
+            Finalise::Instant(function) => function(marking),
         })
         .collect();
     RunResult { names: Arc::clone(&table.names), values, events, end_time }
 }
 
-/// Applies the marking changes of one activity completion and returns the
-/// chosen case index.
+/// Draws the case of one activity completion, applies its marking changes
+/// and returns the chosen case index.
 pub(crate) fn fire_activity(
     model: &Model,
     id: ActivityId,
@@ -433,26 +426,6 @@ pub(crate) fn fire_activity(
     rng: &mut SimRng,
 ) -> usize {
     let activity = model.activity_ref(id);
-    // Input side: arcs consume tokens, gates apply their functions.
-    for &(place, tokens) in &activity.input_arcs {
-        let removed = marking.remove_tokens(place, tokens);
-        // An *enabled* activity always has every input arc covered; an
-        // underflow here means the model fired with stale enabling (or two
-        // arcs drain the same place) — a modelling error that
-        // `Marking::remove_tokens` would otherwise silently saturate away.
-        debug_assert!(
-            removed == tokens,
-            "firing enabled activity `{}` underflowed place #{}: needed {} tokens, found {}",
-            activity.name,
-            place.index(),
-            tokens,
-            removed,
-        );
-    }
-    for gate in &activity.input_gates {
-        (gate.function)(marking);
-    }
-    // Choose a case.
     let case_idx = if activity.cases.len() == 1 {
         0
     } else {
@@ -468,13 +441,17 @@ pub(crate) fn fire_activity(
         }
         chosen
     };
-    let case = &activity.cases[case_idx];
-    for &(place, tokens) in &case.output_arcs {
-        marking.add_tokens(place, tokens);
-    }
-    for gate in &case.output_gates {
-        (gate.function)(marking);
-    }
+    let underflow = activity.complete(case_idx, marking);
+    // An *enabled* activity always has every input arc covered; an
+    // underflow means the model fired with stale enabling (or two arcs
+    // drain the same place) — a modelling error that
+    // `Marking::remove_tokens` would otherwise silently saturate away.
+    debug_assert!(
+        underflow.is_none(),
+        "firing enabled activity `{}` underflowed place `{}`",
+        activity.name,
+        underflow.map_or("", |place| model.place_name(place)),
+    );
     case_idx
 }
 
@@ -537,24 +514,19 @@ mod tests {
                 "avail",
                 move |m| if m.tokens(up) > 0 { 1.0 } else { 0.0 },
             ),
-            RewardSpec::accumulated_rate(
-                "downtime",
-                move |m| if m.tokens(down) > 0 { 1.0 } else { 0.0 },
-            ),
             RewardSpec::impulse_total("repairs", repair, 1.0),
             RewardSpec::instant_of_time("up_at_end", move |m| m.tokens(up) as f64),
         ];
         let sim = Simulator::new(&model);
         let mut rng = SimRng::seed_from_u64(1);
-        let result = sim.run(&rewards, 24.0, 0.0, &mut rng).unwrap();
+        let result = sim.run(&rewards, 24.0, &mut rng).unwrap();
 
         assert!((result.reward("avail").unwrap() - 20.0 / 24.0).abs() < 1e-9);
-        assert!((result.reward("downtime").unwrap() - 4.0).abs() < 1e-9);
         assert_eq!(result.reward("repairs").unwrap(), 2.0);
         assert_eq!(result.reward("up_at_end").unwrap(), 1.0);
         assert_eq!(result.end_time, 24.0);
         assert!(result.reward("missing").is_err());
-        assert!(result.iter().count() == 4);
+        assert!(result.iter().count() == 3);
     }
 
     #[test]
@@ -569,7 +541,7 @@ mod tests {
         ];
         let sim = Simulator::new(&model);
         let mut rng = SimRng::seed_from_u64(1);
-        let result = sim.run(&rewards, 10.0, 0.0, &mut rng).unwrap();
+        let result = sim.run(&rewards, 10.0, &mut rng).unwrap();
         let names: Vec<&str> = result.iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["z_last", "a_first"]);
     }
@@ -594,7 +566,7 @@ mod tests {
         let model = b.build().unwrap();
         let sim = Simulator::new(&model);
         let mut rng = SimRng::seed_from_u64(1);
-        let (result, trace) = sim.run_traced(&[], 13.0, 0.0, &mut rng).unwrap();
+        let (result, trace) = sim.run_traced(&[], 13.0, &mut rng).unwrap();
         // fail@5, repair@6, fail@11, repair@12 -> 4 events
         assert_eq!(result.events, 4);
         let names: Vec<&str> = trace.iter().map(|e| model.activity_name(e.activity)).collect();
@@ -633,7 +605,7 @@ mod tests {
         let mut total = 0.0;
         let reps = 40;
         for _ in 0..reps {
-            total += sim.run(&rewards, 50_000.0, 0.0, &mut rng).unwrap().reward("avail").unwrap();
+            total += sim.run(&rewards, 50_000.0, &mut rng).unwrap().reward("avail").unwrap();
         }
         let avail = total / reps as f64;
         let expected = 100.0 / 110.0;
@@ -673,7 +645,7 @@ mod tests {
         ];
         let sim = Simulator::new(&model);
         let mut rng = SimRng::seed_from_u64(7);
-        let result = sim.run(&rewards, 10_000.5, 0.0, &mut rng).unwrap();
+        let result = sim.run(&rewards, 10_000.5, &mut rng).unwrap();
         let a = result.reward("a").unwrap();
         let b_count = result.reward("b").unwrap();
         // Every arrival must have been routed immediately.
@@ -693,10 +665,10 @@ mod tests {
         let model = b.build().unwrap();
         let sim = Simulator::new(&model);
         let mut rng = SimRng::seed_from_u64(1);
-        let err = sim.run(&[], 10.0, 0.0, &mut rng).unwrap_err();
+        let err = sim.run(&[], 10.0, &mut rng).unwrap_err();
         assert!(matches!(err, SanError::UnstableInstantaneousLoop { .. }));
         let mut rng = SimRng::seed_from_u64(1);
-        let err = sim.run_reference(&[], 10.0, 0.0, &mut rng).unwrap_err();
+        let err = sim.run_reference(&[], 10.0, &mut rng).unwrap_err();
         assert!(matches!(err, SanError::UnstableInstantaneousLoop { .. }));
     }
 
@@ -725,7 +697,7 @@ mod tests {
         let mut total = 0.0;
         let reps = 30;
         for _ in 0..reps {
-            total += sim.run(&rewards, 1000.0, 0.0, &mut rng).unwrap().reward("failures").unwrap();
+            total += sim.run(&rewards, 1000.0, &mut rng).unwrap().reward("failures").unwrap();
         }
         let mean_failures = total / reps as f64;
         let expected = 50.0 * 0.01 * 1000.0;
@@ -736,47 +708,18 @@ mod tests {
     }
 
     #[test]
-    fn warmup_excludes_initial_transient() {
-        // The unit starts down and is repaired deterministically at t=10,
-        // after which it never fails. With warm-up 20, availability over the
-        // observed window is exactly 1.
-        let mut b = ModelBuilder::new("warmup");
-        let up = b.add_place("up", 0).unwrap();
-        let down = b.add_place("down", 1).unwrap();
-        b.timed_activity("repair", det(10.0))
-            .unwrap()
-            .input_arc(down, 1)
-            .output_arc(up, 1)
-            .build()
-            .unwrap();
-        let model = b.build().unwrap();
-        let rewards =
-            vec![RewardSpec::time_averaged_rate(
-                "avail",
-                move |m| if m.tokens(up) > 0 { 1.0 } else { 0.0 },
-            )];
-        let sim = Simulator::new(&model);
-        let mut rng = SimRng::seed_from_u64(5);
-        let with_warmup = sim.run(&rewards, 120.0, 20.0, &mut rng).unwrap();
-        assert!((with_warmup.reward("avail").unwrap() - 1.0).abs() < 1e-12);
-        let mut rng = SimRng::seed_from_u64(5);
-        let without = sim.run(&rewards, 120.0, 0.0, &mut rng).unwrap();
-        assert!((without.reward("avail").unwrap() - 110.0 / 120.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn invalid_horizon_and_warmup_are_rejected() {
+    fn invalid_horizons_are_rejected() {
         let mut b = ModelBuilder::new("unit");
         let up = b.add_place("up", 1).unwrap();
         b.timed_activity("fail", exp(1.0)).unwrap().input_arc(up, 1).build().unwrap();
         let model = b.build().unwrap();
         let sim = Simulator::new(&model);
         let mut rng = SimRng::seed_from_u64(1);
-        assert!(sim.run(&[], 0.0, 0.0, &mut rng).is_err());
-        assert!(sim.run(&[], -5.0, 0.0, &mut rng).is_err());
-        assert!(sim.run(&[], 10.0, 10.0, &mut rng).is_err());
-        assert!(sim.run(&[], 10.0, -1.0, &mut rng).is_err());
-        assert!(sim.run_reference(&[], 0.0, 0.0, &mut rng).is_err());
+        assert!(sim.run(&[], 0.0, &mut rng).is_err());
+        assert!(sim.run(&[], -5.0, &mut rng).is_err());
+        assert!(sim.run(&[], f64::INFINITY, &mut rng).is_err());
+        assert!(sim.run(&[], f64::NAN, &mut rng).is_err());
+        assert!(sim.run_reference(&[], 0.0, &mut rng).is_err());
     }
 
     #[test]
@@ -788,7 +731,7 @@ mod tests {
         let sim = Simulator::new(&model);
         let mut rng = SimRng::seed_from_u64(1);
         let bogus = RewardSpec::impulse_total("x", ActivityId(42), 1.0);
-        assert!(matches!(sim.run(&[bogus], 10.0, 0.0, &mut rng), Err(SanError::UnknownId { .. })));
+        assert!(matches!(sim.run(&[bogus], 10.0, &mut rng), Err(SanError::UnknownId { .. })));
     }
 
     /// The small-model fallback must be observably pure: on a model below
@@ -820,11 +763,11 @@ mod tests {
                 move |m| if m.tokens(up) > 0 { 1.0 } else { 0.0 },
             )];
         let sim = Simulator::new(&model);
-        let auto = sim.run(&rewards, 30_000.0, 0.0, &mut SimRng::seed_from_u64(41)).unwrap();
+        let auto = sim.run(&rewards, 30_000.0, &mut SimRng::seed_from_u64(41)).unwrap();
         let (calendar, _) =
-            sim.run_traced(&rewards, 30_000.0, 0.0, &mut SimRng::seed_from_u64(41)).unwrap();
+            sim.run_traced(&rewards, 30_000.0, &mut SimRng::seed_from_u64(41)).unwrap();
         let reference =
-            sim.run_reference(&rewards, 30_000.0, 0.0, &mut SimRng::seed_from_u64(41)).unwrap();
+            sim.run_reference(&rewards, 30_000.0, &mut SimRng::seed_from_u64(41)).unwrap();
         assert_eq!(auto, calendar);
         assert_eq!(auto, reference);
     }
@@ -853,8 +796,8 @@ mod tests {
                 move |m| if m.tokens(up) > 0 { 1.0 } else { 0.0 },
             )];
         let sim = Simulator::new(&model);
-        let r1 = sim.run(&rewards, 10_000.0, 0.0, &mut SimRng::seed_from_u64(3)).unwrap();
-        let r2 = sim.run(&rewards, 10_000.0, 0.0, &mut SimRng::seed_from_u64(3)).unwrap();
+        let r1 = sim.run(&rewards, 10_000.0, &mut SimRng::seed_from_u64(3)).unwrap();
+        let r2 = sim.run(&rewards, 10_000.0, &mut SimRng::seed_from_u64(3)).unwrap();
         assert_eq!(r1, r2);
     }
 
@@ -883,7 +826,7 @@ mod tests {
         let model = underflow_model();
         let sim = Simulator::new(&model);
         let mut rng = SimRng::seed_from_u64(1);
-        match sim.run(&[], 10.0, 0.0, &mut rng) {
+        match sim.run(&[], 10.0, &mut rng) {
             Err(SanError::LintRejected { details, .. }) => {
                 assert!(details.contains("SAN012"), "expected SAN012 in: {details}");
             }
@@ -901,6 +844,6 @@ mod tests {
         let model = underflow_model();
         let sim = Simulator::new(&model);
         let mut rng = SimRng::seed_from_u64(1);
-        let _ = sim.run_reference(&[], 10.0, 0.0, &mut rng);
+        let _ = sim.run_reference(&[], 10.0, &mut rng);
     }
 }

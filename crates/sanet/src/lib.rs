@@ -8,9 +8,9 @@
 //! provides the same building blocks:
 //!
 //! * [`ModelBuilder`] / [`Model`] — places (integer markings), timed and
-//!   instantaneous activities with general firing distributions, input and
-//!   output gates (arbitrary predicates and marking transformations), and
-//!   probabilistic cases.
+//!   instantaneous activities with general or marking-dependent firing
+//!   distributions, input gates (enabling predicates), output gates
+//!   (marking transformations), and probabilistic cases.
 //! * [`compose`] — replicate/join helpers that merge submodels while
 //!   sharing selected places, mirroring Möbius' composed-model tree
 //!   (Figure 1 of the paper).
@@ -18,11 +18,12 @@
 //!   Beowulf head-plus-workers performability model, with declared
 //!   dependency read sets (pinned sound by its differential test; being a
 //!   4-activity model, plain runs auto-select the naive kernel).
-//! * [`Simulator`] — a discrete-event executor with restart (resampling)
-//!   semantics for activities whose enabling condition or distribution
-//!   changes.
-//! * [`reward`] — rate rewards (time-averaged, accumulated, instant-of-time)
-//!   and impulse rewards (per activity completion).
+//! * [`Simulator`] — a discrete-event executor over the window
+//!   `[0, horizon]` from the initial marking; an activity's sampled delay
+//!   is redrawn on a marking change exactly when its distribution is
+//!   marking-dependent.
+//! * [`reward`] — rate rewards (time-averaged or instant-of-time) and
+//!   impulse totals (per activity completion).
 //! * [`Experiment`] — replication manager that runs independent
 //!   replications on the shared worker pool under a [`StoppingRule`] — a
 //!   fixed count ([`StoppingRule::fixed`]) or a relative-precision target

@@ -452,7 +452,7 @@ pub(crate) fn lint_model(model: &Model, config: &LintConfig, rewards: &[RewardSp
             if !activity.input_gates.is_empty() {
                 state.ever_gates_probed = true;
                 let verdict = catch_unwind(AssertUnwindSafe(|| {
-                    activity.input_gates.iter().all(|g| (g.predicate)(&probe))
+                    activity.input_gates.iter().all(|g| g(&probe))
                 }));
                 state.gate_reads.extend(recorder.take().into_iter().map(|p| p as usize));
                 match verdict {
@@ -481,25 +481,20 @@ pub(crate) fn lint_model(model: &Model, config: &LintConfig, rewards: &[RewardSp
                 }
             }
             // Probe a firing of every case to observe which places the
-            // gate *functions* write (arc updates are structural and run
+            // output-gate functions write (arc updates are structural and run
             // untracked; only gate writes land in the change log).
             for case in &activity.cases {
                 let mut fired = Marking::new(tokens.clone());
                 for &(p, n) in &activity.input_arcs {
                     fired.remove_tokens(p, n);
                 }
-                fired.enable_tracking();
                 let verdict = catch_unwind(AssertUnwindSafe(|| {
-                    for gate in &activity.input_gates {
-                        (gate.function)(&mut fired);
-                    }
-                    fired.set_tracking(false);
                     for &(p, n) in &case.output_arcs {
                         fired.add_tokens(p, n);
                     }
-                    fired.set_tracking(true);
+                    fired.enable_tracking();
                     for gate in &case.output_gates {
-                        (gate.function)(&mut fired);
+                        gate(&mut fired);
                     }
                 }));
                 state.gate_writes.extend(fired.log().iter().map(|&p| p as usize));
@@ -577,7 +572,7 @@ pub(crate) fn lint_model(model: &Model, config: &LintConfig, rewards: &[RewardSp
 
         let timing_dependent = matches!(activity.timing, Timing::TimedFn(_));
         match &activity.timing_reads {
-            Some(declared) if activity.resample_on_change && timing_dependent => {
+            Some(declared) if timing_dependent => {
                 let declared_set: BTreeSet<usize> =
                     declared.iter().map(super::marking::PlaceId::index).collect();
                 let undeclared: Vec<usize> = state
@@ -628,12 +623,12 @@ pub(crate) fn lint_model(model: &Model, config: &LintConfig, rewards: &[RewardSp
                     codes::UNOBSERVED_DECLARED_READ,
                     Severity::Info,
                     &activity.name,
-                    "`timing_reads` is declared but inert: the activity either has a \
-                     fixed timing distribution or does not resample on marking changes"
+                    "`timing_reads` is declared but inert: the activity has a fixed timing \
+                     distribution"
                         .to_string(),
                 ));
             }
-            None if activity.resample_on_change && timing_dependent => {
+            None if timing_dependent => {
                 diagnostics.push(Diagnostic::new(
                     codes::CONSERVATIVE_DECLARATIONS,
                     Severity::Info,

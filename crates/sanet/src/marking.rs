@@ -196,13 +196,6 @@ impl Marking {
         self.log.clear();
     }
 
-    /// Toggles write tracking without clearing the log, so the lint probe
-    /// harness can interleave tracked gate-function writes with untracked
-    /// structural arc updates.
-    pub(crate) fn set_tracking(&mut self, tracking: bool) {
-        self.tracking = tracking;
-    }
-
     /// Place indices written since the last [`Marking::clear_log`], in write
     /// order and possibly with duplicates.
     pub(crate) fn log(&self) -> &[u32] {

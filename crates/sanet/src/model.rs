@@ -20,7 +20,7 @@ impl ActivityId {
 /// A predicate over the current marking (input-gate enabling condition).
 pub type Predicate = Arc<dyn Fn(&Marking) -> bool + Send + Sync>;
 
-/// A marking transformation (input- or output-gate function).
+/// A marking transformation (output-gate function).
 pub type MarkingFn = Arc<dyn Fn(&mut Marking) + Send + Sync>;
 
 /// A marking-dependent firing distribution.
@@ -50,27 +50,13 @@ impl fmt::Debug for Timing {
     }
 }
 
-/// An input gate: an enabling predicate plus a marking transformation
-/// applied when the activity fires.
-#[derive(Clone)]
-pub(crate) struct InputGate {
-    pub(crate) predicate: Predicate,
-    pub(crate) function: MarkingFn,
-}
-
-/// An output gate: a marking transformation applied when the activity
-/// completes (per case).
-#[derive(Clone)]
-pub(crate) struct OutputGate {
-    pub(crate) function: MarkingFn,
-}
-
-/// One probabilistic case of an activity (its output side).
+/// One probabilistic case of an activity (its output side): the arcs that
+/// deposit tokens and the gate functions applied after them.
 #[derive(Clone)]
 pub(crate) struct Case {
     pub(crate) probability: f64,
     pub(crate) output_arcs: Vec<(PlaceId, u64)>,
-    pub(crate) output_gates: Vec<OutputGate>,
+    pub(crate) output_gates: Vec<MarkingFn>,
 }
 
 /// An activity (transition) of the network.
@@ -79,35 +65,38 @@ pub(crate) struct Activity {
     pub(crate) name: String,
     pub(crate) timing: Timing,
     pub(crate) input_arcs: Vec<(PlaceId, u64)>,
-    pub(crate) input_gates: Vec<InputGate>,
+    /// Input-gate predicates: the activity is enabled only while all hold.
+    pub(crate) input_gates: Vec<Predicate>,
     pub(crate) cases: Vec<Case>,
-    /// Restart policy: when `true`, an enabled activity whose firing time was
-    /// already sampled is resampled whenever any other activity changes the
-    /// marking. This is required for marking-dependent (aggregate-rate)
-    /// timings; for memoryless (exponential) timings it does not change the
-    /// distribution of the sample path.
-    pub(crate) resample_on_change: bool,
     /// Places the activity's input-gate predicates read, when declared via
     /// [`ActivityBuilder::enabling_reads`]. `None` with gates present means
     /// the reads are unknown and the scheduler must treat the enabling as
     /// depending on every place.
     pub(crate) declared_reads: Option<Vec<PlaceId>>,
     /// Places the activity's timing distribution reads, when declared via
-    /// [`ActivityBuilder::timing_reads`]. For a `resample_on_change`
-    /// activity, `Some` refines the restart policy: the sampled delay is
-    /// kept unless one of these places is written. `None` keeps the
-    /// conservative policy (resample after every marking change).
+    /// [`ActivityBuilder::timing_reads`]. For a marking-dependent timing,
+    /// `Some` refines the restart policy: the sampled delay is kept unless
+    /// one of these places is written. `None` keeps the conservative policy
+    /// (resample after every marking change).
     pub(crate) timing_reads: Option<Vec<PlaceId>>,
 }
 
 impl Activity {
+    /// Whether a marking change may redraw the activity's sampled delay:
+    /// exactly when its timing is marking-dependent ([`Timing::TimedFn`]),
+    /// since a kept sample would reflect a stale rate. A fixed distribution
+    /// keeps its sample until the activity fires or is disabled.
+    pub(crate) fn resamples(&self) -> bool {
+        matches!(self.timing, Timing::TimedFn(_))
+    }
+
     /// Whether the activity must redraw its firing delay after *every*
-    /// marking change (conservative restart policy): it resamples on change
-    /// but has not declared which places its timing reads. Such activities
-    /// bypass the calendar heap — their schedule is refreshed (and their
-    /// minimum recomputed) on every event anyway.
+    /// marking change (conservative restart policy): it resamples but has
+    /// not declared which places its timing reads. Such activities bypass
+    /// the calendar heap — their schedule is refreshed (and their minimum
+    /// recomputed) on every event anyway.
     pub(crate) fn scan_resident(&self) -> bool {
-        self.resample_on_change && self.timing_reads.is_none()
+        self.resamples() && self.timing_reads.is_none()
     }
 }
 
@@ -119,7 +108,6 @@ impl fmt::Debug for Activity {
             .field("input_arcs", &self.input_arcs)
             .field("input_gates", &self.input_gates.len())
             .field("cases", &self.cases.len())
-            .field("resample_on_change", &self.resample_on_change)
             .finish()
     }
 }
@@ -129,7 +117,34 @@ impl Activity {
     /// is covered and every input-gate predicate holds.
     pub(crate) fn is_enabled(&self, marking: &Marking) -> bool {
         self.input_arcs.iter().all(|&(p, n)| marking.has_at_least(p, n))
-            && self.input_gates.iter().all(|g| (g.predicate)(marking))
+            && self.input_gates.iter().all(|gate| gate(marking))
+    }
+
+    /// Applies one completion through case `case`: the input arcs consume
+    /// their tokens, the case's output arcs deposit theirs, then its output
+    /// gates run. Both kernels, the reachability explorer and trace replay
+    /// all fire through here; the kernels draw the case first.
+    ///
+    /// Returns the first input place that held fewer tokens than its arc
+    /// consumes. An enabled activity never underflows unless two arcs drain
+    /// one place (lint `SAN012`): the kernels assert against it in debug
+    /// builds, while the explorer takes the saturated marking.
+    #[inline]
+    pub(crate) fn complete(&self, case: usize, marking: &mut Marking) -> Option<PlaceId> {
+        let mut underflow = None;
+        for &(place, tokens) in &self.input_arcs {
+            if marking.remove_tokens(place, tokens) < tokens && underflow.is_none() {
+                underflow = Some(place);
+            }
+        }
+        let case = &self.cases[case];
+        for &(place, tokens) in &case.output_arcs {
+            marking.add_tokens(place, tokens);
+        }
+        for gate in &case.output_gates {
+            gate(marking);
+        }
+        underflow
     }
 }
 
@@ -148,11 +163,10 @@ pub(crate) struct PlaceInfo {
 /// reads are known from the structure; gate reads are known only when the
 /// model declares them ([`ActivityBuilder::enabling_reads`]), otherwise the
 /// activity is registered conservatively (re-examined after every event).
-/// Activities with the restart policy (`resample_on_change`, which includes
-/// every marking-dependent [`Timing::TimedFn`]) must redraw their firing
-/// delay after *every* marking change regardless, so they are always
-/// revisited — that keeps the RNG draw sequence bit-identical to a full
-/// rescan.
+/// Marking-dependent timings ([`Timing::TimedFn`]) without declared timing
+/// reads must redraw their firing delay after *every* marking change
+/// regardless, so they are always revisited — that keeps the RNG draw
+/// sequence bit-identical to a full rescan.
 /// Bit set on a [`Incidence::timed_by_place`] entry whose write also
 /// invalidates the activity's sampled delay (a declared timing read).
 pub(crate) const RESAMPLE_BIT: u32 = 1 << 31;
@@ -163,8 +177,6 @@ pub(crate) const META_HAS_GATES: u8 = 1 << 0;
 /// Activity-meta flag: conservative resampler (redraws after every event and
 /// bypasses the calendar heap).
 pub(crate) const META_SCAN_RESIDENT: u8 = 1 << 1;
-/// Activity-meta flag: restart policy (`resample_on_change`).
-pub(crate) const META_RESAMPLE: u8 = 1 << 2;
 
 /// Compact per-activity scheduling metadata: policy flags plus a span into
 /// the model's flattened input-arc table. The event-calendar kernel's hot
@@ -188,8 +200,9 @@ pub(crate) struct Incidence {
     /// it (ascending activity index).
     pub(crate) instant_by_place: Vec<Vec<u32>>,
     /// Timed activities revisited after every event: conservative
-    /// resamplers (`resample_on_change` without declared timing reads) and
-    /// gate-bearing activities without declared enabling reads (ascending).
+    /// resamplers (marking-dependent timing without declared timing reads)
+    /// and gate-bearing activities without declared enabling reads
+    /// (ascending).
     pub(crate) always_revisit: Vec<u32>,
     /// Instantaneous activities with undeclared gate reads, re-checked after
     /// every firing (ascending).
@@ -229,9 +242,6 @@ impl Incidence {
             if activity.scan_resident() {
                 flags |= META_SCAN_RESIDENT;
             }
-            if activity.resample_on_change {
-                flags |= META_RESAMPLE;
-            }
             inc.meta.push(ActivityMeta {
                 arc_start,
                 arc_len: activity.input_arcs.len().try_into().expect("fewer than 65536 arcs"),
@@ -252,7 +262,7 @@ impl Incidence {
             }
 
             // Register enabling dependencies (arc places plus declared gate
-            // reads) unless conservative, and — for restart-policy timed
+            // reads) unless conservative, and — for marking-dependent timed
             // activities — declared timing reads, OR-ing the resample bit
             // into an existing entry for the same place.
             let mut register = |place: PlaceId, bit: u32, list: &mut Vec<Vec<u32>>| {
@@ -282,7 +292,7 @@ impl Incidence {
                         register(place, 0, &mut inc.timed_by_place);
                     }
                 }
-                if activity.resample_on_change {
+                if activity.resamples() {
                     for &place in activity.timing_reads.iter().flatten() {
                         register(place, RESAMPLE_BIT, &mut inc.timed_by_place);
                     }
@@ -311,7 +321,7 @@ impl Incidence {
             }
         }
         meta.flags & META_HAS_GATES == 0
-            || activities[idx].input_gates.iter().all(|g| (g.predicate)(marking))
+            || activities[idx].input_gates.iter().all(|gate| gate(marking))
     }
 }
 
@@ -574,7 +584,10 @@ impl ModelBuilder {
     }
 
     /// Starts a timed activity whose firing distribution is computed from
-    /// the marking at activation time.
+    /// the marking. Its sampled delay is redrawn after every marking change
+    /// while it stays enabled, or — once [`ActivityBuilder::timing_reads`]
+    /// declares the places the distribution reads — after each change that
+    /// writes one of them.
     ///
     /// # Errors
     ///
@@ -585,11 +598,7 @@ impl ModelBuilder {
         name: &str,
         dist_fn: impl Fn(&Marking) -> Dist + Send + Sync + 'static,
     ) -> Result<ActivityBuilder<'_>, SanError> {
-        let mut b = self.activity_builder(name, Timing::TimedFn(Arc::new(dist_fn)))?;
-        // Marking-dependent distributions must be refreshed when the marking
-        // changes, otherwise the sampled delay would reflect a stale rate.
-        b.activity.resample_on_change = true;
-        Ok(b)
+        self.activity_builder(name, Timing::TimedFn(Arc::new(dist_fn)))
     }
 
     /// Starts an instantaneous (zero-delay) activity.
@@ -623,7 +632,6 @@ impl ModelBuilder {
                     output_arcs: Vec::new(),
                     output_gates: Vec::new(),
                 }],
-                resample_on_change: false,
                 declared_reads: None,
                 timing_reads: None,
             },
@@ -686,25 +694,14 @@ impl<'a> ActivityBuilder<'a> {
         self
     }
 
-    /// Adds an input gate with an enabling `predicate` and a `function`
-    /// applied to the marking when the activity fires.
-    pub fn input_gate(
+    /// Adds an input gate: an enabling condition the marking must satisfy
+    /// (on top of the input arcs) for the activity to be enabled.
+    pub fn enabling_predicate(
         mut self,
         predicate: impl Fn(&Marking) -> bool + Send + Sync + 'static,
-        function: impl Fn(&mut Marking) + Send + Sync + 'static,
     ) -> Self {
-        self.activity
-            .input_gates
-            .push(InputGate { predicate: Arc::new(predicate), function: Arc::new(function) });
+        self.activity.input_gates.push(Arc::new(predicate));
         self
-    }
-
-    /// Adds an enabling condition with no marking side effect.
-    pub fn enabling_predicate(
-        self,
-        predicate: impl Fn(&Marking) -> bool + Send + Sync + 'static,
-    ) -> Self {
-        self.input_gate(predicate, |_m| {})
     }
 
     /// Starts a new probabilistic case with the given probability. Output
@@ -745,7 +742,7 @@ impl<'a> ActivityBuilder<'a> {
             .last_mut()
             .expect("at least one case always exists")
             .output_gates
-            .push(OutputGate { function: Arc::new(function) });
+            .push(Arc::new(function));
         self
     }
 
@@ -772,15 +769,14 @@ impl<'a> ActivityBuilder<'a> {
     }
 
     /// Declares that the activity's timing distribution reads *only* the
-    /// given places, refining the restart policy of a `resample_on_change`
-    /// activity (every [`ModelBuilder::timed_activity_fn`], or a timed
-    /// activity that opted into
-    /// [`ActivityBuilder::resample_on_marking_change`]): its sampled firing
+    /// given places, refining the restart policy of a marking-dependent
+    /// activity ([`ModelBuilder::timed_activity_fn`]): its sampled firing
     /// delay is kept across marking changes unless one of the declared
     /// places is *written* during an event, in which case the delay is
     /// redrawn from the (possibly changed) distribution. Repeated calls
     /// accumulate. Without a declaration the conservative policy applies —
-    /// the delay is redrawn after every event.
+    /// the delay is redrawn after every event. On a fixed distribution the
+    /// declaration is inert (lint `SAN003`).
     ///
     /// Like [`ActivityBuilder::enabling_reads`], this is a soundness
     /// contract: the declaration must cover every place the distribution
@@ -795,17 +791,6 @@ impl<'a> ActivityBuilder<'a> {
     /// bit-identical.
     pub fn timing_reads(mut self, places: &[PlaceId]) -> Self {
         self.activity.timing_reads.get_or_insert_with(Vec::new).extend_from_slice(places);
-        self
-    }
-
-    /// Sets the restart policy: when `true` the activity's sampled firing
-    /// time is discarded and resampled whenever the marking changes while it
-    /// stays enabled. Activities with marking-dependent timing always
-    /// resample.
-    pub fn resample_on_marking_change(mut self, resample: bool) -> Self {
-        if !matches!(self.activity.timing, Timing::TimedFn(_)) {
-            self.activity.resample_on_change = resample;
-        }
         self
     }
 

@@ -480,27 +480,6 @@ fn render_marking(place_names: &[String], tokens: &[u64]) -> String {
     }
 }
 
-/// Applies one activity completion with a forced case choice — the
-/// deterministic mirror of the engine's `fire_activity` (input arcs, input
-/// gate functions, the chosen case's output arcs, then its output gates).
-fn fire_case(activity: &Activity, case: usize, from: &Marking) -> Marking {
-    let mut marking = Marking::new(from.as_slice().to_vec());
-    for &(place, tokens) in &activity.input_arcs {
-        marking.remove_tokens(place, tokens);
-    }
-    for gate in &activity.input_gates {
-        (gate.function)(&mut marking);
-    }
-    let case = &activity.cases[case];
-    for &(place, tokens) in &case.output_arcs {
-        marking.add_tokens(place, tokens);
-    }
-    for gate in &case.output_gates {
-        (gate.function)(&mut marking);
-    }
-    marking
-}
-
 /// Deterministically replays a recorded trace from the model's initial
 /// marking, returning every visited marking as a token vector — the
 /// initial marking first, then the marking after each completion
@@ -516,7 +495,7 @@ pub fn replay_markings(model: &Model, trace: &[TraceEvent]) -> Vec<Vec<u64>> {
     let mut visited = Vec::with_capacity(trace.len() + 1);
     visited.push(marking.as_slice().to_vec());
     for event in trace {
-        marking = fire_case(model.activity_ref(event.activity), event.case, &marking);
+        model.activity_ref(event.activity).complete(event.case, &mut marking);
         visited.push(marking.as_slice().to_vec());
     }
     visited
@@ -714,17 +693,32 @@ pub(crate) fn explore(model: &Model, config: &ReachConfig) -> ReachReport {
         let marking = Marking::new(markings[state as usize].clone());
 
         // Instantaneous priority: a vanishing marking expands only through
-        // the lowest-indexed enabled instantaneous activity.
+        // the lowest-indexed enabled instantaneous activity, a tangible one
+        // through every enabled timed activity.
         let instant = instants.iter().copied().find(|&a| activities[a].is_enabled(&marking));
+        vanishing[state as usize] = instant.is_some();
+        let expanded: Vec<usize> = match instant {
+            Some(a) => vec![a],
+            None => timed.iter().copied().filter(|&a| activities[a].is_enabled(&marking)).collect(),
+        };
+        if expanded.is_empty() {
+            dead_ends.push(state);
+        }
         let mut successors: Vec<Edge> = Vec::new();
-        if let Some(a) = instant {
-            vanishing[state as usize] = true;
+        for a in expanded {
             let activity = &activities[a];
+            // An edge weighs its case probability out of a vanishing
+            // marking, rate × case probability out of a tangible one.
+            let rate = match instant {
+                Some(_) => 1.0,
+                None => classify_rate(activity, &marking, &place_names, &mut offender_map),
+            };
             for (case, spec) in activity.cases.iter().enumerate() {
                 if spec.probability <= 0.0 {
                     continue;
                 }
-                let next = fire_case(activity, case, &marking);
+                let mut next = marking.clone();
+                activity.complete(case, &mut next);
                 match intern(
                     next.as_slice(),
                     &mut markings,
@@ -735,49 +729,12 @@ pub(crate) fn explore(model: &Model, config: &ReachConfig) -> ReachReport {
                     &mut frontier,
                     config,
                 ) {
-                    Some(id) => successors.push(Edge { to: id, weight: spec.probability }),
+                    Some(id) => successors.push(Edge { to: id, weight: rate * spec.probability }),
                     None => {
                         complete = false;
                         break 'explore;
                     }
                 }
-            }
-        } else {
-            let mut any_enabled = false;
-            for &a in &timed {
-                let activity = &activities[a];
-                if !activity.is_enabled(&marking) {
-                    continue;
-                }
-                any_enabled = true;
-                let rate = classify_rate(activity, &marking, &place_names, &mut offender_map);
-                for (case, spec) in activity.cases.iter().enumerate() {
-                    if spec.probability <= 0.0 {
-                        continue;
-                    }
-                    let next = fire_case(activity, case, &marking);
-                    match intern(
-                        next.as_slice(),
-                        &mut markings,
-                        &mut index,
-                        &mut vanishing,
-                        &mut edges,
-                        &mut place_bounds,
-                        &mut frontier,
-                        config,
-                    ) {
-                        Some(id) => {
-                            successors.push(Edge { to: id, weight: rate * spec.probability });
-                        }
-                        None => {
-                            complete = false;
-                            break 'explore;
-                        }
-                    }
-                }
-            }
-            if !any_enabled {
-                dead_ends.push(state);
             }
         }
 
@@ -1280,7 +1237,7 @@ mod tests {
         let sim = Simulator::new(&model);
         for seed in 0..8 {
             let mut rng = SimRng::seed_from_u64(seed);
-            let (_, trace) = sim.run_traced(&[], 5_000.0, 0.0, &mut rng).unwrap();
+            let (_, trace) = sim.run_traced(&[], 5_000.0, &mut rng).unwrap();
             assert!(!trace.is_empty());
             for tokens in replay_markings(&model, &trace) {
                 assert!(

@@ -37,15 +37,14 @@ pub(crate) fn run(
     model: &Model,
     table: &RewardTable,
     horizon: f64,
-    warmup: f64,
     rng: &mut SimRng,
     mut trace: Option<&mut Vec<TraceEvent>>,
     scratch: &mut RunScratch,
 ) -> Result<RunResult, SanError> {
     let marking = prepare_marking(&mut scratch.marking, model);
     // Track writes so declared timing reads can be honoured (naively): a
-    // restart-policy activity with declared reads resamples only when one
-    // of them was written during the event.
+    // marking-dependent activity with declared reads resamples only when
+    // one of them was written during the event.
     marking.enable_tracking();
     let mut now = 0.0_f64;
     let mut events = 0u64;
@@ -53,7 +52,6 @@ pub(crate) fn run(
     // sharded atomic add per counter at the end of the replication.
     let mut reexamined = 0u64;
     let mut restarts = 0u64;
-    let observed = horizon - warmup;
     let acc = &mut scratch.acc;
     acc.clear();
     acc.resize(table.len(), 0.0);
@@ -65,7 +63,7 @@ pub(crate) fn run(
 
     // Fire any instantaneous activities enabled in the initial marking,
     // then schedule timed activities.
-    fire_instantaneous(model, marking, rng, &mut trace, &mut events, now, table, acc, warmup)?;
+    fire_instantaneous(model, marking, rng, &mut trace, &mut events, now, table, acc)?;
     marking.clear_log();
     refresh_schedule(
         model,
@@ -92,14 +90,14 @@ pub(crate) fn run(
             _ => {
                 // No more events before the horizon: accumulate rewards
                 // for the remaining interval and stop.
-                accumulate_rate_rewards(table, marking, now, horizon, warmup, acc);
+                accumulate_rate_rewards(table, marking, now, horizon, acc);
                 now = horizon;
                 break;
             }
         };
 
         // Integrate rate rewards over [now, fire_time].
-        accumulate_rate_rewards(table, marking, now, fire_time, warmup, acc);
+        accumulate_rate_rewards(table, marking, now, fire_time, acc);
         now = fire_time;
 
         // Fire the activity.
@@ -107,15 +105,13 @@ pub(crate) fn run(
         let case = fire_activity(model, activity_id, marking, rng);
         schedule[activity_idx] = None;
         events += 1;
-        if now >= warmup {
-            credit_impulses(table, activity_idx, acc);
-        }
+        credit_impulses(table, activity_idx, acc);
         if let Some(trace) = trace.as_deref_mut() {
             trace.push(TraceEvent { time: now, activity: activity_id, case });
         }
 
         // Process any instantaneous cascade triggered by the firing.
-        fire_instantaneous(model, marking, rng, &mut trace, &mut events, now, table, acc, warmup)?;
+        fire_instantaneous(model, marking, rng, &mut trace, &mut events, now, table, acc)?;
 
         // Update the timed-activity schedule after the marking change.
         for &p in marking.log() {
@@ -144,7 +140,7 @@ pub(crate) fn run(
         counter_add(MetricId::SanReexaminations, reexamined);
         counter_add(MetricId::SanRestarts, restarts);
     }
-    Ok(finalise(table, acc, marking, observed, events, now))
+    Ok(finalise(table, acc, marking, events, now))
 }
 
 /// Fires enabled instantaneous activities until none remain enabled,
@@ -160,7 +156,6 @@ fn fire_instantaneous(
     now: f64,
     table: &RewardTable,
     acc: &mut [f64],
-    warmup: f64,
 ) -> Result<(), SanError> {
     let mut firings = 0usize;
     loop {
@@ -174,9 +169,7 @@ fn fire_instantaneous(
         let id = ActivityId(idx);
         let case = fire_activity(model, id, marking, rng);
         *events += 1;
-        if now >= warmup {
-            credit_impulses(table, idx, acc);
-        }
+        credit_impulses(table, idx, acc);
         if let Some(trace) = trace.as_deref_mut() {
             trace.push(TraceEvent { time: now, activity: id, case });
         }
@@ -189,9 +182,9 @@ fn fire_instantaneous(
 
 /// Brings the timed-activity schedule in line with the current marking:
 /// disabled activities lose their sample, newly enabled activities sample a
-/// delay, and enabled activities with the restart policy (or marking-
-/// dependent timing) resample — always, or only when one of their declared
-/// timing-read places is in the event's `written` set.
+/// delay, and enabled activities with marking-dependent timing resample —
+/// always, or only when one of their declared timing-read places is in the
+/// event's `written` set.
 #[allow(clippy::too_many_arguments)]
 fn refresh_schedule(
     model: &Model,
@@ -214,7 +207,7 @@ fn refresh_schedule(
             continue;
         }
         let resample = !initial
-            && activity.resample_on_change
+            && activity.resamples()
             && match &activity.timing_reads {
                 None => true,
                 Some(reads) => reads.iter().any(|p| written[p.index()]),

@@ -78,7 +78,6 @@ impl RunSummary {
 pub struct Experiment {
     model: Model,
     horizon: f64,
-    warmup: f64,
     rewards: Vec<RewardSpec>,
     confidence_level: f64,
     workers: usize,
@@ -89,7 +88,6 @@ impl std::fmt::Debug for Experiment {
         f.debug_struct("Experiment")
             .field("model", &self.model.name())
             .field("horizon", &self.horizon)
-            .field("warmup", &self.warmup)
             .field("rewards", &self.rewards.len())
             .field("confidence_level", &self.confidence_level)
             .field("workers", &self.workers)
@@ -101,20 +99,7 @@ impl Experiment {
     /// Creates an experiment on `model` with the given simulation horizon in
     /// hours. Replications run on an auto-sized worker pool by default.
     pub fn new(model: Model, horizon: f64) -> Self {
-        Experiment {
-            model,
-            horizon,
-            warmup: 0.0,
-            rewards: Vec::new(),
-            confidence_level: 0.95,
-            workers: 0,
-        }
-    }
-
-    /// Sets a warm-up period (hours) excluded from reward accumulation.
-    pub fn set_warmup(&mut self, warmup: f64) -> &mut Self {
-        self.warmup = warmup;
-        self
+        Experiment { model, horizon, rewards: Vec::new(), confidence_level: 0.95, workers: 0 }
     }
 
     /// Sets the confidence level used for reported intervals (default 0.95).
@@ -218,7 +203,7 @@ impl Experiment {
             cancel,
             crate::RunScratch::new,
             |index, rng, scratch| {
-                sim.run_with_table_scratch(&table, self.horizon, self.warmup, rng, scratch)
+                sim.run_with_table_scratch(&table, self.horizon, rng, scratch)
                     .map(|result| apply_chaos(index, result))
             },
         )
@@ -462,7 +447,7 @@ mod tests {
     fn experiment_accessors_and_debug() {
         let (model, up) = repairable_unit(100.0, 1.0);
         let mut exp = Experiment::new(model, 1000.0);
-        exp.add_reward(availability_reward(up)).set_warmup(10.0).set_confidence_level(0.9);
+        exp.add_reward(availability_reward(up)).set_confidence_level(0.9);
         assert_eq!(exp.model().name(), "unit");
         let dbg = format!("{exp:?}");
         assert!(dbg.contains("unit"));

@@ -1,16 +1,15 @@
 //! Reward variables: functions of the model's behaviour that the simulator
-//! estimates.
+//! estimates over the observation window `[0, horizon]`.
 //!
 //! Two families are supported, mirroring Möbius:
 //!
-//! * **Rate rewards** are functions of the marking. They can be reported as
-//!   a *time average* over the observation window (e.g. availability = the
-//!   fraction of time the CFS is serving clients), as an *accumulated*
-//!   integral (e.g. total downtime hours), or as the *instant-of-time* value
-//!   at the end of the run.
+//! * **Rate rewards** are functions of the marking. They are reported as a
+//!   *time average* over the window (e.g. availability = the fraction of
+//!   time the CFS is serving clients) or as the *instant-of-time* value at
+//!   the end of the run.
 //! * **Impulse rewards** fire when a given activity completes (e.g. count
-//!   one disk replacement per completion of the `replace_disk` activity).
-//!   They can be reported as a total count or normalised per hour.
+//!   one disk replacement per completion of the `replace_disk` activity),
+//!   reported as the total over the window.
 
 use std::fmt;
 use std::sync::Arc;
@@ -20,30 +19,26 @@ use crate::{ActivityId, Marking};
 /// A rate-reward function of the marking.
 pub type RewardFn = Arc<dyn Fn(&Marking) -> f64 + Send + Sync>;
 
-/// How a reward is reported at the end of a replication.
+/// How a rate reward is reported at the end of a replication.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RewardKind {
     /// Time integral of the rate function divided by the observation length.
     TimeAveraged,
-    /// Raw time integral of the rate function over the observation window.
-    Accumulated,
     /// Value of the rate function in the final marking.
     InstantOfTime,
 }
 
-/// How an impulse reward is reported at the end of a replication.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ImpulseKind {
-    /// Sum of impulse amounts over the observation window.
-    Total,
-    /// Sum of impulse amounts divided by the observation length in hours.
-    PerHour,
-}
-
 #[derive(Clone)]
 pub(crate) enum RewardVariant {
-    Rate { function: RewardFn, kind: RewardKind },
-    Impulse { activity: ActivityId, amount: f64, kind: ImpulseKind },
+    Rate {
+        function: RewardFn,
+        kind: RewardKind,
+    },
+    /// An impulse total: `amount` per completion of `activity`.
+    Impulse {
+        activity: ActivityId,
+        amount: f64,
+    },
 }
 
 /// Specification of one reward variable to estimate.
@@ -57,8 +52,8 @@ impl fmt::Debug for RewardSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let kind = match &self.variant {
             RewardVariant::Rate { kind, .. } => format!("rate/{kind:?}"),
-            RewardVariant::Impulse { kind, activity, .. } => {
-                format!("impulse/{kind:?} on activity #{}", activity.index())
+            RewardVariant::Impulse { activity, .. } => {
+                format!("impulse/Total on activity #{}", activity.index())
             }
         };
         f.debug_struct("RewardSpec").field("name", &self.name).field("kind", &kind).finish()
@@ -82,21 +77,6 @@ impl RewardSpec {
         }
     }
 
-    /// An accumulated rate reward: the raw time integral of `function` over
-    /// the observation window (e.g. total downtime hours).
-    pub fn accumulated_rate(
-        name: impl Into<String>,
-        function: impl Fn(&Marking) -> f64 + Send + Sync + 'static,
-    ) -> Self {
-        RewardSpec {
-            name: name.into(),
-            variant: RewardVariant::Rate {
-                function: Arc::new(function),
-                kind: RewardKind::Accumulated,
-            },
-        }
-    }
-
     /// An instant-of-time rate reward: the value of `function` in the final
     /// marking of the replication.
     pub fn instant_of_time(
@@ -115,19 +95,7 @@ impl RewardSpec {
     /// An impulse reward that adds `amount` every time `activity` completes,
     /// reported as a total over the observation window.
     pub fn impulse_total(name: impl Into<String>, activity: ActivityId, amount: f64) -> Self {
-        RewardSpec {
-            name: name.into(),
-            variant: RewardVariant::Impulse { activity, amount, kind: ImpulseKind::Total },
-        }
-    }
-
-    /// An impulse reward that adds `amount` every time `activity` completes,
-    /// reported per hour of observation.
-    pub fn impulse_per_hour(name: impl Into<String>, activity: ActivityId, amount: f64) -> Self {
-        RewardSpec {
-            name: name.into(),
-            variant: RewardVariant::Impulse { activity, amount, kind: ImpulseKind::PerHour },
-        }
+        RewardSpec { name: name.into(), variant: RewardVariant::Impulse { activity, amount } }
     }
 
     /// The reward's name, used to retrieve its estimate from run results.
@@ -152,15 +120,11 @@ pub(crate) struct RewardNames {
 /// replication.
 pub(crate) enum Finalise {
     /// Accumulated rate integral divided by the observation length.
-    RateTimeAveraged,
-    /// Raw accumulated rate integral.
-    RateAccumulated,
+    TimeAveraged,
     /// The rate function evaluated in the final marking.
-    RateInstant(RewardFn),
+    Instant(RewardFn),
     /// Accumulated impulse total.
-    ImpulseTotal,
-    /// Accumulated impulse total divided by the observation length.
-    ImpulsePerHour,
+    Total,
 }
 
 /// A reward specification compiled for the run loop: rate rewards that
@@ -171,8 +135,8 @@ pub(crate) enum Finalise {
 /// plain `Vec<f64>`s.
 pub(crate) struct RewardTable {
     pub(crate) names: Arc<RewardNames>,
-    /// `(slot, function)` for every rate reward that integrates over time
-    /// (time-averaged or accumulated), in slot order.
+    /// `(slot, function)` for every time-averaged rate reward, in slot
+    /// order.
     pub(crate) integrated: Vec<(u32, RewardFn)>,
     /// activity index → `(slot, amount)` impulses credited on its
     /// completion, dense over the model's activities.
@@ -207,15 +171,11 @@ impl RewardTable {
                 RewardVariant::Rate { function, kind } => finals.push(match kind {
                     RewardKind::TimeAveraged => {
                         integrated.push((slot as u32, Arc::clone(function)));
-                        Finalise::RateTimeAveraged
+                        Finalise::TimeAveraged
                     }
-                    RewardKind::Accumulated => {
-                        integrated.push((slot as u32, Arc::clone(function)));
-                        Finalise::RateAccumulated
-                    }
-                    RewardKind::InstantOfTime => Finalise::RateInstant(Arc::clone(function)),
+                    RewardKind::InstantOfTime => Finalise::Instant(Arc::clone(function)),
                 }),
-                RewardVariant::Impulse { activity, amount, kind } => {
+                RewardVariant::Impulse { activity, amount } => {
                     let bucket = impulses.get_mut(activity.index()).ok_or_else(|| {
                         crate::SanError::UnknownId {
                             what: format!(
@@ -226,10 +186,7 @@ impl RewardTable {
                         }
                     })?;
                     bucket.push((slot as u32, *amount));
-                    finals.push(match kind {
-                        ImpulseKind::Total => Finalise::ImpulseTotal,
-                        ImpulseKind::PerHour => Finalise::ImpulsePerHour,
-                    });
+                    finals.push(Finalise::Total);
                 }
             }
         }
@@ -252,20 +209,11 @@ mod tests {
         assert_eq!(r.name(), "avail");
         assert!(matches!(r.variant, RewardVariant::Rate { kind: RewardKind::TimeAveraged, .. }));
 
-        let r = RewardSpec::accumulated_rate("downtime", |_m| 1.0);
-        assert!(matches!(r.variant, RewardVariant::Rate { kind: RewardKind::Accumulated, .. }));
-
         let r = RewardSpec::instant_of_time("final", |_m| 1.0);
         assert!(matches!(r.variant, RewardVariant::Rate { kind: RewardKind::InstantOfTime, .. }));
 
         let r = RewardSpec::impulse_total("replacements", ActivityId(3), 1.0);
-        assert!(matches!(
-            r.variant,
-            RewardVariant::Impulse { kind: ImpulseKind::Total, amount, .. } if amount == 1.0
-        ));
-
-        let r = RewardSpec::impulse_per_hour("rate", ActivityId(3), 2.0);
-        assert!(matches!(r.variant, RewardVariant::Impulse { kind: ImpulseKind::PerHour, .. }));
+        assert!(matches!(r.variant, RewardVariant::Impulse { amount, .. } if amount == 1.0));
     }
 
     #[test]

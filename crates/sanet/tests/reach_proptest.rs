@@ -117,7 +117,7 @@ proptest! {
         let sim = Simulator::new(&model);
         for seed in 0..3u64 {
             let mut rng = SimRng::seed_from_u64(structure ^ seed);
-            let (_, trace) = sim.run_traced(&[], 500.0, 0.0, &mut rng).unwrap();
+            let (_, trace) = sim.run_traced(&[], 500.0, &mut rng).unwrap();
             for tokens in sanet::reach::replay_markings(&model, &trace) {
                 prop_assert!(
                     report.contains_tokens(&tokens),

@@ -33,10 +33,9 @@ fn assert_engines_agree_on(config: &ClusterConfig, horizon: f64, seeds: std::ops
     let sim = Simulator::new(&cluster.model);
     for seed in seeds {
         let (cal, cal_trace) =
-            sim.run_traced(&rewards, horizon, 0.0, &mut SimRng::seed_from_u64(seed)).unwrap();
-        let (reference, ref_trace) = sim
-            .run_reference_traced(&rewards, horizon, 0.0, &mut SimRng::seed_from_u64(seed))
-            .unwrap();
+            sim.run_traced(&rewards, horizon, &mut SimRng::seed_from_u64(seed)).unwrap();
+        let (reference, ref_trace) =
+            sim.run_reference_traced(&rewards, horizon, &mut SimRng::seed_from_u64(seed)).unwrap();
         assert_eq!(
             cal, reference,
             "calendar and reference kernels diverged on '{}' (seed {seed})",

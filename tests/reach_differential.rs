@@ -28,7 +28,7 @@ fn bounded_built_ins_contain_every_traced_marking() {
         let sim = Simulator::new(&built.model);
         for seed in 0..4u64 {
             let mut rng = SimRng::seed_from_u64(0xACE0 + seed);
-            let (_, trace) = sim.run_traced(&[], 20_000.0, 0.0, &mut rng).unwrap();
+            let (_, trace) = sim.run_traced(&[], 20_000.0, &mut rng).unwrap();
             for tokens in replay_markings(&built.model, &trace) {
                 assert!(
                     report.contains_tokens(&tokens),

@@ -18,6 +18,9 @@
 
 use std::time::Duration;
 
+use petascale_cfs::cfs_model::scenario::{
+    CorrelationAblation, Figure4CfsAvailability, SpareOssAblation,
+};
 use petascale_cfs::prelude::*;
 
 fn temp_file(tag: &str) -> std::path::PathBuf {
@@ -213,6 +216,38 @@ fn expired_deadline_truncates_to_a_valid_prefix() {
         // On a pathologically slow machine fewer than two replications
         // may finish: that is the typed starvation error, not a panic.
         Err(err) => assert!(matches!(err, CfsError::DeadlineExpired { .. }), "{err}"),
+    }
+}
+
+/// A scenario made of several cluster evaluations is flagged truncated
+/// when any of them was. Each evaluation first serves the 4 replications
+/// the checkpoint holds, and only then checks the 1 ns deadline, so every
+/// one stops at exactly 4 of its 8: deterministic, unlike a deadline that
+/// races the simulation. The plain cluster scenario is the control.
+#[test]
+fn scenarios_flag_truncated_evaluations() {
+    let scenarios: Vec<Box<dyn Scenario>> = vec![
+        Box::new(Figure4CfsAvailability { capacities_tb: vec![96.0] }),
+        Box::new(SpareOssAblation),
+        Box::new(CorrelationAblation),
+        Box::new(ClusterConfig::abe()),
+    ];
+    for scenario in &scenarios {
+        let path = temp_file(&format!("truncated-{}", scenario.name()));
+        let _ = std::fs::remove_file(&path);
+        let spec = RunSpec::new()
+            .with_horizon_hours(500.0)
+            .with_base_seed(3)
+            .with_workers(1)
+            .with_checkpoint(path.to_str().unwrap(), 4);
+        let stored = scenario.evaluate(&spec.clone().with_replications(4)).unwrap();
+        assert!(!stored.truncated, "{}", scenario.name());
+
+        let cut = spec.with_replications(8).with_deadline(Duration::from_nanos(1));
+        let output = scenario.evaluate(&cut).unwrap();
+        assert!(output.truncated, "{} must report its truncated evaluations", scenario.name());
+        assert_eq!(output.replications_used, Some(4), "{}", scenario.name());
+        std::fs::remove_file(&path).unwrap();
     }
 }
 
