@@ -2,11 +2,11 @@
 //! stochastic-activity-network engine (event-calendar kernel vs the
 //! retained naive reference kernel, on a 2-activity unit and on the full
 //! composed ABE / petascale cluster models), the reachability explorer, the
-//! storage Monte-Carlo kernel, and the design-space sweeps — plus the
-//! rare-event estimator (trials to ±10 % and the variance-reduction factor
-//! of multilevel splitting on its reference config), the worker pool (a
-//! million replications at workers 1 and 2), and the telemetry overhead on
-//! the kernel hot path.
+//! storage Monte-Carlo kernel, Figure 3's analytic column, and the
+//! design-space sweeps — plus the rare-event estimator (trials to ±10 % and
+//! the variance-reduction factor of multilevel splitting on its reference
+//! config), the worker pool (a million replications at workers 1 and 2),
+//! and the telemetry overhead on the kernel hot path.
 //!
 //! The harness is self-contained (no external benchmarking crate is
 //! available offline): each kernel is warmed up, then timed in five
@@ -29,7 +29,8 @@ use cfs_model::rewards::standard_rewards;
 use cfs_model::workloads::{BeowulfPerformabilitySweep, RedundancyScheme, ReplicationVsRaid};
 use cfs_model::{ClusterConfig, RunSpec, Scenario};
 use probdist::{Distribution, Exponential, SimRng, Weibull};
-use raidsim::scaling::{config_from_plan, plan_for_capacity};
+use raidsim::replacement::ReplacementCurve;
+use raidsim::scaling::{config_from_plan, figure3_disk_counts, plan_for_capacity, FIGURE3_AFRS};
 use raidsim::{DiskModel, RaidGeometry, StorageConfig, StorageSimulator};
 use sanet::beowulf::BeowulfConfig;
 use sanet::reward::RewardSpec;
@@ -126,26 +127,29 @@ fn repairable_unit(mean_up: f64, mean_repair: f64) -> (Model, RewardSpec) {
     (builder.build().unwrap(), avail)
 }
 
+/// Both SAN kernels on the 2-activity unit, the measurement the small-model
+/// crossover (`NAIVE_KERNEL_MAX_ACTIVITIES` in `sanet::engine`) rests on.
+/// `Simulator::run` picks the naive kernel for this model, so the calendar
+/// arm goes through `Simulator::run_traced`, the one public path that
+/// forces the event calendar. Its trace push per event counts against the
+/// calendar arm, so `san_engine_one_year_repairable_unit_calendar_traced`
+/// is a lower bound on the calendar kernel beside
+/// `san_engine_one_year_repairable_unit_ref`.
 fn bench_san_engine(ledger: &mut Vec<BenchRecord>) {
     let (model, avail) = repairable_unit(100.0, 4.0);
     let rewards = vec![avail];
     let sim = Simulator::new(&model);
-    // `run` auto-selects the naive kernel for this 2-activity model (the
-    // small-model crossover fallback), so the two rows should be nearly
-    // equal; before the auto-selection the first row ran the calendar
-    // kernel at ~16.2M events/s vs the reference's ~24.6M.
     let mut rngs = [SimRng::seed_from_u64(7), SimRng::seed_from_u64(7)];
-    let [(run, _), (reference, _)] = measure(5, 40, |arm| {
+    let [(calendar, _), (reference, _)] = measure(5, 40, |arm| {
         let rng = &mut rngs[arm];
-        let result = if arm == 0 {
-            sim.run(&rewards, 8760.0, rng)
+        if arm == 0 {
+            sim.run_traced(&rewards, 8760.0, rng).unwrap().0.events
         } else {
-            sim.run_reference(&rewards, 8760.0, rng)
-        };
-        result.unwrap().events
+            sim.run_reference(&rewards, 8760.0, rng).unwrap().events
+        }
     });
     for (name, per_sec) in [
-        ("san_engine_one_year_repairable_unit", run),
+        ("san_engine_one_year_repairable_unit_calendar_traced", calendar),
         ("san_engine_one_year_repairable_unit_ref", reference),
     ] {
         record(ledger, BenchRecord::new(name, "sanet", Unit::EventsPerSec, per_sec));
@@ -216,7 +220,8 @@ fn bench_reach(ledger: &mut Vec<BenchRecord>) {
 /// 8+2, Weibull 0.6 / 100 000 h petascale point of the storage ablations
 /// (61 440 disks, about three in four of whose first lifetimes end after
 /// the mission), plus the disk replacements of a fixed-seed batch of
-/// petascale missions, which pins that sample path exactly.
+/// petascale missions, which pins that sample path exactly, and Figure 3's
+/// analytic column.
 fn bench_storage_kernel(ledger: &mut Vec<BenchRecord>) {
     let abe = StorageSimulator::new(StorageConfig::abe_scratch()).unwrap();
     let disk = DiskModel { weibull_shape: 0.6, mtbf_hours: 100_000.0, capacity_gb: 250.0 };
@@ -246,6 +251,25 @@ fn bench_storage_kernel(ledger: &mut Vec<BenchRecord>) {
             Unit::Count,
             replacements as f64,
         ),
+    );
+
+    // The 40 analytic values of the default Figure 3 sweep at one year,
+    // computed as `Figure3DiskReplacements` computes them: one renewal
+    // solve per AFR, read at every disk count.
+    let counts = figure3_disk_counts();
+    let [(per_sec, _)] = measure(2, 5, |_| {
+        for afr in FIGURE3_AFRS {
+            let disk = DiskModel::with_afr(afr, 0.7).unwrap();
+            let curve = ReplacementCurve::new(&disk, 8760.0).unwrap();
+            for &disks in &counts {
+                black_box(curve.per_week(disks));
+            }
+        }
+        1
+    });
+    record(
+        ledger,
+        BenchRecord::new("figure3_analytic_column", "raidsim", Unit::NsPerIter, 1e9 / per_sec),
     );
 }
 

@@ -114,6 +114,10 @@ pub fn figure2_capacity_points_tb() -> Vec<f64> {
     points
 }
 
+/// The disk AFRs (percent per year) of Figure 3's four curves, each at
+/// Weibull shape 0.7.
+pub const FIGURE3_AFRS: [f64; 4] = [8.76, 2.92, 4.38, 0.88];
+
 /// The disk-count sweep of Figure 3: 480 (ABE) to 4800 disks in steps of
 /// 480.
 pub fn figure3_disk_counts() -> Vec<u32> {

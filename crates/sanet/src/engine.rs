@@ -43,10 +43,14 @@ pub(crate) const MAX_INSTANT_FIRINGS: usize = 100_000;
 /// against the calendar's ~16.2M, on the 4-activity Beowulf model it was
 /// still ~1.35x ahead (traced vs traced, 2.5M events over 50×100k-hour
 /// runs), and on the 34-activity ABE composition the calendar was already
-/// 1.7x ahead. Since this fallback, both BENCH.json repairable-unit rows
-/// (`san_engine_one_year_repairable_unit[_ref]`) run the naive kernel and
-/// read alike (11.5M and 11.3M events/s), so the ledger no longer shows
-/// the crossover. The two kernels are pinned bit-identical by the
+/// 1.7x ahead. With this fallback `run` never reaches the calendar on
+/// the unit, so the BENCH.json rows time the two kernels there through
+/// `run_traced` and `run_reference`:
+/// `san_engine_one_year_repairable_unit_calendar_traced` read 7.7M
+/// events/s against `san_engine_one_year_repairable_unit_ref`'s 10.3M in
+/// the run that recorded them. The trace push per event counts against
+/// the calendar arm, so the ledger's gap is an upper bound on the
+/// untraced one. The two kernels are pinned bit-identical by the
 /// differential suites (`calendar_differential.rs`,
 /// `engine_differential.rs`) and `tests/san_sample_paths.rs`, so the
 /// selection is observably pure.
@@ -204,6 +208,8 @@ impl<'m> Simulator<'m> {
     /// diagnostics — under-declared gate or timing reads would otherwise
     /// silently corrupt calendar-kernel results. The verdict is memoised
     /// per model, and release builds skip the check entirely.
+    /// [`Experiment::run_raw`](crate::Experiment::run_raw), the replication
+    /// path, passes the same gate; the other run methods here skip it.
     ///
     /// # Errors
     ///
@@ -306,8 +312,9 @@ impl<'m> Simulator<'m> {
 
     /// Runs one replication against an already-compiled reward table,
     /// reusing a caller-owned [`RunScratch`] — the allocation-free
-    /// replication hot path. The replication manager compiles the table once
-    /// per run and passes one scratch per pool worker.
+    /// replication hot path. The replication manager lints the model and
+    /// compiles the table once per batch, and passes one scratch per pool
+    /// worker.
     pub(crate) fn run_with_table_scratch(
         &self,
         table: &RewardTable,

@@ -451,8 +451,9 @@ impl Model {
         crate::reach::explore(self, config)
     }
 
-    /// Debug-build guard run by [`Simulator::run`](crate::Simulator::run):
-    /// rejects models with Error-level lint diagnostics before the first
+    /// Debug-build guard run by [`Simulator::run`](crate::Simulator::run)
+    /// and [`Experiment::run_raw`](crate::Experiment::run_raw): rejects
+    /// models with Error-level lint diagnostics before the first
     /// replication. Memoised per model so repeated runs pay nothing; a
     /// no-op in release builds (`cfg!` rather than `#[cfg]` so both
     /// profiles compile the same code, the optimiser erases the branch).

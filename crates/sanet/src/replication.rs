@@ -75,6 +75,9 @@ impl RunSummary {
 /// The paper's Möbius experiments are exactly this shape: simulate the
 /// composed CFS model for a long horizon, repeat with independent streams,
 /// and report each reward at the 95 % confidence level.
+///
+/// Replications run on the kernel [`Simulator::run`] would pick, behind
+/// the same debug-build lint gate.
 pub struct Experiment {
     model: Model,
     horizon: f64,
@@ -178,15 +181,22 @@ impl Experiment {
     /// than `range` exactly when the run was truncated, and bit-identical
     /// to the first replications of an uninterrupted run.
     ///
+    /// In debug builds the model passes the same pre-simulation lint as
+    /// [`Simulator::run`] before the first replication; the verdict is
+    /// memoised per model, so later batches pay nothing, and release
+    /// builds skip it.
+    ///
     /// # Errors
     ///
-    /// Propagates any simulation error.
+    /// Propagates any simulation error, and (debug builds only)
+    /// [`SanError::LintRejected`] if the pre-simulation lint fails.
     pub fn run_raw(
         &self,
         range: Range<usize>,
         seed: u64,
         cancel: Option<&CancelToken>,
     ) -> Result<Vec<crate::RunResult>, SanError> {
+        self.model.debug_lint()?;
         let _span = probdist::telemetry::span(probdist::telemetry::MetricId::SpanReplicate);
         let root = SimRng::seed_from_u64(seed);
         let sim = Simulator::new(&self.model);
@@ -299,6 +309,58 @@ mod tests {
         assert!(summary.total_events > 0);
         assert!(summary.reward("nope").is_err());
         assert_eq!(summary.rewards().len(), 1);
+    }
+
+    /// The debug-build lint gate guards the replication path too: a
+    /// 5-activity model, large enough for the calendar kernel, whose
+    /// `fail` gate reads `blocker` but declares only `down` (`SAN001`,
+    /// Error) is rejected by `Experiment::run` before any replication.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn replications_run_behind_the_debug_lint() {
+        let delay = |mean| Exponential::from_mean(mean).unwrap();
+        let mut b = ModelBuilder::new("undeclared-gate");
+        let up = b.add_place("up", 1).unwrap();
+        let down = b.add_place("down", 0).unwrap();
+        let blocker = b.add_place("blocker", 0).unwrap();
+        let spare_up = b.add_place("spare_up", 1).unwrap();
+        let spare_down = b.add_place("spare_down", 0).unwrap();
+        b.timed_activity("fail", delay(100.0))
+            .unwrap()
+            .input_arc(up, 1)
+            .enabling_predicate(move |m| m.tokens(blocker) == 0)
+            .enabling_reads(&[down])
+            .output_arc(down, 1)
+            .build()
+            .unwrap();
+        b.timed_activity("repair", delay(10.0))
+            .unwrap()
+            .input_arc(down, 1)
+            .output_arc(up, 1)
+            .output_arc(blocker, 1)
+            .build()
+            .unwrap();
+        b.timed_activity("clear", delay(5.0)).unwrap().input_arc(blocker, 1).build().unwrap();
+        for (name, from, to) in
+            [("spare_fail", spare_up, spare_down), ("spare_repair", spare_down, spare_up)]
+        {
+            b.timed_activity(name, delay(50.0))
+                .unwrap()
+                .input_arc(from, 1)
+                .output_arc(to, 1)
+                .build()
+                .unwrap();
+        }
+        let model = b.build().unwrap();
+        assert!(model.num_activities() >= crate::engine::NAIVE_KERNEL_MAX_ACTIVITIES);
+        let mut exp = Experiment::new(model, 1_000.0);
+        exp.add_reward(availability_reward(up));
+        match exp.run(&fixed(4), 1) {
+            Err(SanError::LintRejected { details, .. }) => {
+                assert!(details.contains("SAN001"), "expected SAN001 in: {details}");
+            }
+            other => panic!("expected a lint rejection, got {other:?}"),
+        }
     }
 
     #[test]

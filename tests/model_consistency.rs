@@ -4,9 +4,7 @@
 
 use petascale_cfs::prelude::*;
 use petascale_cfs::raidsim::analytic::{system_data_loss_probability, tier_mttdl};
-use petascale_cfs::raidsim::replacement::{
-    expected_replacements_per_week, steady_state_replacements_per_week,
-};
+use petascale_cfs::raidsim::replacement::{steady_state_replacements_per_week, ReplacementCurve};
 use petascale_cfs::sanet::reward::RewardSpec;
 use petascale_cfs::sanet::Experiment;
 
@@ -99,7 +97,7 @@ fn replacement_rate_models_agree_for_abe() {
 
     let simulated =
         StorageSimulator::new(config).unwrap().run(mission, &fixed(24), 13, 0.95, 0).unwrap();
-    let analytic = expected_replacements_per_week(disks, &disk, mission).unwrap();
+    let analytic = ReplacementCurve::new(&disk, mission).unwrap().per_week(disks);
     let steady = steady_state_replacements_per_week(disks, &disk).unwrap();
 
     // Renewal analysis sits above the long-run rate (infant mortality) and
