@@ -153,8 +153,8 @@ pub const DEFAULT_HORIZON_HOURS: f64 = 8760.0;
 pub const DEFAULT_SEED: u64 = 20080625;
 
 /// The harness's run spec: the `CFS_BENCH_REPLICATIONS`,
-/// `CFS_BENCH_HORIZON_HOURS` and `CFS_BENCH_WORKERS` (`0` = auto)
-/// overrides applied on top of the reproducible defaults. An unset
+/// `CFS_BENCH_HORIZON_HOURS` and `CFS_BENCH_WORKERS` (`0` = auto, at most
+/// 1024) overrides applied on top of the reproducible defaults. An unset
 /// variable keeps its default. A set one is passed on as parsed, so an
 /// out-of-range value reaches [`RunSpec::validate`], which names it when
 /// the run starts.
@@ -363,6 +363,7 @@ mod tests {
             ("CFS_BENCH_REPLICATIONS", "20080625", "swapped replications/seed"),
             ("CFS_BENCH_HORIZON_HOURS", "-5", "horizon must be positive"),
             ("CFS_BENCH_HORIZON_HOURS", "inf", "horizon must be positive and finite"),
+            ("CFS_BENCH_WORKERS", "20080625", "swapped workers/seed"),
         ] {
             let spec = spec_from(lookup(&[(var, value)])).unwrap();
             let err = spec.validate().unwrap_err().to_string();

@@ -39,10 +39,10 @@ use crate::CfsError;
 
 /// Format tag stored in the envelope; a file with a different tag is
 /// rejected rather than misparsed.
-pub const FORMAT: &str = "cfs-study-checkpoint";
+pub(crate) const FORMAT: &str = "cfs-study-checkpoint";
 
 /// Current checkpoint format version. Readers reject other versions.
-pub const VERSION: u64 = 1;
+pub(crate) const VERSION: u64 = 1;
 
 /// One completed replication: the named reward totals plus the event count
 /// and final simulation clock — everything the analysis layer needs to
@@ -283,7 +283,8 @@ pub fn load(path: impl AsRef<Path>) -> Result<CheckpointData, CfsError> {
 /// # Errors
 ///
 /// Returns [`CfsError::Checkpoint`] when the temporary file cannot be
-/// written or the rename fails.
+/// written or the rename fails; a failed rename removes the temporary
+/// file.
 pub fn store(path: impl AsRef<Path>, data: &CheckpointData) -> Result<(), CfsError> {
     let path = path.as_ref();
     let mut tmp = path.as_os_str().to_owned();
@@ -297,8 +298,12 @@ pub fn store(path: impl AsRef<Path>, data: &CheckpointData) -> Result<(), CfsErr
         .map_err(|e| checkpoint_error(path, format!("cannot write temporary file: {e}")))?;
     drop(write_span);
     let _rename_span = telemetry::span(telemetry::MetricId::SpanCheckpointRename);
-    fs::rename(&tmp, path)
-        .map_err(|e| checkpoint_error(path, format!("cannot rename temporary file: {e}")))
+    fs::rename(&tmp, path).map_err(|e| {
+        // Best effort: the error below is what the caller needs, and a
+        // leftover temporary file would only litter the directory.
+        let _ = fs::remove_file(&tmp);
+        checkpoint_error(path, format!("cannot rename temporary file: {e}"))
+    })
 }
 
 /// Serialises every read-modify-write cycle in this process: scenarios of a
@@ -409,6 +414,27 @@ mod tests {
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
 
         fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn failed_writes_are_typed_and_leave_no_temporary_file() {
+        let data = CheckpointData::new();
+        let missing = temp_path("missing-dir").join("study.json");
+        let err = store(&missing, &data).unwrap_err();
+        assert!(matches!(err, CfsError::Checkpoint { .. }), "{err}");
+        assert!(err.to_string().contains("cannot write temporary file"), "{err}");
+
+        // A non-empty directory in the way fails the rename.
+        let occupied = temp_path("occupied");
+        fs::create_dir_all(&occupied).unwrap();
+        fs::write(occupied.join("keep"), "x").unwrap();
+        let err = store(&occupied, &data).unwrap_err();
+        assert!(matches!(err, CfsError::Checkpoint { .. }), "{err}");
+        assert!(err.to_string().contains("cannot rename temporary file"), "{err}");
+        let mut tmp = occupied.as_os_str().to_owned();
+        tmp.push(".tmp");
+        assert!(!Path::new(&tmp).exists(), "the failed rename left its temporary file");
+        fs::remove_dir_all(&occupied).unwrap();
     }
 
     #[test]

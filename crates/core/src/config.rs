@@ -4,15 +4,15 @@
 use serde::{Deserialize, Serialize};
 
 use raidsim::scaling::{config_from_plan, plan_for_capacity};
-use raidsim::{DiskModel, RaidGeometry, StorageConfig};
+use raidsim::StorageConfig;
 
 use crate::params::ModelParameters;
 use crate::CfsError;
 
 /// ABE's scratch-partition capacity in terabytes.
-pub const ABE_CAPACITY_TB: f64 = 96.0;
+pub(crate) const ABE_CAPACITY_TB: f64 = 96.0;
 /// The petascale (Blue Waters class) scratch capacity in terabytes (12 PB).
-pub const PETASCALE_CAPACITY_TB: f64 = 12_288.0;
+pub(crate) const PETASCALE_CAPACITY_TB: f64 = 12_288.0;
 
 /// A complete cluster configuration: compute side, file-server side, storage
 /// hardware, mitigation options, and model parameters.
@@ -124,21 +124,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Returns a copy whose storage uses the given RAID geometry.
-    pub fn with_raid_geometry(mut self, geometry: RaidGeometry) -> Self {
-        self.storage.geometry = geometry;
-        self
-    }
-
-    /// Returns a copy whose disks use the given model (AFR / Weibull shape
-    /// sweeps of Figure 2).
-    pub fn with_disk_model(mut self, disk: DiskModel) -> Self {
-        self.storage.disk = disk;
-        self.params.disk_mtbf_hours = disk.mtbf_hours;
-        self.params.disk_weibull_shape = disk.weibull_shape;
-        self
-    }
-
     /// Total number of OSS fail-over pairs (file serving + metadata).
     pub fn total_oss_pairs(&self) -> u32 {
         self.oss_pairs + self.metadata_pairs
@@ -245,16 +230,6 @@ mod tests {
         let c = ClusterConfig::abe().with_multipath_network();
         assert!(c.multipath_network);
         assert!(c.name.contains("multipath"));
-    }
-
-    #[test]
-    fn raid_and_disk_builders_update_storage_and_params() {
-        let c = ClusterConfig::abe().with_raid_geometry(RaidGeometry::raid_8p3());
-        assert_eq!(c.storage.geometry.parity_disks, 3);
-        let disk = DiskModel::with_afr(8.76, 0.6).unwrap();
-        let c = ClusterConfig::abe().with_disk_model(disk);
-        assert!((c.params.disk_mtbf_hours - 100_000.0).abs() < 1.0);
-        assert!((c.params.disk_weibull_shape - 0.6).abs() < 1e-12);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //!   scenario×replication work unit of a scenario set onto one global
 //!   work-stealing pool, with bit-identical serial/parallel statistics.
 //! * [`sweep`] — design-space sweeps: cartesian parameter grids
-//!   ([`DesignSpace`]) and the function [`sweep::evaluate`], which a
+//!   ([`sweep::DesignSpace`]) and the function [`sweep::evaluate`], which a
 //!   sweep workload's `evaluate` calls to run every point with per-point
 //!   adaptive stopping and select the winner.
 //! * [`workloads`] — non-paper workload families built on that function:
@@ -91,21 +91,16 @@ pub mod study;
 pub mod sweep;
 pub mod workloads;
 
-pub use analysis::ClusterDependability;
 pub use config::ClusterConfig;
 pub use error::CfsError;
-pub use lint::{build_built_in, lint_all, lint_built_in, BuiltIn, LintSummary, BUILT_IN_MODELS};
+pub use lint::{build_built_in, lint_all, BUILT_IN_MODELS};
 pub use params::ModelParameters;
 pub use probdist::telemetry::{TelemetryConfig, TelemetrySnapshot};
-pub use reach::{analyze_all, analyze_built_in, ReachSummary};
-pub use report::{Report, ReportFormat, ScenarioFailure, TextTable};
+pub use report::{Report, ReportFormat, ScenarioFailure};
 pub use run::{CheckpointPolicy, FailurePolicy, PrecisionTarget, RareEventPolicy, RunSpec};
 pub use scenario::{Metric, Scenario, ScenarioOutput};
 pub use study::Study;
-pub use sweep::{DesignPoint, DesignSpace, Objective, PointOutcome};
-pub use workloads::{
-    BeowulfPerformabilitySweep, RedundancyScheme, ReplicationVsRaid, UltraReliableSweep,
-};
+pub use workloads::{BeowulfPerformabilitySweep, ReplicationVsRaid, UltraReliableSweep};
 
 #[cfg(test)]
 mod crate_tests {
@@ -117,6 +112,6 @@ mod crate_tests {
         assert_send_sync::<ClusterConfig>();
         assert_send_sync::<ModelParameters>();
         assert_send_sync::<CfsError>();
-        assert_send_sync::<ClusterDependability>();
+        assert_send_sync::<analysis::ClusterDependability>();
     }
 }

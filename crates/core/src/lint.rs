@@ -137,7 +137,7 @@ pub fn build_built_in(name: &str) -> Result<BuiltIn, CfsError> {
 /// known ones) and propagates model-construction errors. Lint findings are
 /// *not* errors — they are diagnostics inside the returned report; apply
 /// [`LintReport::deny`] to turn them into one.
-pub fn lint_built_in(name: &str, config: &LintConfig) -> Result<LintReport, CfsError> {
+pub(crate) fn lint_built_in(name: &str, config: &LintConfig) -> Result<LintReport, CfsError> {
     let built = build_built_in(name)?;
     Ok(built.model.lint_with(config, &built.rewards))
 }
@@ -208,7 +208,7 @@ impl LintSummary {
     /// One table row per diagnostic (`model | code | severity | element |
     /// message`); clean models contribute a single `clean` row so every
     /// linted model is visible in the output.
-    pub fn to_table(&self) -> TextTable {
+    pub(crate) fn to_table(&self) -> TextTable {
         let mut table = TextTable::new(
             format!("sanlint: {} model(s), deny level {}", self.reports.len(), self.deny.name()),
             &["model", "code", "severity", "element", "message"],

@@ -4,7 +4,7 @@
 //! model, along with where it came from (log-file analysis, hardware
 //! specifications, or discussions with the NCSA administrators).
 //! [`ModelParameters`] carries the per-experiment values;
-//! [`ParameterTable`] reproduces the table itself, including the ranges
+//! `ParameterTable` reproduces the table itself, including the ranges
 //! swept across experiments.
 
 use serde::{Deserialize, Serialize};
@@ -15,7 +15,7 @@ use crate::CfsError;
 
 /// Where a parameter value came from (the superscripts of Table 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ParameterSource {
+pub(crate) enum ParameterSource {
     /// Estimated from the failure-log analysis.
     LogAnalysis,
     /// Taken from hardware data sheets / literature.
@@ -26,7 +26,7 @@ pub enum ParameterSource {
 
 impl ParameterSource {
     /// Short label matching the table footnote.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             ParameterSource::LogAnalysis => "log file analysis",
             ParameterSource::Specification => "data specification / literature",
@@ -37,7 +37,7 @@ impl ParameterSource {
 
 /// One row of the Table 5 parameter table.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ParameterRow {
+pub(crate) struct ParameterRow {
     /// Parameter name as printed in the paper.
     pub name: &'static str,
     /// The range swept across experiments, as printed in the paper.
@@ -127,7 +127,7 @@ impl ModelParameters {
     }
 
     /// The disk AFR implied by the MTBF.
-    pub fn disk_afr(&self) -> Afr {
+    pub(crate) fn disk_afr(&self) -> Afr {
         Mtbf::new(self.disk_mtbf_hours).expect("positive mtbf").to_afr()
     }
 
@@ -181,13 +181,13 @@ impl ModelParameters {
 
 /// The rendered Table 5 parameter table.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ParameterTable {
+pub(crate) struct ParameterTable {
     rows: Vec<ParameterRow>,
 }
 
 impl ParameterTable {
     /// Builds the table for a given parameter set.
-    pub fn new(params: &ModelParameters) -> Self {
+    pub(crate) fn new(params: &ModelParameters) -> Self {
         use ParameterSource::*;
         let rows = vec![
             ParameterRow {
@@ -282,7 +282,7 @@ impl ParameterTable {
     }
 
     /// The table rows.
-    pub fn rows(&self) -> &[ParameterRow] {
+    pub(crate) fn rows(&self) -> &[ParameterRow] {
         &self.rows
     }
 }

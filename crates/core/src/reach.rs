@@ -2,7 +2,7 @@
 //! behind `sanlint --reach` and the CI state-space gate.
 //!
 //! [`sanet::reach`] explores *one* compiled model; this module runs the
-//! exploration over the [`BUILT_IN_MODELS`]
+//! exploration over the [`BUILT_IN_MODELS`](crate::BUILT_IN_MODELS)
 //! registry, aggregates the per-model [`ReachReport`]s into a
 //! [`ReachSummary`], and renders them two ways in one output: a state-space
 //! table (states, tangible/vanishing split, transitions, completeness,
@@ -20,7 +20,7 @@ use sanet::lint::Severity;
 use sanet::{ReachConfig, ReachReport};
 use serde::{Serialize, Value};
 
-use crate::lint::{build_built_in, LintSummary, BUILT_IN_MODELS};
+use crate::lint::{build_built_in, LintSummary};
 use crate::report::TextTable;
 use crate::CfsError;
 
@@ -33,19 +33,9 @@ use crate::CfsError;
 /// registry and suggesting the closest entry for plausible typos) and
 /// propagates model-construction errors. Analysis findings are *not*
 /// errors — they are diagnostics inside the returned report.
-pub fn analyze_built_in(name: &str, config: &ReachConfig) -> Result<ReachReport, CfsError> {
+pub(crate) fn analyze_built_in(name: &str, config: &ReachConfig) -> Result<ReachReport, CfsError> {
     let built = build_built_in(name)?;
     Ok(built.model.analyze_with(config))
-}
-
-/// Analyzes every model in [`BUILT_IN_MODELS`] under one budget and deny
-/// policy.
-///
-/// # Errors
-///
-/// Propagates model-construction errors; findings land in the summary.
-pub fn analyze_all(config: &ReachConfig, deny: Severity) -> Result<ReachSummary, CfsError> {
-    analyze_models(BUILT_IN_MODELS, config, deny)
 }
 
 /// Analyzes a chosen subset of the built-in models under one budget and
@@ -94,11 +84,6 @@ impl ReachSummary {
         &self.reports
     }
 
-    /// The `SAN04x` diagnostics as a standard lint summary.
-    pub fn lint_summary(&self) -> &LintSummary {
-        &self.lint
-    }
-
     /// Whether every model is free of diagnostics at or above the deny
     /// level.
     pub fn is_clean(&self) -> bool {
@@ -113,7 +98,7 @@ impl ReachSummary {
     /// One row per model: state-space size (tangible + vanishing split),
     /// transition count, completeness under the budget, terminal-class
     /// count, and the solver-admissibility verdict.
-    pub fn to_table(&self) -> TextTable {
+    pub(crate) fn to_table(&self) -> TextTable {
         let mut table = TextTable::new(
             format!("sanlint --reach: {} model(s)", self.reports.len()),
             &["model", "states", "tangible", "transitions", "complete", "classes", "solver"],
@@ -220,6 +205,7 @@ impl Serialize for ReachSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lint::BUILT_IN_MODELS;
 
     /// A budget big enough for the bounded built-ins yet quick for the
     /// unbounded ones.
@@ -252,13 +238,13 @@ mod tests {
 
     #[test]
     fn every_built_in_is_clean_at_deny_warning() {
-        let summary = analyze_all(&quick(), Severity::Warning).unwrap();
+        let summary = analyze_models(BUILT_IN_MODELS, &quick(), Severity::Warning).unwrap();
         assert_eq!(summary.reports().len(), BUILT_IN_MODELS.len());
         assert!(summary.is_clean(), "{}", summary.to_text());
         summary.deny().unwrap();
         // SAN044 (state-space size) is always reported at Info, so deny
         // level Info is guaranteed to reject — the CLI test relies on it.
-        let strict = analyze_all(&quick(), Severity::Info).unwrap();
+        let strict = analyze_models(BUILT_IN_MODELS, &quick(), Severity::Info).unwrap();
         assert!(!strict.is_clean());
         assert!(strict.deny().is_err());
     }

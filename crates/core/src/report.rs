@@ -35,18 +35,12 @@ impl TextTable {
 
     /// Appends a row. Rows shorter than the header are padded with empty
     /// cells; longer rows are truncated.
-    pub fn add_row(&mut self, cells: &[String]) {
+    pub(crate) fn add_row(&mut self, cells: &[String]) {
         let mut row: Vec<String> = cells.iter().take(self.headers.len()).cloned().collect();
         while row.len() < self.headers.len() {
             row.push(String::new());
         }
         self.rows.push(row);
-    }
-
-    /// Appends a row of displayable values.
-    pub fn add_display_row<T: std::fmt::Display>(&mut self, cells: &[T]) {
-        let cells: Vec<String> = cells.iter().map(std::string::ToString::to_string).collect();
-        self.add_row(&cells);
     }
 
     /// Number of data rows.
@@ -57,11 +51,6 @@ impl TextTable {
     /// Whether the table has no data rows.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
     }
 
     /// The column headers.
@@ -126,7 +115,7 @@ impl TextTable {
 
 /// Formats a point estimate with its confidence half-width, e.g.
 /// `0.9721 ±0.0012`.
-pub fn fmt_ci(interval: &probdist::stats::ConfidenceInterval, decimals: usize) -> String {
+pub(crate) fn fmt_ci(interval: &probdist::stats::ConfidenceInterval, decimals: usize) -> String {
     format!("{:.prec$} ±{:.prec$}", interval.point, interval.half_width, prec = decimals)
 }
 
@@ -419,7 +408,6 @@ mod tests {
         assert!(text.contains("Cause"));
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
-        assert_eq!(t.title(), "Table X. Example");
         // Every data line has the same width.
         let lines: Vec<&str> = text.lines().filter(|l| l.contains('|')).collect();
         assert!(lines.windows(2).all(|w| w[0].len() == w[1].len()));
@@ -468,10 +456,6 @@ mod tests {
 
     #[test]
     fn display_rows_and_ci_formatting() {
-        let mut t = TextTable::new("t", &["x", "y"]);
-        t.add_display_row(&[1.5, 2.25]);
-        assert!(t.render().contains("2.25"));
-
         let ci =
             ConfidenceInterval { point: 0.97218, half_width: 0.00123, level: 0.95, samples: 32 };
         assert_eq!(fmt_ci(&ci, 4), "0.9722 ±0.0012");

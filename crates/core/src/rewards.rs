@@ -19,15 +19,15 @@ use sanet::reward::RewardSpec;
 use crate::model::ClusterModel;
 
 /// Reward name: CFS availability.
-pub const CFS_AVAILABILITY: &str = "cfs_availability";
+pub(crate) const CFS_AVAILABILITY: &str = "cfs_availability";
 /// Reward name: storage (RAID subsystem) availability.
-pub const STORAGE_AVAILABILITY: &str = "storage_availability";
+pub(crate) const STORAGE_AVAILABILITY: &str = "storage_availability";
 /// Reward name: accumulated lost compute node-hours from transient errors.
-pub const LOST_NODE_HOURS: &str = "lost_node_hours";
+pub(crate) const LOST_NODE_HOURS: &str = "lost_node_hours";
 /// Reward name: total disk replacements over the observation window.
-pub const DISK_REPLACEMENTS: &str = "disk_replacements";
+pub(crate) const DISK_REPLACEMENTS: &str = "disk_replacements";
 /// Reward name: number of OSS pairs simultaneously down, time-averaged.
-pub const MEAN_OSS_PAIRS_DOWN: &str = "mean_oss_pairs_down";
+pub(crate) const MEAN_OSS_PAIRS_DOWN: &str = "mean_oss_pairs_down";
 
 /// Builds the standard reward set for a cluster model.
 pub fn standard_rewards(model: &ClusterModel) -> Vec<RewardSpec> {

@@ -21,7 +21,14 @@ use crate::CfsError;
 /// `CFS_BENCH_REPLICATIONS` still makes easy). Precision targets and
 /// splitting efforts are not capped, so an adaptive study can spend as
 /// many replications as its target needs.
-pub const MAX_REPLICATIONS: usize = 100_000;
+pub(crate) const MAX_REPLICATIONS: usize = 100_000;
+
+/// Hard cap on the worker count ([`RunSpec::with_workers`]): the study's
+/// pool spawns one OS thread per worker beyond the first and cannot run
+/// on when a spawn fails, so a count beyond this is almost certainly a
+/// mis-typed argument (a swapped worker count and seed, which a numeric
+/// environment knob such as `CFS_BENCH_WORKERS` still makes easy).
+pub(crate) const MAX_WORKERS: usize = 1024;
 
 /// Execution parameters shared by every scenario of a study.
 ///
@@ -119,8 +126,8 @@ pub enum RareEventPolicy {
 /// bounded by `[min_replications, max_replications]`.
 ///
 /// Built by [`RunSpec::with_precision_target`]; converted to a validated
-/// [`probdist::stats::StoppingRule`] by [`RunSpec::stopping_rule`]. The cap
-/// is not bounded by [`MAX_REPLICATIONS`].
+/// [`probdist::stats::StoppingRule`] when a scenario runs. The cap is not
+/// bounded by the fixed-count cap of 100 000 replications.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PrecisionTarget {
     /// Target relative CI half-width (e.g. `0.01` for ±1 %).
@@ -187,6 +194,7 @@ impl RunSpec {
     /// pool schedules scenario×replication work units across. `0` (the
     /// default) uses the machine's available parallelism; `1` forces
     /// serial execution. Any value yields bit-identical statistics.
+    /// [`RunSpec::validate`] rejects more than `MAX_WORKERS` (1024).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -214,13 +222,6 @@ impl RunSpec {
         self
     }
 
-    /// Clears the precision target, returning to the fixed replication
-    /// count.
-    pub fn with_fixed_replications(mut self) -> Self {
-        self.precision = None;
-        self
-    }
-
     /// Sets the rare-event estimation policy rare-event-aware scenarios
     /// honour (multilevel splitting). Composes with
     /// [`RunSpec::with_precision_target`]: an adaptive spec drives the
@@ -229,12 +230,6 @@ impl RunSpec {
     /// rule demands).
     pub fn with_rare_event(mut self, policy: RareEventPolicy) -> Self {
         self.rare_event = Some(policy);
-        self
-    }
-
-    /// Clears the rare-event policy.
-    pub fn without_rare_event(mut self) -> Self {
-        self.rare_event = None;
         self
     }
 
@@ -275,12 +270,6 @@ impl RunSpec {
     /// completion.
     pub fn with_deadline(mut self, deadline: std::time::Duration) -> Self {
         self.deadline_seconds = Some(deadline.as_secs_f64());
-        self
-    }
-
-    /// Clears the deadline.
-    pub fn without_deadline(mut self) -> Self {
-        self.deadline_seconds = None;
         self
     }
 
@@ -329,17 +318,17 @@ impl RunSpec {
     }
 
     /// The adaptive precision target, if one is set.
-    pub fn precision_target(&self) -> Option<&PrecisionTarget> {
+    pub(crate) fn precision_target(&self) -> Option<&PrecisionTarget> {
         self.precision.as_ref()
     }
 
     /// The rare-event estimation policy, if one is set.
-    pub fn rare_event(&self) -> Option<&RareEventPolicy> {
+    pub(crate) fn rare_event(&self) -> Option<&RareEventPolicy> {
         self.rare_event.as_ref()
     }
 
     /// The failure policy ([`FailurePolicy::Abort`] by default).
-    pub fn failure_policy(&self) -> FailurePolicy {
+    pub(crate) fn failure_policy(&self) -> FailurePolicy {
         self.failure_policy
     }
 
@@ -373,7 +362,7 @@ impl RunSpec {
     /// when the precision target is malformed (non-positive or non-finite
     /// half-width, `min < 2`, `min > max`), and
     /// [`CfsError::Distribution`] for a fixed count below two.
-    pub fn stopping_rule(&self) -> Result<StoppingRule, CfsError> {
+    pub(crate) fn stopping_rule(&self) -> Result<StoppingRule, CfsError> {
         match self.precision {
             Some(p) => {
                 StoppingRule::new(p.relative_half_width, p.min_replications, p.max_replications)
@@ -388,7 +377,7 @@ impl RunSpec {
     /// A copy of this spec with the base seed offset by `offset` — used by
     /// sweep scenarios so every sweep point gets a well-separated seed while
     /// remaining a pure function of the study's base seed.
-    pub fn offset_seed(&self, offset: u64) -> Self {
+    pub(crate) fn offset_seed(&self, offset: u64) -> Self {
         let mut spec = self.clone();
         spec.base_seed = self.base_seed.wrapping_add(offset);
         spec
@@ -400,9 +389,9 @@ impl RunSpec {
     /// # Errors
     ///
     /// Rejects a non-finite or non-positive horizon, a fixed count of fewer
-    /// than 2 or more than [`MAX_REPLICATIONS`] replications, a malformed
-    /// precision target, and a confidence level outside the open interval
-    /// (0, 1).
+    /// than 2 or more than `MAX_REPLICATIONS` (100 000) replications, more
+    /// than `MAX_WORKERS` (1024) workers, a malformed precision target, and
+    /// a confidence level outside the open interval (0, 1).
     pub fn validate(&self) -> Result<(), CfsError> {
         if !(self.horizon_hours.is_finite() && self.horizon_hours > 0.0) {
             return Err(CfsError::InvalidConfig {
@@ -426,6 +415,15 @@ impl RunSpec {
                     "run spec: {} replications exceeds the {} cap — this is usually a swapped \
                      replications/seed argument",
                     self.replications, MAX_REPLICATIONS
+                ),
+            });
+        }
+        if self.workers > MAX_WORKERS {
+            return Err(CfsError::InvalidConfig {
+                reason: format!(
+                    "run spec: {} workers exceeds the {} cap — this is usually a swapped \
+                     workers/seed argument",
+                    self.workers, MAX_WORKERS
                 ),
             });
         }
@@ -527,6 +525,19 @@ mod tests {
         assert!(err.to_string().contains("swapped"), "{err}");
     }
 
+    /// The cap is checked before any pool exists: these specs are only
+    /// validated, never run.
+    #[test]
+    fn worker_cap_names_the_field_and_the_footgun() {
+        assert!(RunSpec::new().with_workers(MAX_WORKERS).validate().is_ok());
+        for workers in [MAX_WORKERS + 1, 20_080_625] {
+            let err = RunSpec::new().with_workers(workers).validate().unwrap_err();
+            assert!(matches!(err, CfsError::InvalidConfig { .. }), "{err}");
+            let text = err.to_string();
+            assert!(text.contains("workers") && text.contains("swapped"), "{text}");
+        }
+    }
+
     #[test]
     fn precision_target_round_trips_and_validates() {
         let spec = RunSpec::new().with_precision_target(0.02, 8, 128);
@@ -543,8 +554,6 @@ mod tests {
         let fixed = RunSpec::new().with_replications(24).stopping_rule().unwrap();
         assert_eq!((fixed.min_replications(), fixed.max_replications()), (24, 24));
         assert!(RunSpec::new().precision_target().is_none());
-        let cleared = spec.with_fixed_replications();
-        assert!(cleared.precision_target().is_none());
     }
 
     #[test]
@@ -572,7 +581,6 @@ mod tests {
             splitting.rare_event(),
             Some(&RareEventPolicy::MultilevelSplitting { trials_per_level: 256 })
         );
-        assert!(splitting.clone().without_rare_event().rare_event().is_none());
         assert!(RunSpec::new().rare_event().is_none());
 
         // Invalid policies are named in the error.
@@ -618,7 +626,6 @@ mod tests {
         let spec = RunSpec::new().with_deadline(Duration::from_millis(1500));
         assert_eq!(spec.deadline(), Some(Duration::from_millis(1500)));
         assert!(spec.validate().is_ok());
-        assert!(spec.clone().without_deadline().deadline().is_none());
 
         let err = RunSpec::new().with_deadline(Duration::from_secs(0)).validate().unwrap_err();
         assert!(err.to_string().contains("deadline"), "{err}");

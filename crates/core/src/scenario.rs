@@ -107,20 +107,20 @@ impl ScenarioOutput {
     }
 
     /// Records the number of replications actually executed.
-    pub fn with_replications_used(mut self, replications: usize) -> Self {
+    pub(crate) fn with_replications_used(mut self, replications: usize) -> Self {
         self.replications_used = Some(replications as u64);
         self
     }
 
     /// Marks whether a deadline truncated the scenario's replication
     /// budget.
-    pub fn with_truncated(mut self, truncated: bool) -> Self {
+    pub(crate) fn with_truncated(mut self, truncated: bool) -> Self {
         self.truncated = truncated;
         self
     }
 
     /// Records the wall-clock seconds the evaluation took.
-    pub fn with_elapsed_seconds(mut self, seconds: f64) -> Self {
+    pub(crate) fn with_elapsed_seconds(mut self, seconds: f64) -> Self {
         self.elapsed_seconds = Some(seconds);
         self
     }
@@ -134,19 +134,19 @@ impl ScenarioOutput {
     }
 
     /// Appends a presentation table.
-    pub fn with_table(mut self, table: TextTable) -> Self {
+    pub(crate) fn with_table(mut self, table: TextTable) -> Self {
         self.tables.push(table);
         self
     }
 
     /// Appends a point metric.
-    pub fn with_metric(mut self, name: impl Into<String>, value: f64) -> Self {
+    pub(crate) fn with_metric(mut self, name: impl Into<String>, value: f64) -> Self {
         self.metrics.push(Metric { name: name.into(), value, half_width: None });
         self
     }
 
     /// Appends a metric carrying a confidence interval.
-    pub fn with_metric_ci(
+    pub(crate) fn with_metric_ci(
         mut self,
         name: impl Into<String>,
         interval: &ConfidenceInterval,

@@ -15,7 +15,8 @@
 //! * [`evaluate`] — the function a sweep workload's
 //!   [`Scenario::evaluate`](crate::scenario::Scenario::evaluate) calls: it
 //!   evaluates every point under the study's [`RunSpec`] with a
-//!   well-separated per-point seed ([`RunSpec::offset_seed`]), so the whole
+//!   well-separated per-point seed (the base seed plus a per-point
+//!   offset), so the whole
 //!   sweep is a pure function of `(space, spec)` and inherits the engine's
 //!   worker-count-invariant determinism. When the spec carries a precision
 //!   target, each point runs its own adaptive stopping loop.
@@ -185,7 +186,7 @@ impl DesignPoint {
     }
 
     /// The `(axis, value)` coordinates, in axis declaration order.
-    pub fn coords(&self) -> &[(String, f64)] {
+    pub(crate) fn coords(&self) -> &[(String, f64)] {
         &self.coords
     }
 
@@ -236,19 +237,19 @@ impl PointOutcome {
     }
 
     /// Attaches a human-readable design label.
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
+    pub(crate) fn with_label(mut self, label: impl Into<String>) -> Self {
         self.label = Some(label.into());
         self
     }
 
     /// Appends a point metric.
-    pub fn with_metric(mut self, name: impl Into<String>, value: f64) -> Self {
+    pub(crate) fn with_metric(mut self, name: impl Into<String>, value: f64) -> Self {
         self.metrics.push(Metric { name: name.into(), value, half_width: None });
         self
     }
 
     /// Appends a metric carrying a confidence half-width.
-    pub fn with_metric_ci(
+    pub(crate) fn with_metric_ci(
         mut self,
         name: impl Into<String>,
         interval: &probdist::stats::ConfidenceInterval,
@@ -262,7 +263,7 @@ impl PointOutcome {
     }
 
     /// Records the replications spent on the point.
-    pub fn with_replications_used(mut self, replications: usize) -> Self {
+    pub(crate) fn with_replications_used(mut self, replications: usize) -> Self {
         self.replications_used = Some(replications);
         self
     }

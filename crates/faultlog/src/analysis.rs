@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 
 use probdist::fitting::{fit_weibull, Lifetime, WeibullFit};
 
-use crate::event::{FailureLog, JobOutcome, OutageCause, OutageRecord};
+use crate::event::{FailureLog, JobOutcome, OutageRecord};
 use crate::filter::{coalesce_mount_failures, coalesce_outages, is_cfs_outage, MountStorm};
 use crate::{LogError, SimDate};
 
@@ -60,7 +60,7 @@ impl OutageAnalysis {
     }
 
     /// Total downtime over the observation window, hours.
-    pub fn total_downtime_hours(&self) -> f64 {
+    pub(crate) fn total_downtime_hours(&self) -> f64 {
         self.outages.iter().map(super::event::OutageRecord::duration).sum()
     }
 
@@ -81,23 +81,6 @@ impl OutageAnalysis {
             .map(super::event::OutageRecord::duration)
             .sum();
         (1.0 - downtime / self.window_hours).clamp(0.0, 1.0)
-    }
-
-    /// Downtime hours attributed to each cause.
-    pub fn downtime_by_cause(&self) -> Vec<(OutageCause, f64)> {
-        OutageCause::all()
-            .iter()
-            .map(|&c| {
-                (
-                    c,
-                    self.outages
-                        .iter()
-                        .filter(|o| o.cause == c)
-                        .map(super::event::OutageRecord::duration)
-                        .sum(),
-                )
-            })
-            .collect()
     }
 
     /// Renders the outages as Table-1 style rows with calendar timestamps.
@@ -181,11 +164,6 @@ impl MountFailureAnalysis {
         &self.storms
     }
 
-    /// Total number of raw mount-failure report lines.
-    pub fn total_reports(&self) -> usize {
-        self.total_reports
-    }
-
     /// The largest single-day node count (591 in the paper's Table 2).
     pub fn peak_day_nodes(&self) -> usize {
         self.days.iter().map(|d| d.nodes).max().unwrap_or(0)
@@ -244,11 +222,6 @@ impl JobAnalysis {
         } else {
             self.transient_failures as f64 / self.other_failures as f64
         }
-    }
-
-    /// Probability that an individual job fails for any reason.
-    pub fn job_failure_probability(&self) -> f64 {
-        (self.transient_failures + self.other_failures) as f64 / self.total_jobs as f64
     }
 
     /// Average job submissions per hour (the "Job request per hour" row of
@@ -322,7 +295,7 @@ impl DiskReplacementAnalysis {
     /// replacement is an observed failure at its slot's age, and every slot
     /// contributes a final censored observation for the disk still running
     /// at the end of the window.
-    pub fn to_lifetimes(&self, log: &FailureLog) -> Vec<Lifetime> {
+    pub(crate) fn to_lifetimes(&self, log: &FailureLog) -> Vec<Lifetime> {
         let mut last_replacement = vec![0.0_f64; self.disks as usize];
         let mut lifetimes = Vec::new();
         for r in log.disk_replacements() {
@@ -356,7 +329,9 @@ impl DiskReplacementAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{DiskReplacement, EventKind, LogEvent, MountFailure, OutageRecord};
+    use crate::event::{
+        DiskReplacement, EventKind, LogEvent, MountFailure, OutageCause, OutageRecord,
+    };
     use crate::generator::{LogGenConfig, LogGenerator};
 
     fn abe_log(seed: u64) -> FailureLog {
@@ -385,8 +360,6 @@ mod tests {
         assert_eq!(rows.len(), a.outages().len());
         let total_from_rows: f64 = rows.iter().map(|r| r.hours).sum();
         assert!((total_from_rows - a.total_downtime_hours()).abs() < 1e-9);
-        let total_by_cause: f64 = a.downtime_by_cause().iter().map(|(_, h)| h).sum();
-        assert!((total_by_cause - a.total_downtime_hours()).abs() < 1e-9);
         assert!(a.cfs_availability() >= a.availability());
     }
 
@@ -433,7 +406,6 @@ mod tests {
         assert_eq!(a.days().len(), 2);
         assert_eq!(a.days()[0].nodes, 2);
         assert_eq!(a.days()[1].nodes, 1);
-        assert_eq!(a.total_reports(), 4);
         assert_eq!(a.peak_day_nodes(), 2);
         assert!(!a.storms().is_empty());
     }
@@ -455,7 +427,6 @@ mod tests {
         let ratio = a.transient_to_other_ratio();
         assert!(ratio > 3.0 && ratio < 12.0, "ratio {ratio}");
         assert!(a.jobs_per_hour() > 11.0 && a.jobs_per_hour() < 16.0);
-        assert!(a.job_failure_probability() < 0.1);
     }
 
     #[test]

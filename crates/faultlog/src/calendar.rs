@@ -61,7 +61,7 @@ impl SimDate {
     }
 
     /// The minute (0–59).
-    pub fn minute(&self) -> u8 {
+    pub(crate) fn minute(&self) -> u8 {
         self.minute
     }
 
@@ -94,14 +94,8 @@ impl SimDate {
     }
 
     /// Hours since the civil epoch, at minute precision.
-    pub fn as_hours_since_epoch(&self) -> f64 {
+    pub(crate) fn as_hours_since_epoch(&self) -> f64 {
         self.days_from_civil() as f64 * 24.0 + self.hour as f64 + self.minute as f64 / 60.0
-    }
-
-    /// Hours elapsed from `origin` to `self` (negative if `self` is before
-    /// `origin`).
-    pub fn hours_since(&self, origin: SimDate) -> f64 {
-        self.as_hours_since_epoch() - origin.as_hours_since_epoch()
     }
 
     /// The date `hours` hours after `self` (rounded down to the minute).
@@ -115,7 +109,7 @@ impl SimDate {
 
     /// Day index (0-based) of `self` relative to `origin`, i.e. which
     /// calendar day of the observation window the timestamp falls in.
-    pub fn day_index_since(&self, origin: SimDate) -> i64 {
+    pub(crate) fn day_index_since(&self, origin: SimDate) -> i64 {
         self.days_from_civil() - origin.days_from_civil()
     }
 }
@@ -168,7 +162,8 @@ mod tests {
         let origin = SimDate::new(2007, 5, 3, 0, 0);
         for h in [0.0, 1.5, 26.75, 1000.25, 3672.0] {
             let d = origin.plus_hours(h);
-            assert!((d.hours_since(origin) - h).abs() < 1.0 / 60.0 + 1e-9, "h = {h}");
+            let since = d.as_hours_since_epoch() - origin.as_hours_since_epoch();
+            assert!((since - h).abs() < 1.0 / 60.0 + 1e-9, "h = {h}");
         }
     }
 

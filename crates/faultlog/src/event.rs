@@ -193,14 +193,15 @@ impl FailureLog {
         self.window_hours
     }
 
-    /// Appends an event (events may be pushed out of order; call
-    /// [`FailureLog::sort`] or rely on the generator which sorts on output).
+    /// Appends an event. Push events in time order: the parser and the
+    /// generator sort the logs they return, and a caller building a log by
+    /// hand keeps that order itself.
     pub fn push(&mut self, event: LogEvent) {
         self.events.push(event);
     }
 
     /// Sorts events by time.
-    pub fn sort(&mut self) {
+    pub(crate) fn sort(&mut self) {
         self.events.sort_by(|a, b| {
             a.time_hours.partial_cmp(&b.time_hours).expect("event times are finite")
         });
@@ -233,7 +234,7 @@ impl FailureLog {
     }
 
     /// All mount-failure events, in time order.
-    pub fn mount_failures(&self) -> Vec<MountFailure> {
+    pub(crate) fn mount_failures(&self) -> Vec<MountFailure> {
         self.events
             .iter()
             .filter_map(|e| match e.kind {
@@ -263,11 +264,6 @@ impl FailureLog {
                 _ => None,
             })
             .collect()
-    }
-
-    /// Converts a relative event time to a calendar date for display.
-    pub fn date_of(&self, time_hours: f64) -> SimDate {
-        self.origin.plus_hours(time_hours)
     }
 }
 
@@ -357,7 +353,7 @@ mod tests {
     #[test]
     fn date_of_uses_origin() {
         let log = sample_log();
-        let d = log.date_of(24.0);
+        let d = log.origin().plus_hours(24.0);
         assert_eq!((d.month(), d.day()), (7, 2));
         assert_eq!(log.origin(), SimDate::new(2007, 7, 1, 0, 0));
         assert_eq!(log.window_hours(), 2000.0);

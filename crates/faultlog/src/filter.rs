@@ -31,7 +31,7 @@ pub struct MountStorm {
 ///
 /// Overlapping outages of different causes are left untouched — they are
 /// causally distinct incidents even if simultaneous.
-pub fn coalesce_outages(outages: &[OutageRecord], gap_hours: f64) -> Vec<OutageRecord> {
+pub(crate) fn coalesce_outages(outages: &[OutageRecord], gap_hours: f64) -> Vec<OutageRecord> {
     let mut result: Vec<OutageRecord> = Vec::new();
     for cause in crate::event::OutageCause::all() {
         let mut of_cause: Vec<OutageRecord> =
@@ -54,7 +54,10 @@ pub fn coalesce_outages(outages: &[OutageRecord], gap_hours: f64) -> Vec<OutageR
 
 /// Groups per-node mount failures into storms: reports separated by at most
 /// `gap_hours` belong to the same storm.
-pub fn coalesce_mount_failures(failures: &[MountFailure], gap_hours: f64) -> Vec<MountStorm> {
+pub(crate) fn coalesce_mount_failures(
+    failures: &[MountFailure],
+    gap_hours: f64,
+) -> Vec<MountStorm> {
     if failures.is_empty() {
         return Vec::new();
     }
@@ -91,7 +94,7 @@ fn storm_from(reports: &[MountFailure]) -> MountStorm {
 /// Classifies an outage as *attributable to the CFS* (I/O hardware or
 /// file-system causes) versus outside it (batch system, network). Used by
 /// the analyses to separate CFS availability from cluster-level utility.
-pub fn is_cfs_outage(cause: OutageCause) -> bool {
+pub(crate) fn is_cfs_outage(cause: OutageCause) -> bool {
     matches!(cause, OutageCause::IoHardware | OutageCause::FileSystem)
 }
 

@@ -160,7 +160,7 @@ fn current() -> Option<ChaosConfig> {
 /// # Panics
 ///
 /// Panics deliberately when the plan says so — that is the injected fault.
-pub fn work_unit(index: u64) {
+pub(crate) fn work_unit(index: u64) {
     let Some(config) = current() else { return };
     let mut decisions = config.decisions(SITE_WORK_UNIT, index);
     if config.stall_probability > 0.0 && decisions.bernoulli(config.stall_probability) {

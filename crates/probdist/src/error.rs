@@ -113,7 +113,7 @@ impl DistError {
     ///
     /// Returns [`DistError::NonFiniteParameter`] or
     /// [`DistError::NonPositiveParameter`] when the check fails.
-    pub fn check_positive(name: &'static str, value: f64) -> Result<f64, DistError> {
+    pub(crate) fn check_positive(name: &'static str, value: f64) -> Result<f64, DistError> {
         if !value.is_finite() {
             return Err(DistError::NonFiniteParameter { name, value });
         }
@@ -130,7 +130,7 @@ impl DistError {
     ///
     /// Returns [`DistError::NonFiniteParameter`] or
     /// [`DistError::NonPositiveParameter`] when the check fails.
-    pub fn check_non_negative(name: &'static str, value: f64) -> Result<f64, DistError> {
+    pub(crate) fn check_non_negative(name: &'static str, value: f64) -> Result<f64, DistError> {
         if !value.is_finite() {
             return Err(DistError::NonFiniteParameter { name, value });
         }
@@ -146,7 +146,7 @@ impl DistError {
     ///
     /// Returns [`DistError::InvalidProbability`] when `p` is outside the
     /// unit interval or not finite.
-    pub fn check_probability(p: f64) -> Result<f64, DistError> {
+    pub(crate) fn check_probability(p: f64) -> Result<f64, DistError> {
         if !p.is_finite() || !(0.0..=1.0).contains(&p) {
             return Err(DistError::InvalidProbability { value: p });
         }

@@ -70,14 +70,10 @@ pub use distribution::{Dist, Distribution};
 pub use empirical::Empirical;
 pub use error::DistError;
 pub use exponential::Exponential;
-pub use rates::{Afr, Mtbf, HOURS_PER_YEAR};
+pub use rates::{Afr, Mtbf};
 pub use rng::SimRng;
 pub use uniform::Uniform;
 pub use weibull::{Weibull, WithinLimit};
-
-/// Numerical tolerance used throughout the crate for validating parameters
-/// and comparing floating point results in invariant checks.
-pub const EPSILON: f64 = 1e-12;
 
 #[cfg(test)]
 mod crate_tests {

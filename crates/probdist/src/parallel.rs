@@ -268,11 +268,6 @@ impl WorkUnitPanic {
     pub fn message(&self) -> String {
         panic_message(self.payload.as_ref())
     }
-
-    /// Unwraps back to the original panic payload.
-    pub fn into_payload(self) -> Box<dyn Any + Send> {
-        self.payload
-    }
 }
 
 /// Renders a panic payload as a message: sees through a [`WorkUnitPanic`]

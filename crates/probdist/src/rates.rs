@@ -14,7 +14,7 @@ use crate::DistError;
 /// Number of hours in one year, used for AFR ↔ MTBF conversions (365 days,
 /// the convention used by disk vendors and by the paper: an MTBF of
 /// 100 000 h is quoted as AFR 8.76 %, and 300 000 h as 2.92 %).
-pub const HOURS_PER_YEAR: f64 = 8760.0;
+pub(crate) const HOURS_PER_YEAR: f64 = 8760.0;
 
 /// Mean time between failures, in hours.
 ///

@@ -75,19 +75,6 @@ impl SimRng {
         result
     }
 
-    /// Returns the next 32 random bits (the high half of a 64-bit step).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Fills `dest` with random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
     /// Samples a uniform value in the half-open interval `[0, 1)`.
     pub fn uniform01(&mut self) -> f64 {
         // 53 random bits scaled by 2^-53: every double in [0, 1) with a
@@ -99,7 +86,7 @@ impl SimRng {
     ///
     /// Useful for inverse-CDF sampling of distributions whose quantile
     /// function is unbounded at 0 or 1 (e.g. the exponential at 1).
-    pub fn uniform_open01(&mut self) -> f64 {
+    pub(crate) fn uniform_open01(&mut self) -> f64 {
         loop {
             let u = self.uniform01();
             if u > 0.0 && u < 1.0 {
@@ -113,7 +100,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `lo > hi` or either bound is not finite.
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(lo.is_finite() && hi.is_finite() && lo <= hi, "invalid range [{lo}, {hi})");
         if lo == hi {
             return lo;
@@ -145,7 +132,8 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `p` is not in `[0, 1]`.
-    pub fn bernoulli(&mut self, p: f64) -> bool {
+    #[cfg(feature = "chaos")]
+    pub(crate) fn bernoulli(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p), "probability {p} out of range");
         if p <= 0.0 {
             false
@@ -153,18 +141,6 @@ impl SimRng {
             true
         } else {
             self.uniform01() < p
-        }
-    }
-
-    /// Samples a standard normal variate using the Marsaglia polar method.
-    pub fn standard_normal(&mut self) -> f64 {
-        loop {
-            let u = 2.0 * self.uniform01() - 1.0;
-            let v = 2.0 * self.uniform01() - 1.0;
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                return u * (-2.0 * s.ln() / s).sqrt();
-            }
         }
     }
 }
@@ -210,18 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_bytes_is_deterministic_and_covers_partial_chunks() {
-        let mut a = SimRng::seed_from_u64(42);
-        let mut b = SimRng::seed_from_u64(42);
-        let mut buf_a = [0u8; 13];
-        let mut buf_b = [0u8; 13];
-        a.fill_bytes(&mut buf_a);
-        b.fill_bytes(&mut buf_b);
-        assert_eq!(buf_a, buf_b);
-        assert!(buf_a.iter().any(|&x| x != 0));
-    }
-
-    #[test]
     #[cfg_attr(miri, ignore)] // heavy sampling loop
     fn uniform01_is_in_range() {
         let mut rng = SimRng::seed_from_u64(5);
@@ -241,6 +205,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(feature = "chaos")]
     fn bernoulli_extremes() {
         let mut rng = SimRng::seed_from_u64(5);
         assert!(!rng.bernoulli(0.0));
@@ -248,6 +213,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(feature = "chaos")]
     #[cfg_attr(miri, ignore)] // heavy sampling loop
     fn bernoulli_frequency_matches_p() {
         let mut rng = SimRng::seed_from_u64(8);
@@ -255,18 +221,6 @@ mod tests {
         let hits = (0..n).filter(|_| rng.bernoulli(0.3)).count();
         let freq = hits as f64 / n as f64;
         assert!((freq - 0.3).abs() < 0.02, "freq {freq}");
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore)] // heavy sampling loop
-    fn standard_normal_moments() {
-        let mut rng = SimRng::seed_from_u64(11);
-        let n = 100_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.standard_normal()).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64;
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.03, "var {var}");
     }
 
     #[test]

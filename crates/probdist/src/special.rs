@@ -8,7 +8,7 @@
 /// Natural logarithm of the gamma function, `ln Γ(x)`, for `x > 0`.
 ///
 /// Uses the Lanczos approximation (g = 7, n = 9 coefficients).
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     // Lanczos coefficients for g = 7.
     const COEFFS: [f64; 9] = [
         0.999_999_999_999_809_9,
@@ -38,14 +38,14 @@ pub fn ln_gamma(x: f64) -> f64 {
 }
 
 /// The gamma function `Γ(x)` for `x > 0`.
-pub fn gamma_fn(x: f64) -> f64 {
+pub(crate) fn gamma_fn(x: f64) -> f64 {
     ln_gamma(x).exp()
 }
 
 /// Error function `erf(x)`, accurate to about 1.2e-7 (Abramowitz & Stegun
 /// 7.1.26 rational approximation), sufficient for CDF evaluations in tests
 /// and reward summaries.
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     if x == 0.0 {
         return 0.0;
     }
@@ -61,7 +61,7 @@ pub fn erf(x: f64) -> f64 {
 }
 
 /// Standard normal cumulative distribution function `Φ(x)`.
-pub fn std_normal_cdf(x: f64) -> f64 {
+pub(crate) fn std_normal_cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
 }
 
@@ -74,7 +74,7 @@ pub fn std_normal_cdf(x: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `p` is not strictly inside `(0, 1)`.
-pub fn std_normal_quantile(p: f64) -> f64 {
+pub(crate) fn std_normal_quantile(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "probit requires p in (0,1), got {p}");
     // Coefficients for Acklam's approximation.
     const A: [f64; 6] = [

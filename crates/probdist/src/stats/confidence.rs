@@ -125,7 +125,7 @@ pub fn confidence_interval(
 /// # Panics
 ///
 /// Panics if `p` is not strictly inside `(0, 1)` or `dof == 0`.
-pub fn student_t_quantile(dof: u64, p: f64) -> f64 {
+pub(crate) fn student_t_quantile(dof: u64, p: f64) -> f64 {
     assert!(dof > 0, "degrees of freedom must be positive");
     assert!(p > 0.0 && p < 1.0, "p must be in (0,1), got {p}");
     match dof {

@@ -17,9 +17,9 @@ mod confidence;
 mod running;
 mod stopping;
 
-pub use confidence::{confidence_interval, student_t_quantile, ConfidenceInterval};
+pub use confidence::{confidence_interval, ConfidenceInterval};
 pub use running::RunningStats;
-pub use stopping::{run_to_precision, StoppingRule, MIN_NONZERO_OBSERVATIONS};
+pub use stopping::{run_to_precision, StoppingRule};
 
 /// Convenience function: sample mean of a slice.
 ///
@@ -42,11 +42,6 @@ pub fn variance(data: &[f64]) -> f64 {
     data.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (data.len() - 1) as f64
 }
 
-/// Convenience function: sample standard deviation of a slice.
-pub fn std_dev(data: &[f64]) -> f64 {
-    variance(data).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,6 +58,5 @@ mod tests {
         let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&data) - 5.0).abs() < 1e-12);
         assert!((variance(&data) - 32.0 / 7.0).abs() < 1e-12);
-        assert!((std_dev(&data) - (32.0_f64 / 7.0).sqrt()).abs() < 1e-12);
     }
 }

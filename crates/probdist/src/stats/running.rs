@@ -1,7 +1,5 @@
 use serde::{Deserialize, Serialize};
 
-use crate::DistError;
-
 /// Numerically stable streaming accumulator for count, mean, variance,
 /// minimum and maximum (Welford's algorithm).
 ///
@@ -13,12 +11,11 @@ use crate::DistError;
 /// A NaN or ±inf observation would silently corrupt every statistic the
 /// accumulator reports (one NaN makes the mean, variance, and any
 /// confidence interval NaN forever). The accumulator therefore **rejects**
-/// non-finite observations: [`RunningStats::try_push`] returns a typed
-/// [`DistError::NonFiniteObservation`]; the infallible
-/// [`RunningStats::push`] records the rejection in
-/// [`RunningStats::non_finite_count`] and leaves the moments untouched, and
+/// non-finite observations: [`RunningStats::push`] counts the rejection
+/// and leaves the moments untouched, and
 /// [`confidence_interval`](crate::stats::confidence_interval) refuses to
-/// produce an interval from a poisoned accumulator.
+/// produce an interval from a poisoned accumulator, returning a typed
+/// [`DistError::NonFiniteObservation`](crate::DistError::NonFiniteObservation).
 ///
 /// # Example
 ///
@@ -63,11 +60,8 @@ impl RunningStats {
     }
 
     /// Adds one observation. A non-finite observation is **not** folded
-    /// into the statistics; it is counted in
-    /// [`RunningStats::non_finite_count`] instead, which marks the
-    /// accumulator poisoned for confidence-interval purposes. Use
-    /// [`RunningStats::try_push`] to surface the rejection at the call
-    /// site.
+    /// into the statistics; it is counted instead, which marks the
+    /// accumulator poisoned for confidence-interval purposes.
     pub fn push(&mut self, x: f64) {
         if !x.is_finite() {
             self.non_finite += 1;
@@ -79,22 +73,6 @@ impl RunningStats {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Adds one observation, rejecting NaN and ±inf with a typed error
-    /// (the observation is also counted in
-    /// [`RunningStats::non_finite_count`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistError::NonFiniteObservation`] when `x` is not finite.
-    pub fn try_push(&mut self, x: f64) -> Result<(), DistError> {
-        self.push(x);
-        if x.is_finite() {
-            Ok(())
-        } else {
-            Err(DistError::NonFiniteObservation { count: self.non_finite })
-        }
     }
 
     /// Merges another accumulator into this one (parallel reduction of
@@ -129,9 +107,9 @@ impl RunningStats {
     /// Number of non-finite observations rejected so far. A non-zero count
     /// poisons the accumulator:
     /// [`confidence_interval`](crate::stats::confidence_interval) returns
-    /// [`DistError::NonFiniteObservation`] instead of an interval computed
-    /// from an incomplete sample.
-    pub fn non_finite_count(&self) -> u64 {
+    /// [`crate::DistError::NonFiniteObservation`] instead of an interval
+    /// computed from an incomplete sample.
+    pub(crate) fn non_finite_count(&self) -> u64 {
         self.non_finite
     }
 
@@ -155,12 +133,12 @@ impl RunningStats {
     }
 
     /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    pub(crate) fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
 
     /// Standard error of the mean (`s / sqrt(n)`).
-    pub fn std_error(&self) -> f64 {
+    pub(crate) fn std_error(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -253,21 +231,12 @@ mod tests {
         assert_eq!(acc.min(), 1.0);
         assert_eq!(acc.max(), 3.0);
         assert!(acc.variance().is_finite());
-        // ...and the rejections are visible.
+        // ...and the rejections are visible, as a typed error from the
+        // interval.
         assert_eq!(acc.non_finite_count(), 3);
-    }
-
-    #[test]
-    fn try_push_returns_a_typed_error() {
-        let mut acc = RunningStats::new();
-        assert_eq!(acc.try_push(1.0), Ok(()));
-        assert_eq!(acc.try_push(f64::NAN), Err(DistError::NonFiniteObservation { count: 1 }));
-        assert_eq!(acc.try_push(f64::INFINITY), Err(DistError::NonFiniteObservation { count: 2 }));
-        assert_eq!(acc.try_push(2.0), Ok(()));
-        assert_eq!(acc.count(), 2);
-        assert_eq!(acc.non_finite_count(), 2);
-        let message = DistError::NonFiniteObservation { count: 2 }.to_string();
-        assert!(message.contains("2 non-finite observations"), "{message}");
+        let err = crate::stats::confidence_interval(&acc, 0.95).unwrap_err();
+        assert_eq!(err, crate::DistError::NonFiniteObservation { count: 3 });
+        assert!(err.to_string().contains("3 non-finite observations"), "{err}");
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub struct StoppingRule {
 /// produce before [`StoppingRule::met_by_support`] can declare its
 /// relative target met: with fewer hits than this the relative half-width
 /// is an artefact of a handful of lucky draws, not an estimate.
-pub const MIN_NONZERO_OBSERVATIONS: u64 = 5;
+pub(crate) const MIN_NONZERO_OBSERVATIONS: u64 = 5;
 
 impl Default for StoppingRule {
     /// ±1 % relative half-width, between 20 and 1000 replications.
@@ -124,7 +124,7 @@ impl StoppingRule {
     /// The next batch size given `completed` replications so far: the
     /// minimum first, then doubling (batch = completed), always clipped to
     /// the cap. Returns `0` once the cap is reached.
-    pub fn next_batch(&self, completed: usize) -> usize {
+    pub(crate) fn next_batch(&self, completed: usize) -> usize {
         if completed >= self.max_replications {
             0
         } else if completed == 0 {
@@ -151,7 +151,7 @@ impl StoppingRule {
     }
 
     /// Like [`StoppingRule::met_by`], but additionally requires at least
-    /// [`MIN_NONZERO_OBSERVATIONS`] observations with a non-zero
+    /// `MIN_NONZERO_OBSERVATIONS` (5) observations with a non-zero
     /// contribution — the criterion rare-event estimators use, so a
     /// relative target cannot be declared met off a handful of hits.
     pub fn met_by_support(&self, interval: &ConfidenceInterval, nonzero_observations: u64) -> bool {

@@ -24,7 +24,7 @@
 //!   replications, replications/s, ETA, deadline warnings.
 //! * **Exposition**: [`TelemetrySnapshot`] renders as aligned text, CSV,
 //!   JSON (via `serde`), and a Prometheus-style text format
-//!   ([`TelemetrySnapshot::to_prometheus`]) suitable for file scraping.
+//!   ([`TelemetrySnapshot::write_prometheus`]) suitable for file scraping.
 //!
 //! # Determinism contract
 //!
@@ -50,10 +50,9 @@
 //!   and idle time. Never comparable across runs.
 //!
 //! The whole layer is **off by default**: every recording call starts
-//! with one relaxed load of the global enable flag, so a run without
-//! [`set_enabled`]`(true)` (or an [`enable_scoped`] guard) pays one
-//! predictable branch per flush point — unmeasurable against a
-//! microsecond-scale replication.
+//! with one relaxed load of the global enable flag, so a run without an
+//! [`enable_scoped`] guard pays one predictable branch per flush point —
+//! unmeasurable against a microsecond-scale replication.
 
 use std::io::IsTerminal;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -310,11 +309,6 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns recording on or off, process-wide.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
 /// Enables recording until the guard drops, then restores the previous
 /// state. The scoped form the study runner and tests use.
 #[must_use]
@@ -385,14 +379,6 @@ pub fn counter_value(id: MetricId) -> u64 {
 pub struct Span {
     id: MetricId,
     start: Option<Instant>,
-}
-
-impl Span {
-    /// Nanoseconds elapsed so far, `None` when telemetry was disabled at
-    /// construction.
-    pub fn elapsed_ns(&self) -> Option<u64> {
-        self.start.map(|s| u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX))
-    }
 }
 
 impl Drop for Span {
@@ -603,7 +589,7 @@ impl TelemetrySnapshot {
     /// scraper watches. Counters expose one line; histograms expose
     /// `_count` / `_sum` / `_min` / `_max` series. Every line
     /// carries a `determinism` label.
-    pub fn to_prometheus(&self) -> String {
+    pub(crate) fn to_prometheus(&self) -> String {
         use std::fmt::Write as _;
 
         let mut out = String::new();
@@ -657,7 +643,7 @@ impl TelemetrySnapshot {
         out
     }
 
-    /// Writes [`TelemetrySnapshot::to_prometheus`] to `path` atomically
+    /// Writes the Prometheus-style exposition to `path` atomically
     /// (write to `path.tmp`, then rename), so a scraper never reads a
     /// torn file.
     ///
@@ -892,14 +878,16 @@ mod tests {
     #[test]
     fn disabled_recording_is_a_no_op() {
         let _guard = locked();
-        set_enabled(false);
-        let before = counter_value(MetricId::SanEventsFired);
+        ENABLED.store(false, Ordering::Relaxed);
+        let baseline = snapshot();
         counter_add(MetricId::SanEventsFired, 1000);
         observe(MetricId::PoolBatchSize, 7);
-        assert_eq!(counter_value(MetricId::SanEventsFired), before);
-        let span = span(MetricId::SpanLint);
-        assert!(span.elapsed_ns().is_none(), "disabled spans never read the clock");
-        drop(span);
+        drop(span(MetricId::SpanLint));
+        let delta = snapshot().delta_since(&baseline);
+        assert_eq!(delta.get("san_events_fired_total").unwrap().value, 0.0);
+        assert_eq!(delta.get("pool_batch_size").unwrap().count, Some(0));
+        let lint = delta.get("span_lint_ns").unwrap();
+        assert_eq!(lint.count, Some(0), "a disabled span records no observation");
     }
 
     #[test]
@@ -944,10 +932,7 @@ mod tests {
         let _guard = locked();
         let _on = enable_scoped();
         let baseline = snapshot();
-        {
-            let s = span(MetricId::SpanLint);
-            assert!(s.elapsed_ns().is_some());
-        }
+        drop(span(MetricId::SpanLint));
         let delta = snapshot().delta_since(&baseline);
         let s = delta.get("span_lint_ns").unwrap();
         assert_eq!(s.count, Some(1));

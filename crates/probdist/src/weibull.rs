@@ -5,7 +5,7 @@ use crate::{DistError, Distribution, SimRng};
 
 /// Relative widening of [`WithinLimit`]'s uniform cutoff over the computed
 /// `F(limit)`. It absorbs the rounding of `F(limit)` and of
-/// [`Weibull::from_uniform`], which stay within a few ulps (a relative
+/// [`Weibull::lifetime_at`], which stay within a few ulps (a relative
 /// 1e-15), so no uniform whose lifetime ends by the limit lies above it.
 const CUTOFF_GUARD: f64 = 1e-9;
 
@@ -99,7 +99,7 @@ impl Weibull {
     /// 754 semantics for `powf(x, 1.0)`) is skipped outright; other shapes
     /// use the precomputed `1/β`. Both paths are value-identical to the
     /// textbook formula — pinned by tests below.
-    pub fn from_uniform(&self, u: f64) -> f64 {
+    pub(crate) fn lifetime_at(&self, u: f64) -> f64 {
         let neg_ln = -(1.0 - u).ln();
         if self.shape == 1.0 {
             self.scale * neg_ln
@@ -146,7 +146,7 @@ impl WithinLimit {
         if u > self.cutoff {
             return None;
         }
-        let x = self.lifetime.from_uniform(u);
+        let x = self.lifetime.lifetime_at(u);
         (x <= self.limit).then_some(x)
     }
 }
@@ -154,7 +154,7 @@ impl WithinLimit {
 impl Distribution for Weibull {
     fn sample(&self, rng: &mut SimRng) -> f64 {
         // Inverse CDF on the open uniform, so that 1 − U never reaches 0.
-        self.from_uniform(rng.uniform_open01())
+        self.lifetime_at(rng.uniform_open01())
     }
 
     fn mean(&self) -> f64 {
@@ -414,7 +414,7 @@ mod tests {
                 let index = (centre / step).floor();
                 for offset in -8..=8 {
                     let u = (index + f64::from(offset)) * step;
-                    if u > 0.0 && u < 1.0 && w.from_uniform(u) <= limit {
+                    if u > 0.0 && u < 1.0 && w.lifetime_at(u) <= limit {
                         prop_assert!(u <= within.cutoff, "u {u} > cutoff {}", within.cutoff);
                     }
                 }

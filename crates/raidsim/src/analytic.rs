@@ -55,7 +55,7 @@ pub fn tier_mttdl(
 /// # Errors
 ///
 /// Propagates errors from [`tier_mttdl`].
-pub fn tier_data_loss_probability(
+pub(crate) fn tier_data_loss_probability(
     geometry: RaidGeometry,
     mtbf_hours: f64,
     mttr_hours: f64,
@@ -80,28 +80,6 @@ pub fn system_data_loss_probability(
 ) -> Result<f64, RaidError> {
     let p_tier = tier_data_loss_probability(geometry, mtbf_hours, mttr_hours, mission_hours)?;
     Ok(1.0 - (1.0 - p_tier).powi(tiers as i32))
-}
-
-/// Expected storage availability of a system of `tiers` tiers when every
-/// data loss causes `recovery_hours` of downtime: the expected number of
-/// data-loss events per tier is `mission / MTTDL`, each costing
-/// `recovery_hours`.
-///
-/// # Errors
-///
-/// Propagates errors from [`tier_mttdl`].
-pub fn expected_availability(
-    tiers: u32,
-    geometry: RaidGeometry,
-    mtbf_hours: f64,
-    mttr_hours: f64,
-    mission_hours: f64,
-    recovery_hours: f64,
-) -> Result<f64, RaidError> {
-    let mttdl = tier_mttdl(geometry, mtbf_hours, mttr_hours)?;
-    let expected_losses = tiers as f64 * mission_hours / mttdl;
-    let downtime = (expected_losses * recovery_hours).min(mission_hours);
-    Ok(1.0 - downtime / mission_hours)
 }
 
 #[cfg(test)]
@@ -148,15 +126,6 @@ mod tests {
         let s2 = system_data_loss_probability(4800, g, 100_000.0, 24.0, 8_760.0).unwrap();
         assert!(s2 > s1);
         assert!((0.0..=1.0).contains(&s2));
-    }
-
-    #[test]
-    fn expected_availability_decreases_with_scale() {
-        let g = RaidGeometry::raid6_8p2();
-        let a_small = expected_availability(48, g, 100_000.0, 30.0, 8760.0, 24.0).unwrap();
-        let a_large = expected_availability(7680, g, 100_000.0, 30.0, 8760.0, 24.0).unwrap();
-        assert!(a_small >= a_large);
-        assert!(a_small > 0.999_99);
     }
 
     #[test]

@@ -33,13 +33,6 @@ impl RaidGeometry {
         RaidGeometry { data_disks: 8, parity_disks: 1 }
     }
 
-    /// RAID10 as used by the metadata EF2800: 5 mirrored pairs presented as
-    /// one tier of 10 disks tolerating one failure per pair; approximated
-    /// here as (5+5).
-    pub fn raid10_5p5() -> Self {
-        RaidGeometry { data_disks: 5, parity_disks: 5 }
-    }
-
     /// Total disks per tier.
     pub fn disks_per_tier(&self) -> u32 {
         self.data_disks + self.parity_disks
@@ -199,8 +192,7 @@ impl StorageConfig {
     /// evaluates "the RAID6 tiers and the RAID controllers in isolation from
     /// failures of other components of the SAN", and in this reproduction
     /// the controller/OSS/network hardware is modelled by the composed CFS
-    /// model (`cfs-model` crate). Use
-    /// [`StorageConfig::abe_scratch_with_controllers`] to include the
+    /// model (`cfs-model` crate). Set `controllers` to include the
     /// controller overlay in the storage simulation itself.
     pub fn abe_scratch() -> Self {
         StorageConfig {
@@ -212,15 +204,6 @@ impl StorageConfig {
             rebuild_hours: 6.0,
             data_loss_recovery_hours: 24.0,
             controllers: None,
-        }
-    }
-
-    /// [`StorageConfig::abe_scratch`] plus RAID-controller fail-over pairs
-    /// (one dual-controller pair per DDN unit).
-    pub fn abe_scratch_with_controllers() -> Self {
-        StorageConfig {
-            controllers: Some(ControllerModel::abe_default()),
-            ..StorageConfig::abe_scratch()
         }
     }
 
@@ -286,7 +269,6 @@ mod tests {
         assert_eq!(RaidGeometry::raid_8p3().disks_per_tier(), 11);
         assert_eq!(RaidGeometry::raid6_8p2().label(), "8+2");
         assert_eq!(RaidGeometry::raid5_8p1().label(), "8+1");
-        assert_eq!(RaidGeometry::raid10_5p5().label(), "5+5");
         assert!(RaidGeometry::raid6_8p2().validate().is_ok());
         assert!(RaidGeometry { data_disks: 0, parity_disks: 2 }.validate().is_err());
         assert!(RaidGeometry { data_disks: 8, parity_disks: 0 }.validate().is_err());
@@ -358,13 +340,5 @@ mod tests {
         assert!(per_720 > 0.0 && per_720 < 1.0, "per 720h {per_720}");
         assert!((12.0..=36.0).contains(&c.repair_hours));
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn abe_scratch_with_controllers_adds_the_overlay() {
-        let c = StorageConfig::abe_scratch_with_controllers();
-        assert!(c.controllers.is_some());
-        assert!(c.validate().is_ok());
-        assert!(StorageConfig::abe_scratch().controllers.is_none());
     }
 }

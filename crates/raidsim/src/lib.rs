@@ -79,7 +79,6 @@ mod storage;
 pub use config::{ControllerModel, DiskModel, RaidGeometry, StorageConfig};
 pub use error::RaidError;
 pub use replication::ReplicationConfig;
-pub use splitting::SplittingResult;
 pub use storage::{Layout, StorageRunStats, StorageSimulator, StorageSummary};
 
 #[cfg(test)]

@@ -5,15 +5,13 @@
 //! 96 TB to 12 PB, and Table 5 lists an annual disk-capacity growth rate of
 //! 33 % — by the time a petascale system is deployed, individual disks are
 //! larger, so the petabyte system does not need 125× ABE's disk count.
-//! These helpers implement both the naive scaling (same disks, more of
-//! them) and the growth-adjusted scaling.
+//! These helpers implement the naive scaling (same disks, more of them);
+//! a growth-adjusted plan passes the grown disk size to
+//! [`plan_for_capacity`].
 
 use serde::{Deserialize, Serialize};
 
 use crate::{DiskModel, RaidError, RaidGeometry, StorageConfig};
-
-/// Annual disk-capacity growth rate assumed in Table 5 (33 % per year).
-pub const ANNUAL_CAPACITY_GROWTH: f64 = 0.33;
 
 /// A storage scaling plan: how many tiers/disks/DDN units serve a target
 /// usable capacity.
@@ -33,13 +31,7 @@ pub struct ScalePlan {
 
 /// Tiers hosted by a single DDN unit on ABE (each S2A9550 serves 8 FC ports
 /// × 3 tiers).
-pub const TIERS_PER_DDN_UNIT: u32 = 24;
-
-/// Computes the disk capacity available `years_in_future` years after the
-/// ABE baseline, under the 33 % annual growth assumption.
-pub fn grown_disk_capacity_gb(baseline_gb: f64, years_in_future: f64) -> f64 {
-    baseline_gb * (1.0 + ANNUAL_CAPACITY_GROWTH).powf(years_in_future)
-}
+pub(crate) const TIERS_PER_DDN_UNIT: u32 = 24;
 
 /// Plans a storage system for `usable_tb` terabytes of usable capacity using
 /// disks of `disk_capacity_gb`, with `geometry` tiers.
@@ -142,16 +134,6 @@ mod tests {
         assert_eq!(plan.tiers, 6144);
         assert_eq!(plan.total_disks, 61_440);
         assert_eq!(plan.ddn_units, 256);
-    }
-
-    #[test]
-    fn capacity_growth_shrinks_future_disk_counts() {
-        // Four years of 33 % growth roughly triples per-disk capacity.
-        let future_gb = grown_disk_capacity_gb(250.0, 4.0);
-        assert!(future_gb > 700.0 && future_gb < 900.0, "future {future_gb}");
-        let naive = plan_for_capacity(12_288.0, 250.0, RaidGeometry::raid6_8p2()).unwrap();
-        let grown = plan_for_capacity(12_288.0, future_gb, RaidGeometry::raid6_8p2()).unwrap();
-        assert!(grown.total_disks < naive.total_disks / 2);
     }
 
     #[test]

@@ -10,8 +10,8 @@ use probdist::{Distribution, Exponential, SimRng, Weibull};
 use serde::{Deserialize, Serialize};
 
 use crate::replication::ReplicatedStore;
-use crate::splitting::estimate_until;
-use crate::{RaidError, ReplicationConfig, SplittingResult, StorageConfig};
+use crate::splitting::{estimate_until, SplittingResult};
+use crate::{RaidError, ReplicationConfig, StorageConfig};
 
 /// Hours per week, used for replacement-rate normalisation.
 const HOURS_PER_WEEK: f64 = 168.0;

@@ -32,9 +32,10 @@ use crate::engine::{
     accumulate_rate_rewards, credit_impulses, finalise, fire_activity, prepare_marking,
     sample_delay, RunResult, RunScratch, TraceEvent, MAX_INSTANT_FIRINGS,
 };
+use crate::model::Timing;
 use crate::model::{Incidence, META_SCAN_RESIDENT, RESAMPLE_BIT};
 use crate::reward::RewardTable;
-use crate::{ActivityId, Marking, Model, SanError, Timing};
+use crate::{ActivityId, Marking, Model, SanError};
 
 /// Sentinel for "no scheduled event".
 const NO_EVENT: (f64, u32) = (f64::INFINITY, u32::MAX);
@@ -372,7 +373,7 @@ fn cascade(
 }
 
 /// Reusable working state for one calendar-kernel run. Owned per worker by
-/// [`RunScratch`](crate::RunScratch) so a replication re-primes these buffers
+/// [`RunScratch`](crate::engine::RunScratch) so a replication re-primes these buffers
 /// in place instead of allocating them afresh.
 #[derive(Debug, Default)]
 pub(crate) struct CalendarScratch {

@@ -466,27 +466,19 @@ pub fn k_out_of_n_chain(
     Ok((chain, n - k + 1))
 }
 
-/// Exact steady-state availability of a k-out-of-n repairable group.
-///
-/// # Errors
-///
-/// Propagates errors from [`k_out_of_n_chain`] and the steady-state solve.
-pub fn k_out_of_n_availability(
-    n: usize,
-    k: usize,
-    failure_rate: f64,
-    repair_rate: f64,
-) -> Result<f64, SanError> {
-    let (chain, first_down) = k_out_of_n_chain(n, k, failure_rate, repair_rate)?;
-    chain.steady_state_reward(|state| if state < first_down { 1.0 } else { 0.0 })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reward::RewardSpec;
     use crate::{Experiment, ModelBuilder};
     use probdist::Exponential;
+
+    /// Exact steady-state availability of a k-out-of-n repairable group:
+    /// the probability mass of its up states.
+    fn k_out_of_n_availability(n: usize, k: usize, lambda: f64, mu: f64) -> f64 {
+        let (chain, first_down) = k_out_of_n_chain(n, k, lambda, mu).unwrap();
+        chain.steady_state_reward(|state| if state < first_down { 1.0 } else { 0.0 }).unwrap()
+    }
 
     #[test]
     fn sparse_construction_mirrors_dense_validation() {
@@ -525,10 +517,6 @@ mod tests {
         let up = chain.steady_state_reward(|s| if s < first_down { 1.0 } else { 0.0 }).unwrap();
         let expected: f64 = weights[..first_down].iter().sum::<f64>() / total;
         assert!((up - expected).abs() < 1e-10, "availability {up} vs {expected}");
-        assert!(
-            (k_out_of_n_availability(n, 2, lambda, mu).unwrap() - expected).abs() < 1e-10,
-            "k_out_of_n_availability agrees"
-        );
     }
 
     /// Three independent units, each failing at `λ` and repaired by its own
@@ -637,7 +625,7 @@ mod tests {
         assert!(k_out_of_n_chain(3, 4, 0.1, 1.0).is_err());
         assert!(k_out_of_n_chain(3, 2, -0.1, 1.0).is_err());
         // A 1-out-of-1 group is the simple repairable unit.
-        let a = k_out_of_n_availability(1, 1, 1.0 / 100.0, 1.0 / 10.0).unwrap();
+        let a = k_out_of_n_availability(1, 1, 1.0 / 100.0, 1.0 / 10.0);
         assert!((a - 100.0 / 110.0).abs() < 1e-12);
     }
 
@@ -645,9 +633,9 @@ mod tests {
     fn more_redundancy_gives_higher_availability() {
         let lambda = 1.0 / 720.0;
         let mu = 1.0 / 24.0;
-        let a_1of2 = k_out_of_n_availability(2, 1, lambda, mu).unwrap();
-        let a_2of3 = k_out_of_n_availability(3, 2, lambda, mu).unwrap();
-        let a_1of1 = k_out_of_n_availability(1, 1, lambda, mu).unwrap();
+        let a_1of2 = k_out_of_n_availability(2, 1, lambda, mu);
+        let a_2of3 = k_out_of_n_availability(3, 2, lambda, mu);
+        let a_1of1 = k_out_of_n_availability(1, 1, lambda, mu);
         assert!(a_1of2 > a_2of3, "a fail-over pair beats 2-out-of-3");
         assert!(a_2of3 > a_1of1);
         // With monthly failures and 24 h repairs a fail-over pair is down
@@ -748,7 +736,7 @@ mod tests {
         // and single-server exponential repair…
         let lambda = 1.0 / 300.0;
         let mu = 1.0 / 12.0;
-        let exact = k_out_of_n_availability(2, 1, lambda, mu).unwrap();
+        let exact = k_out_of_n_availability(2, 1, lambda, mu);
 
         // …compared against the discrete-event engine estimating the same
         // system (marking-dependent aggregate failure rate, one repairer).

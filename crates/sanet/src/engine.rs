@@ -137,7 +137,7 @@ pub struct TraceEvent {
 /// whether a scratch is fresh or reused (the parallel determinism suites
 /// pin this).
 #[derive(Debug, Default)]
-pub struct RunScratch {
+pub(crate) struct RunScratch {
     /// Per-slot reward accumulator (`RewardTable` layout).
     pub(crate) acc: Vec<f64>,
     /// The reusable marking; `None` until the first replication.
@@ -151,7 +151,7 @@ pub struct RunScratch {
 impl RunScratch {
     /// Creates an empty scratch; buffers are sized lazily by the first
     /// replication that uses it.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RunScratch::default()
     }
 }
@@ -471,9 +471,11 @@ pub(crate) fn fire_activity(
 pub(crate) fn sample_delay(activity: &Activity, marking: &Marking, rng: &mut SimRng) -> f64 {
     use probdist::Distribution;
     match &activity.timing {
-        crate::Timing::Timed(dist) => dist.sample(rng),
-        crate::Timing::TimedFn(f) => f(marking).sample(rng),
-        crate::Timing::Instantaneous => unreachable!("instantaneous activities are not scheduled"),
+        crate::model::Timing::Timed(dist) => dist.sample(rng),
+        crate::model::Timing::TimedFn(f) => f(marking).sample(rng),
+        crate::model::Timing::Instantaneous => {
+            unreachable!("instantaneous activities are not scheduled")
+        }
     }
 }
 

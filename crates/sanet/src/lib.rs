@@ -41,7 +41,7 @@
 //!   exhaustive reachable-marking-graph exploration under a budget,
 //!   classifying boundedness, ergodicity (SCC condensation), and timing
 //!   (all-exponential or the named offenders), with a typed
-//!   [`SolverAdmissibility`] verdict and — for admissible models — exact
+//!   [`reach::SolverAdmissibility`] verdict and — for admissible models — exact
 //!   sparse generator assembly into a [`ctmc::SparseCtmc`] solvable
 //!   without simulation.
 //! * [`ctmc`] — the one CTMC solver, [`ctmc::SparseCtmc`]: steady state by
@@ -139,12 +139,12 @@ mod reference;
 mod replication;
 pub mod reward;
 
-pub use engine::{RunResult, RunScratch, Simulator, TraceEvent};
+pub use engine::{RunResult, Simulator, TraceEvent};
 pub use error::SanError;
-pub use lint::{Diagnostic, LintConfig, LintReport, Severity};
+pub use lint::{Diagnostic, LintReport, Severity};
 pub use marking::{Marking, PlaceId};
-pub use model::{ActivityBuilder, ActivityId, Model, ModelBuilder, Timing};
-pub use reach::{GeneratorAssembly, ReachConfig, ReachReport, SolverAdmissibility};
+pub use model::{ActivityBuilder, ActivityId, Model, ModelBuilder};
+pub use reach::{ReachConfig, ReachReport};
 pub use replication::{Experiment, RewardEstimate, RunSummary, StoppingRule};
 pub use reward::RewardSpec;
 

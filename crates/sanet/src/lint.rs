@@ -124,41 +124,41 @@ pub mod codes {
     /// Timing function read a place missing from `timing_reads`.
     pub const UNDECLARED_TIMING_READ: &str = "SAN002";
     /// Declared read never observed, or an inert declaration.
-    pub const UNOBSERVED_DECLARED_READ: &str = "SAN003";
+    pub(crate) const UNOBSERVED_DECLARED_READ: &str = "SAN003";
     /// Timing function panicked while being probed.
-    pub const TIMING_PANICKED: &str = "SAN004";
+    pub(crate) const TIMING_PANICKED: &str = "SAN004";
     /// Gate predicate or gate function panicked while being probed.
-    pub const GATE_PANICKED: &str = "SAN005";
+    pub(crate) const GATE_PANICKED: &str = "SAN005";
     /// Gates or marking-dependent timing without declarations.
-    pub const CONSERVATIVE_DECLARATIONS: &str = "SAN006";
+    pub(crate) const CONSERVATIVE_DECLARATIONS: &str = "SAN006";
     /// Activity never enabled over the probe corpus.
     pub const DEAD_ACTIVITY: &str = "SAN010";
     /// Place not referenced by any arc, gate, declaration, or reward.
     pub const DISCONNECTED_PLACE: &str = "SAN011";
     /// One activity drains the same place through several input arcs.
-    pub const UNDERFLOW_HAZARD: &str = "SAN012";
+    pub(crate) const UNDERFLOW_HAZARD: &str = "SAN012";
     /// Input arc demands more tokens than a P-invariant bound allows.
-    pub const INVARIANT_STARVED_ARC: &str = "SAN013";
+    pub(crate) const INVARIANT_STARVED_ARC: &str = "SAN013";
     /// Certified token-conservation P-invariant.
-    pub const PLACE_INVARIANT: &str = "SAN014";
+    pub(crate) const PLACE_INVARIANT: &str = "SAN014";
     /// Impulse reward references an activity outside the model.
     pub const UNKNOWN_REWARD_TARGET: &str = "SAN020";
     /// Impulse reward attached to a dead activity.
-    pub const IMPULSE_ON_DEAD_ACTIVITY: &str = "SAN021";
+    pub(crate) const IMPULSE_ON_DEAD_ACTIVITY: &str = "SAN021";
     /// Reward function panicked while being probed.
-    pub const REWARD_PANICKED: &str = "SAN022";
+    pub(crate) const REWARD_PANICKED: &str = "SAN022";
     /// Reward function produced a non-finite value.
-    pub const NON_FINITE_REWARD: &str = "SAN023";
+    pub(crate) const NON_FINITE_REWARD: &str = "SAN023";
     /// Reachability budget exhausted; the model may be unbounded.
     pub const UNBOUNDED_SUSPECT: &str = "SAN040";
     /// Non-ergodic marking graph (terminal classes plus transient states).
-    pub const NON_ERGODIC: &str = "SAN041";
+    pub(crate) const NON_ERGODIC: &str = "SAN041";
     /// Non-exponential timing blocks the analytic solver tier.
-    pub const NON_EXPONENTIAL_TIMING: &str = "SAN042";
+    pub(crate) const NON_EXPONENTIAL_TIMING: &str = "SAN042";
     /// Reachable dead-end marking (no activity enabled).
-    pub const DEAD_END_MARKING: &str = "SAN043";
+    pub(crate) const DEAD_END_MARKING: &str = "SAN043";
     /// State-space size report from the reachability explorer.
-    pub const STATE_SPACE_SIZE: &str = "SAN044";
+    pub(crate) const STATE_SPACE_SIZE: &str = "SAN044";
 }
 
 /// One typed finding of the linter.

@@ -149,7 +149,7 @@ impl Marking {
     }
 
     /// Whether `place` holds at least `count` tokens.
-    pub fn has_at_least(&self, place: PlaceId, count: u64) -> bool {
+    pub(crate) fn has_at_least(&self, place: PlaceId, count: u64) -> bool {
         self.record_read(place.0);
         self.tokens[place.0] >= count
     }

@@ -18,17 +18,17 @@ impl ActivityId {
 }
 
 /// A predicate over the current marking (input-gate enabling condition).
-pub type Predicate = Arc<dyn Fn(&Marking) -> bool + Send + Sync>;
+pub(crate) type Predicate = Arc<dyn Fn(&Marking) -> bool + Send + Sync>;
 
 /// A marking transformation (output-gate function).
-pub type MarkingFn = Arc<dyn Fn(&mut Marking) + Send + Sync>;
+pub(crate) type MarkingFn = Arc<dyn Fn(&mut Marking) + Send + Sync>;
 
 /// A marking-dependent firing distribution.
-pub type DistFn = Arc<dyn Fn(&Marking) -> Dist + Send + Sync>;
+pub(crate) type DistFn = Arc<dyn Fn(&Marking) -> Dist + Send + Sync>;
 
 /// How an activity samples its firing delay.
 #[derive(Clone)]
-pub enum Timing {
+pub(crate) enum Timing {
     /// The activity completes immediately (zero delay) once enabled.
     /// Instantaneous activities have priority over all timed activities.
     Instantaneous,
@@ -386,7 +386,7 @@ impl Model {
     /// # Panics
     ///
     /// Panics if the id does not belong to this model.
-    pub fn place_name(&self, id: PlaceId) -> &str {
+    pub(crate) fn place_name(&self, id: PlaceId) -> &str {
         &self.places[id.0].name
     }
 
@@ -400,13 +400,8 @@ impl Model {
     }
 
     /// All place names in id order.
-    pub fn place_names(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn place_names(&self) -> impl Iterator<Item = &str> {
         self.places.iter().map(|p| p.name.as_str())
-    }
-
-    /// All activity names in id order.
-    pub fn activity_names(&self) -> impl Iterator<Item = &str> {
-        self.activities.iter().map(|a| a.name.as_str())
     }
 
     pub(crate) fn activities(&self) -> &[Activity] {
@@ -523,12 +518,12 @@ impl ModelBuilder {
 
     /// Pushes a naming scope; subsequent places and activities are named
     /// `scope/…`. Scopes nest.
-    pub fn push_scope(&mut self, scope: impl Into<String>) {
+    pub(crate) fn push_scope(&mut self, scope: impl Into<String>) {
         self.scope.push(scope.into());
     }
 
     /// Pops the innermost naming scope.
-    pub fn pop_scope(&mut self) {
+    pub(crate) fn pop_scope(&mut self) {
         self.scope.pop();
     }
 
@@ -553,21 +548,6 @@ impl ModelBuilder {
     /// name.
     pub fn place(&self, full_name: &str) -> Option<PlaceId> {
         self.place_index.get(full_name).copied()
-    }
-
-    /// Changes the initial marking of an existing place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SanError::UnknownId`] if the place does not belong to this
-    /// builder.
-    pub fn set_initial_tokens(&mut self, place: PlaceId, tokens: u64) -> Result<(), SanError> {
-        let info = self
-            .places
-            .get_mut(place.0)
-            .ok_or_else(|| SanError::UnknownId { what: format!("place #{}", place.0) })?;
-        info.initial_tokens = tokens;
-        Ok(())
     }
 
     /// Starts a timed activity with a fixed firing distribution.
@@ -874,7 +854,6 @@ mod tests {
         assert_eq!(m.activity_name(m.activity("fail").unwrap()), "fail");
         assert_eq!(m.initial_marking().tokens(up), 1);
         assert_eq!(m.place_names().count(), 2);
-        assert_eq!(m.activity_names().count(), 2);
     }
 
     #[test]
@@ -963,17 +942,6 @@ mod tests {
         marking.set_tokens(guard, 0);
         marking.set_tokens(p, 0);
         assert!(!activity.is_enabled(&marking));
-    }
-
-    #[test]
-    fn set_initial_tokens_updates_marking() {
-        let mut b = ModelBuilder::new("init");
-        let p = b.add_place("p", 1).unwrap();
-        b.set_initial_tokens(p, 7).unwrap();
-        assert!(b.set_initial_tokens(PlaceId(99), 1).is_err());
-        b.timed_activity("a", exp(1.0)).unwrap().input_arc(p, 1).build().unwrap();
-        let m = b.build().unwrap();
-        assert_eq!(m.initial_marking().tokens(p), 7);
     }
 
     #[test]

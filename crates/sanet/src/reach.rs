@@ -55,7 +55,7 @@ use crate::ctmc::{condense, SparseCtmc};
 use crate::engine::TraceEvent;
 use crate::error::SanError;
 use crate::lint::{codes, Diagnostic, LintReport, Severity};
-use crate::marking::{Marking, PlaceId};
+use crate::marking::Marking;
 use crate::model::{Activity, Model, Timing};
 
 /// Budget and policy knobs for [`Model::analyze_with`](crate::Model::analyze_with).
@@ -191,7 +191,6 @@ pub struct ReachReport {
     markings: Vec<Vec<u64>>,
     index: HashMap<Vec<u64>, u32>,
     vanishing: Vec<bool>,
-    edges: Vec<Vec<Edge>>,
     transitions: usize,
     complete: bool,
     place_bounds: Vec<u64>,
@@ -240,11 +239,6 @@ impl ReachReport {
         self.complete
     }
 
-    /// Maximum token count observed in `place` over the explored markings.
-    pub fn place_bound(&self, place: PlaceId) -> u64 {
-        self.place_bounds.get(place.index()).copied().unwrap_or(0)
-    }
-
     /// Maximum observed token count per place, indexed like the model.
     pub fn place_bounds(&self) -> &[u64] {
         &self.place_bounds
@@ -279,12 +273,6 @@ impl ReachReport {
         self.scc.as_ref().map(|s| s.terminal_classes)
     }
 
-    /// Number of transient markings (outside every terminal class), when
-    /// fully explored.
-    pub fn transient_states(&self) -> Option<usize> {
-        self.scc.as_ref().map(|s| s.transient_states)
-    }
-
     /// The solver-admissibility verdict with its reasons.
     pub fn admissibility(&self) -> &SolverAdmissibility {
         &self.admissibility
@@ -304,19 +292,6 @@ impl ReachReport {
     /// index 0 is the initial marking.
     pub fn markings(&self) -> impl Iterator<Item = &[u64]> {
         self.markings.iter().map(Vec::as_slice)
-    }
-
-    /// Successor marking indices of the explored marking at `state`
-    /// (discovery order), for walking the raw marking graph.
-    pub fn successors(&self, state: usize) -> impl Iterator<Item = usize> + '_ {
-        self.edges.get(state).map_or(&[][..], Vec::as_slice).iter().map(|e| e.to as usize)
-    }
-
-    /// Whether the instantaneous activities form a cycle of vanishing
-    /// markings (an unstable zero-delay loop the engine would reject at
-    /// run time). Only detectable when the exploration is complete.
-    pub fn has_unstable_instant_loop(&self) -> bool {
-        self.scc.as_ref().is_some_and(|s| s.instant_loop)
     }
 
     /// Builds the sparse CTMC generator over the tangible markings.
@@ -804,7 +779,6 @@ pub(crate) fn explore(model: &Model, config: &ReachConfig) -> ReachReport {
         markings,
         index,
         vanishing,
-        edges,
         transitions,
         complete,
         place_bounds,
@@ -889,7 +863,7 @@ mod tests {
         assert!(report.complete());
         assert!(report.is_ergodic());
         assert_eq!(report.terminal_classes(), Some(1));
-        assert_eq!(report.transient_states(), Some(0));
+        assert_eq!(report.scc.as_ref().map(|s| s.transient_states), Some(0));
         assert!(report.all_exponential());
         assert!(report.admissibility().is_analytic());
         assert_eq!(report.place_bounds(), &[1, 1]);
@@ -996,7 +970,7 @@ mod tests {
         let report = model.analyze_with(&config);
         assert!(!report.complete());
         assert_eq!(report.num_states(), 10);
-        assert!(report.place_bound(crate::PlaceId(0)) >= 9);
+        assert!(report.place_bounds()[0] >= 9);
         assert!(!report.admissibility().is_analytic());
         let reasons = report.admissibility().reasons().join("; ");
         assert!(reasons.contains("budget"), "{reasons}");
@@ -1040,7 +1014,7 @@ mod tests {
         assert_eq!(report.num_dead_ends(), 1);
         assert!(!report.is_ergodic());
         assert_eq!(report.terminal_classes(), Some(1));
-        assert_eq!(report.transient_states(), Some(1));
+        assert_eq!(report.scc.as_ref().map(|s| s.transient_states), Some(1));
         // A single terminal class keeps the model analytic: the steady
         // state is the point mass on the absorbing marking.
         assert!(report.admissibility().is_analytic());
@@ -1143,7 +1117,6 @@ mod tests {
         let model = b.build().unwrap();
         let report = model.analyze();
         assert!(report.complete());
-        assert!(report.has_unstable_instant_loop());
         assert!(!report.admissibility().is_analytic());
         let reasons = report.admissibility().reasons().join("; ");
         assert!(reasons.contains("cycle"), "{reasons}");
@@ -1246,16 +1219,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn successor_graph_is_exposed() {
-        let model = repairable_unit(0.01, 0.5);
-        let report = model.analyze();
-        // State 0 (up) -> state 1 (down) -> state 0.
-        assert_eq!(report.successors(0).collect::<Vec<_>>(), vec![1]);
-        assert_eq!(report.successors(1).collect::<Vec<_>>(), vec![0]);
-        assert_eq!(report.successors(7).count(), 0);
     }
 
     /// Transitive closure by Floyd–Warshall: `closure[u][v]` iff a path of

@@ -17,11 +17,12 @@ use crate::engine::{
     accumulate_rate_rewards, credit_impulses, finalise, fire_activity, prepare_marking,
     sample_delay, RunResult, RunScratch, TraceEvent, MAX_INSTANT_FIRINGS,
 };
+use crate::model::Timing;
 use crate::reward::RewardTable;
-use crate::{ActivityId, Marking, Model, SanError, Timing};
+use crate::{ActivityId, Marking, Model, SanError};
 
 /// Reusable working state for one reference-kernel run, owned per worker by
-/// [`RunScratch`](crate::RunScratch). The marking and reward accumulator are
+/// [`RunScratch`](crate::engine::RunScratch). The marking and reward accumulator are
 /// shared with the calendar kernel's scratch; these two buffers are the
 /// reference kernel's own.
 #[derive(Debug, Default)]

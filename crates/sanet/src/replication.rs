@@ -211,7 +211,7 @@ impl Experiment {
             &root,
             self.workers,
             cancel,
-            crate::RunScratch::new,
+            crate::engine::RunScratch::new,
             |index, rng, scratch| {
                 sim.run_with_table_scratch(&table, self.horizon, rng, scratch)
                     .map(|result| apply_chaos(index, result))

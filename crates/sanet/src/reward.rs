@@ -17,11 +17,11 @@ use std::sync::Arc;
 use crate::{ActivityId, Marking};
 
 /// A rate-reward function of the marking.
-pub type RewardFn = Arc<dyn Fn(&Marking) -> f64 + Send + Sync>;
+pub(crate) type RewardFn = Arc<dyn Fn(&Marking) -> f64 + Send + Sync>;
 
 /// How a rate reward is reported at the end of a replication.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RewardKind {
+pub(crate) enum RewardKind {
     /// Time integral of the rate function divided by the observation length.
     TimeAveraged,
     /// Value of the rate function in the final marking.

@@ -13,7 +13,7 @@ use sanet::ctmc::SparseCtmc;
 /// Panics if the chain has no unique stationary distribution.
 // Index-style loops mirror the Qᵀπ = 0 linear-algebra notation.
 #[allow(clippy::needless_range_loop)]
-pub fn gaussian_steady_state(chain: &SparseCtmc) -> Vec<f64> {
+pub(crate) fn gaussian_steady_state(chain: &SparseCtmc) -> Vec<f64> {
     let n = chain.states();
     let mut a = vec![vec![0.0_f64; n + 1]; n];
     for (from, to, rate) in chain.transitions() {

@@ -183,6 +183,28 @@ fn corrupt_checkpoint_is_a_typed_error() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// A checkpoint that cannot be written is a typed error: the study aborts
+/// with it, or under `ContinueAndReport` records one failure per
+/// checkpointing scenario.
+#[test]
+fn unwritable_checkpoint_is_a_typed_error_under_either_policy() {
+    let path = temp_file("missing-dir").join("study.json");
+    let spec = quick_spec().with_checkpoint(path.to_str().unwrap(), 2);
+    let study = || Study::new().with(ClusterConfig::abe()).with(ClusterConfig::petascale());
+    let err = study().run(&spec).unwrap_err();
+    assert!(matches!(err, CfsError::Checkpoint { .. }), "{err}");
+    assert!(err.to_string().contains("cannot write temporary file"), "{err}");
+
+    let spec = spec.with_failure_policy(FailurePolicy::ContinueAndReport);
+    let report = study().run(&spec).unwrap();
+    assert!(report.outputs.is_empty());
+    let failed: Vec<&str> = report.failures.iter().map(|f| f.scenario.as_str()).collect();
+    assert_eq!(failed, ["ABE", "12288TB"]);
+    for failure in &report.failures {
+        assert!(failure.message.contains("cannot write temporary file"), "{}", failure.message);
+    }
+}
+
 /// Deadline-driven graceful degradation: an expired deadline mid-run
 /// yields valid statistics over the completed prefix, with the report
 /// flagging the truncation and the replication count actually used.
